@@ -462,14 +462,20 @@ def _trim_pair(args, cfg: AnalysisConfig) -> tuple[float, float] | None:
     return (up or 0.0, down or 0.0)
 
 
+def _read_runs(args, cfg: AnalysisConfig) -> list[RunSeries]:
+    """The runs in the input directory, with the effective trim applied."""
+    runs = read_series_dir(args.input)
+    trim = _trim_pair(args, cfg)
+    if trim is not None:
+        runs = [dataclasses.replace(r, trim=trim) for r in runs]
+    return runs
+
+
 def _load_dataset(args, cfg: AnalysisConfig) -> tuple[Dataset, list[str]]:
     """Points file or directory of series; exactly one input path."""
     notices: list[str] = []
     if os.path.isdir(args.input):
-        runs = read_series_dir(args.input)
-        trim = _trim_pair(args, cfg)
-        if trim is not None:
-            runs = [dataclasses.replace(r, trim=trim) for r in runs]
+        runs = _read_runs(args, cfg)
         dataset = aggregate_runs(runs, _steady_config(args, cfg))
         notices.append(f"aggregated {len(runs)} time-series runs from {args.input}")
     else:
@@ -716,13 +722,9 @@ def cmd_simulate(args, cfg: AnalysisConfig) -> int:
 
 def cmd_steady(args, cfg: AnalysisConfig) -> int:
     sconfig = _steady_config(args, cfg)
-    trim = _trim_pair(args, cfg)
     fmt = _effective(args.format, cfg.format)
     if os.path.isdir(args.input):
-        runs = read_series_dir(args.input)
-        if trim is not None:
-            runs = [dataclasses.replace(r, trim=trim) for r in runs]
-        dataset = aggregate_runs(runs, sconfig)
+        dataset = aggregate_runs(_read_runs(args, cfg), sconfig)
         comments = ["steady-state means per load level"]
         for p in dataset.points:
             comments.append(f"N={p.n:g}: cv={p.meta['cv']:.4f} samples={p.meta['samples']}")
@@ -733,6 +735,7 @@ def cmd_steady(args, cfg: AnalysisConfig) -> int:
             write_points_csv(sys.stdout, dataset, comments=comments)
         return EXIT_OK
     run = read_series_csv(args.input, load=args.load)
+    trim = _trim_pair(args, cfg)
     if trim is not None:
         run = dataclasses.replace(run, trim=trim)
     w = extract_steady_state(run, sconfig)

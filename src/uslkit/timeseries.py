@@ -8,6 +8,13 @@ fitted trend is flat (relative drift across the window below slope_tol)
 and whose coefficient of variation stays below cv_max.  Dips inside the
 window (GC pauses, compaction stalls) are part of steady state and are
 deliberately not outlier-rejected; they belong in the mean.
+
+Detection picks the longest qualifying window, and among windows of equal
+duration the one with the earliest start.  The search prunes starts and
+ends that cannot beat the best window found so far; the pruning is exact,
+so it returns the window an exhaustive scan of every (start, end) pair
+would.  A run with no qualifying window gets no benefit from it and still
+costs O(k^2) in the number of samples k.
 """
 
 from __future__ import annotations
@@ -132,9 +139,28 @@ def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
     zxx = np.concatenate([[0.0], np.cumsum(x * x)])
     ztx = np.concatenate([[0.0], np.cumsum(tc * x)])
 
+    floor = cfg.min_fraction * total
+
+    def can_win(duration) -> bool:
+        # a start after the current best wins only with a strictly longer window
+        return duration >= floor and (best is None or duration > best[0])
+
+    # Selection rule: the longest valid window, ties to the earliest start.
+    # Durations t[j] - t[i] are monotone in j and, for the last end, in i,
+    # so the scan stops at the first start whose longest possible window
+    # cannot win, and each start skips the ends too close to it.  Both cuts
+    # drop only pairs that cannot win, so the result is that of the full
+    # scan; a run with no valid window still tries O(k^2) pairs.
     best = None  # (duration, -start_index, j)
     for i in range(k - 2):
-        j = np.arange(i + 2, k)
+        if not can_win(t[-1] - t[i]):
+            break
+        need = floor if best is None else best[0]
+        lo = max(i + 2, int(np.searchsorted(t, t[i] + need)))
+        # t[i] + need is rounded; step back over ends it passed by mistake
+        while lo > i + 2 and can_win(t[lo - 1] - t[i]):
+            lo -= 1
+        j = np.arange(lo, k)
         m = j - i + 1
         st = zt[j + 1] - zt[i]
         sx = zx[j + 1] - zx[i]

@@ -10,6 +10,7 @@ from uslkit import (
     aggregate_runs,
     extract_steady_state,
 )
+from oracles import steady_window_full_scan
 
 
 def constant_run(load, level, n=20, step=5.0):
@@ -147,6 +148,105 @@ class TestDetection:
             SteadyStateConfig(cv_max=-0.1)
         with pytest.raises(DomainError):
             SteadyStateConfig(min_fraction=1.5)
+
+
+def detect_both(times, values, cfg):
+    """(library result, oracle result); each a SteadyWindow or an error message."""
+    out = []
+    run = RunSeries(load=2.0, samples=tuple(zip(times, values)))
+    for detect in (lambda: extract_steady_state(run, cfg),
+                   lambda: steady_window_full_scan(run.times, run.values, cfg)):
+        try:
+            out.append(detect())
+        except NoSteadyStateError as e:
+            out.append(str(e))
+    return out
+
+
+def random_run(rng, case):
+    k = int(rng.integers(5, 160))
+    spacing = case % 4
+    if spacing == 0:
+        t = np.arange(k, dtype=float)
+    elif spacing == 1:
+        t = np.cumsum(rng.uniform(0.05, 4.0, k))
+    elif spacing == 2:
+        t = 1.7e9 + np.cumsum(np.full(k, 0.001))
+    else:
+        t = 1.7e9 + np.cumsum(rng.choice([0.001, 0.25, 1.0], k))
+    shape = (case // 4) % 4
+    if shape == 0:
+        x = np.full(k, float(rng.uniform(1.0, 500.0)))
+    else:
+        x = 100.0 * (1.0 + rng.normal(0.0, rng.uniform(0.0, 0.2), k))
+        if shape >= 2:
+            up, down = int(k * rng.uniform(0.0, 0.4)), int(k * rng.uniform(0.0, 0.3))
+            x[:up] *= np.linspace(0.0, 1.0, up)
+            x[k - down:] *= np.linspace(1.0, 0.0, down)
+        if shape == 3:
+            x[rng.integers(0, k, int(rng.integers(1, k)))] = 0.0
+        x = np.maximum(x, 0.0)
+    if case % 37 == 0:
+        x = np.zeros(k)
+    min_fraction = rng.choice([1.0, 0.05, 0.05 + 1e-12, float(rng.uniform(0.05, 1.0))])
+    cfg = SteadyStateConfig(
+        slope_tol=float(rng.uniform(0.001, 0.1)),
+        cv_max=float(rng.uniform(0.005, 0.3)),
+        min_fraction=float(min_fraction),
+    )
+    return t, x, cfg
+
+
+class TestFullScanEquivalence:
+    def test_matches_the_full_scan_on_seeded_runs(self):
+        # the pruned search must return exactly what the exhaustive scan
+        # returns: every window field bit for bit, or the same error
+        rng = np.random.default_rng(20261017)
+        found = failed = 0
+        for case in range(560):
+            t, x, cfg = random_run(rng, case)
+            got, want = detect_both(t, x, cfg)
+            assert got == want, f"case {case}: {got!r} != {want!r}"
+            if isinstance(want, str):
+                failed += 1
+            else:
+                found += 1
+        # both outcomes are exercised, so neither branch is compared vacuously
+        assert found >= 150 and failed >= 50
+
+    def test_equal_durations_go_to_the_earliest_start(self):
+        # two flat plateaus of ten samples each, split by one spike that
+        # no valid window can contain: both are maximal, the first wins
+        x = [100.0] * 10 + [1000.0] + [200.0] * 10
+        t = [float(i) for i in range(len(x))]
+        got, want = detect_both(t, x, SteadyStateConfig())
+        assert got == want
+        assert (got.start, got.end, got.mean_throughput) == (0.0, 9.0, 100.0)
+
+    def test_first_valid_window_found_late(self):
+        # a ramp over 70% of the run: no start before the plateau has a
+        # valid window, so the scan runs long before it has a best
+        rng = np.random.default_rng(5)
+        k = 400
+        x = np.minimum(np.arange(k) / 280.0, 1.0) * 100.0 * (1.0 + rng.normal(0.0, 0.01, k))
+        t = 1.7e9 + np.arange(k) * 0.5
+        got, want = detect_both(t, x, SteadyStateConfig(min_fraction=0.25))
+        assert got == want
+        assert got.start >= t[270]
+
+    def test_rounded_end_bound_keeps_the_boundary_window(self):
+        # t[1] + 9 rounds (a tie, to even) one ulp past the last timestamp,
+        # yet t[-1] - t[1] is exactly 9, the minimum duration: the only
+        # valid window ends at a sample the rounded bound would skip
+        u = 2.0 ** -49  # ulp of values in [8, 16)
+        t = [0.0, 1.5 * u] + [float(s) for s in range(1, 9)] + [9.0 + u]
+        assert t[1] + 9.0 > t[-1] and t[-1] - t[1] == 9.0
+        x = [1000.0] + [100.0] * (len(t) - 1)
+        cfg = SteadyStateConfig(min_fraction=9.0 / (9.0 + u))
+        assert cfg.min_fraction * (t[-1] - t[0]) == 9.0
+        got, want = detect_both(t, x, cfg)
+        assert got == want
+        assert (got.start, got.end) == (t[1], t[-1])
 
 
 class TestAggregation:
