@@ -10,11 +10,16 @@ window (GC pauses, compaction stalls) are part of steady state and are
 deliberately not outlier-rejected; they belong in the mean.
 
 Detection picks the longest qualifying window, and among windows of equal
-duration the one with the earliest start.  The search prunes starts and
-ends that cannot beat the best window found so far; the pruning is exact,
-so it returns the window an exhaustive scan of every (start, end) pair
-would.  A run with no qualifying window gets no benefit from it and still
-costs O(k^2) in the number of samples k.
+duration the one with the earliest start.  The search scores window sizes
+(sample counts) from the whole run down, a block of consecutive sizes per
+numpy pass, and stops before the first block whose longest possible window
+is shorter than the minimum duration or strictly shorter than the best
+window found so far.  Durations are monotone under IEEE subtraction, so
+the stop is exact: the search returns the window an exhaustive scan of
+every (start, end) pair would.  The comparison is strict because, with
+irregular timestamps, a window with fewer samples and an earlier start can
+tie the best duration.  A run with no qualifying window is scored down to
+the minimum duration and still costs O(k^2) in the number of samples k.
 """
 
 from __future__ import annotations
@@ -126,6 +131,23 @@ def _trimmed(run: RunSeries) -> SteadyWindow:
     return SteadyWindow(float(start), float(end), mean, cv, int(mask.sum()))
 
 
+_BLOCK_PAIRS = 1 << 13  # (size, start) pairs scored per numpy pass
+
+
+def _size_blocks(k: int):
+    """(lo, top) ranges of window sizes from k down to 3, one per numpy pass.
+
+    A block of n sizes below top has n * (k - top + n) (size, start)
+    pairs; n is the largest that keeps this within _BLOCK_PAIRS.
+    """
+    top = k
+    while top >= 3:
+        a = k - top
+        n = min(top - 2, max(1, (math.isqrt(a * a + 4 * _BLOCK_PAIRS) - a) // 2))
+        yield top - n + 1, top
+        top -= n
+
+
 def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
     t, x = run.times, run.values
     k = len(t)
@@ -141,46 +163,52 @@ def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
 
     floor = cfg.min_fraction * total
 
-    def can_win(duration) -> bool:
-        # a start after the current best wins only with a strictly longer window
-        return duration >= floor and (best is None or duration > best[0])
+    # ends[:, p] holds the five prefix sums at p and t[p - 1], the terms at
+    # a window's end p = i + m; starts[:, i] holds the same at its start i.
+    # NaN tails make the pairs past the last sample fail every comparison.
+    ends = np.full((6, 2 * k + 1), np.nan)
+    ends[:5, :k + 1] = zt, zx, ztt, zxx, ztx
+    ends[5, 1:k + 1] = t
+    starts = np.stack([zt[:k], zx[:k], ztt[:k], zxx[:k], ztx[:k], t])
 
     # Selection rule: the longest valid window, ties to the earliest start.
-    # Durations t[j] - t[i] are monotone in j and, for the last end, in i,
-    # so the scan stops at the first start whose longest possible window
-    # cannot win, and each start skips the ends too close to it.  Both cuts
-    # drop only pairs that cannot win, so the result is that of the full
-    # scan; a run with no valid window still tries O(k^2) pairs.
+    # Window sizes m = j - i + 1 are scored from k down, a block of sizes
+    # per pass over (size x start).  Before each block, dmax is the longest
+    # duration of any window of at most `top` samples: IEEE subtraction is
+    # monotone, so t[j] - t[i] grows with j and shrinks with i.  Once dmax
+    # falls below the floor, or strictly below the best duration, no
+    # remaining window can win.  A tie must still be scored, because with
+    # irregular timestamps an earlier start can reach the same duration
+    # with fewer samples.  The result is that of the full scan; a run with
+    # no valid window still scores O(k^2) pairs.
     best = None  # (duration, -start_index, j)
-    for i in range(k - 2):
-        if not can_win(t[-1] - t[i]):
+    for lo, top in _size_blocks(k):
+        dmax = (t[top - 1:] - t[:k - top + 1]).max()
+        if dmax < floor or (best is not None and dmax < best[0]):
             break
-        need = floor if best is None else best[0]
-        lo = max(i + 2, int(np.searchsorted(t, t[i] + need)))
-        # t[i] + need is rounded; step back over ends it passed by mistake
-        while lo > i + 2 and can_win(t[lo - 1] - t[i]):
-            lo -= 1
-        j = np.arange(lo, k)
-        m = j - i + 1
-        st = zt[j + 1] - zt[i]
-        sx = zx[j + 1] - zx[i]
-        stt = ztt[j + 1] - ztt[i]
-        sxx = zxx[j + 1] - zxx[i]
-        stx = ztx[j + 1] - ztx[i]
+        n = top - lo + 1
+        c = k - lo + 1
+        m = np.arange(lo, top + 1, dtype=float)[:, None]
+        # (sums, duration)[size m, start i] for m = lo .. top, i = 0 .. c - 1
+        win = np.lib.stride_tricks.sliding_window_view(ends[:, lo:lo + c + n - 1], n, axis=1)
+        st, sx, stt, sxx, stx, duration = win.transpose(0, 2, 1) - starts[:, None, :c]
         mean = sx / m
         var = np.maximum(sxx / m - mean * mean, 0.0)
-        duration = t[j] - t[i]
         den = m * stt - st * st
-        slope = (m * stx - st * sx) / den
         with np.errstate(divide="ignore", invalid="ignore"):
-            cv = np.where(mean > 0.0, np.sqrt(var) / np.where(mean > 0, mean, 1.0), np.inf)
-            drift = np.where(mean > 0.0, np.abs(slope) * duration / np.where(mean > 0, mean, 1.0), np.inf)
-        valid = (mean > 0.0) & (cv <= cfg.cv_max) & (drift <= cfg.slope_tol) & (
-            duration >= cfg.min_fraction * total
-        )
+            slope = (m * stx - st * sx) / den
+            # cv and drift matter only where mean > 0, which valid requires
+            cv = np.sqrt(var) / mean
+            drift = np.abs(slope) * duration / mean
+            valid = (mean > 0.0) & (cv <= cfg.cv_max) & (drift <= cfg.slope_tol) & (
+                duration >= floor
+            )
         if valid.any():
-            idx = int(np.where(valid)[0][-1])  # longest duration for this start
-            cand = (float(duration[idx]), -i, int(j[idx]))
+            d = duration[valid].max()
+            r, i = np.nonzero(valid & (duration == d))
+            first = i.min()
+            j = (i + r)[i == first].max() + lo - 1
+            cand = (float(d), -int(first), int(j))
             if best is None or cand > best:
                 best = cand
     if best is None:

@@ -10,6 +10,7 @@ from uslkit import (
     aggregate_runs,
     extract_steady_state,
 )
+from uslkit.timeseries import _size_blocks
 from oracles import steady_window_full_scan
 
 
@@ -163,17 +164,20 @@ def detect_both(times, values, cfg):
     return out
 
 
-def random_run(rng, case):
-    k = int(rng.integers(5, 160))
+def random_times(rng, case, k):
     spacing = case % 4
     if spacing == 0:
-        t = np.arange(k, dtype=float)
-    elif spacing == 1:
-        t = np.cumsum(rng.uniform(0.05, 4.0, k))
-    elif spacing == 2:
-        t = 1.7e9 + np.cumsum(np.full(k, 0.001))
-    else:
-        t = 1.7e9 + np.cumsum(rng.choice([0.001, 0.25, 1.0], k))
+        return np.arange(k, dtype=float)
+    if spacing == 1:
+        return np.cumsum(rng.uniform(0.05, 4.0, k))
+    if spacing == 2:
+        return 1.7e9 + np.cumsum(np.full(k, 0.001))
+    return 1.7e9 + np.cumsum(rng.choice([0.001, 0.25, 1.0], k))
+
+
+def random_run(rng, case):
+    k = int(rng.integers(5, 160))
+    t = random_times(rng, case, k)
     shape = (case // 4) % 4
     if shape == 0:
         x = np.full(k, float(rng.uniform(1.0, 500.0)))
@@ -197,22 +201,53 @@ def random_run(rng, case):
     return t, x, cfg
 
 
+def long_run(rng, case):
+    # 1000-5000 ramped, noisy samples, some zeroed: the winning window is
+    # usually well short of the whole run, so the search spans many blocks
+    k = int(rng.integers(1000, 5001))
+    t = random_times(rng, case, k)
+    if case % 10 == 0:
+        x = np.linspace(1.0, 100.0, k)  # a plain ramp has no valid window
+    else:
+        x = 100.0 * (1.0 + rng.normal(0.0, rng.uniform(0.0, 0.05), k))
+        up, down = int(k * rng.uniform(0.05, 0.4)), int(k * rng.uniform(0.0, 0.3))
+        x[:up] *= np.linspace(0.0, 1.0, up)
+        x[k - down:] *= np.linspace(1.0, 0.0, down)
+        if case % 3 == 0:
+            x[rng.integers(0, k, int(rng.integers(1, 10)))] = 0.0
+        x = np.maximum(x, 0.0)
+    cfg = SteadyStateConfig(
+        slope_tol=float(rng.uniform(0.005, 0.05)),
+        cv_max=float(rng.uniform(0.01, 0.2)),
+        min_fraction=float(rng.uniform(0.05, 0.8)),
+    )
+    return t, x, cfg
+
+
 class TestFullScanEquivalence:
     def test_matches_the_full_scan_on_seeded_runs(self):
-        # the pruned search must return exactly what the exhaustive scan
+        # the blocked search must return exactly what the exhaustive scan
         # returns: every window field bit for bit, or the same error
         rng = np.random.default_rng(20261017)
-        found = failed = 0
-        for case in range(560):
-            t, x, cfg = random_run(rng, case)
+        runs = [("short", random_run(rng, case)) for case in range(560)]
+        runs += [("long", long_run(rng, case)) for case in range(40)]
+        found = {"short": 0, "long": 0}
+        failed = dict(found)
+        past_first_block = 0
+        for case, (kind, (t, x, cfg)) in enumerate(runs):
             got, want = detect_both(t, x, cfg)
             assert got == want, f"case {case}: {got!r} != {want!r}"
             if isinstance(want, str):
-                failed += 1
+                failed[kind] += 1
             else:
-                found += 1
-        # both outcomes are exercised, so neither branch is compared vacuously
-        assert found >= 150 and failed >= 50
+                found[kind] += 1
+                first_lo, _ = next(_size_blocks(len(t)))
+                past_first_block += want.sample_count < first_lo
+        # both outcomes are exercised, so neither branch is compared vacuously,
+        # and most long windows are found blocks below the whole run
+        assert found["short"] >= 150 and failed["short"] >= 50
+        assert found["long"] >= 15 and failed["long"] >= 5
+        assert past_first_block >= 15
 
     def test_equal_durations_go_to_the_earliest_start(self):
         # two flat plateaus of ten samples each, split by one spike that
@@ -247,6 +282,44 @@ class TestFullScanEquivalence:
         got, want = detect_both(t, x, cfg)
         assert got == want
         assert (got.start, got.end) == (t[1], t[-1])
+
+    def test_longest_window_may_have_fewer_samples(self):
+        # 1000 samples at 100 over 9.99 s, then 16 at 200 over 30 s.  The
+        # dense plateau is the best window for many blocks of sizes before
+        # the sparse one, with far fewer samples, wins on duration
+        t = [i * 0.01 for i in range(1000)] + [10.0 + 2.0 * s for s in range(16)]
+        x = [100.0] * 1000 + [200.0] * 16
+        got, want = detect_both(t, x, SteadyStateConfig(cv_max=0.005, min_fraction=0.05))
+        assert got == want
+        assert (got.start, got.end, got.mean_throughput, got.sample_count) == (10.0, 40.0, 200.0, 16)
+
+    def test_equal_duration_with_fewer_samples_goes_to_the_earlier_start(self):
+        # a samples 4 s apart, then 4(a - 1) + 1 samples 1 s apart: both
+        # plateaus last 4(a - 1) s and the later one, with more samples, is
+        # found first.  a is the top size of a block, and no window of a
+        # samples lasts longer than the best, so a stop on dmax <= best
+        # would never score the earlier plateau
+        a = next(a for a in range(100, 400) if any(top == a for _, top in _size_blocks(5 * a - 3)))
+        d = 4.0 * (a - 1)
+        t = [4.0 * s for s in range(a)] + [d + 1.0 + s for s in range(4 * a - 3)]
+        x = [100.0] * a + [200.0] * (4 * a - 3)
+        got, want = detect_both(t, x, SteadyStateConfig(cv_max=0.005))
+        assert got == want
+        assert (got.start, got.end, got.mean_throughput, got.sample_count) == (0.0, d, 100.0, a)
+
+    def test_winning_size_on_a_block_boundary(self):
+        # a flat plateau of s samples amid samples alternating 0 and 1000:
+        # the plateau is the only valid window.  s is the lowest size of
+        # one block and then the top size of the next one
+        k = 1000
+        lo, _ = list(_size_blocks(k))[2]
+        for s in (lo, lo - 1):
+            x = [0.0, 1000.0] * 25 + [100.0] * s + [0.0, 1000.0] * ((k - 50 - s) // 2 + 1)
+            x = x[:k]
+            t = [float(i) for i in range(k)]
+            got, want = detect_both(t, x, SteadyStateConfig(cv_max=0.005))
+            assert got == want
+            assert (got.start, got.end, got.sample_count) == (50.0, 49.0 + s, s)
 
 
 class TestAggregation:
