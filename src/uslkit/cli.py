@@ -471,6 +471,14 @@ def _read_runs(args, cfg: AnalysisConfig) -> list[RunSeries]:
     return runs
 
 
+def _fit_options(args, cfg: AnalysisConfig) -> FitOptions:
+    return FitOptions(
+        mode=_MODE_NAMES[_effective(getattr(args, "mode", None), cfg.mode)],
+        beta_max=_effective(getattr(args, "beta_max", None), cfg.beta_max),
+        refine_tol=cfg.refine_tol,
+    )
+
+
 def _load_dataset(args, cfg: AnalysisConfig) -> tuple[Dataset, list[str]]:
     """Points file or directory of series; exactly one input path."""
     notices: list[str] = []
@@ -517,12 +525,7 @@ def cmd_fit(args, cfg: AnalysisConfig) -> int:
     else:
         notices.append("validation skipped: no usable n = 1 baseline")
 
-    options = FitOptions(
-        mode=_MODE_NAMES[_effective(args.mode, cfg.mode)],
-        beta_max=_effective(args.beta_max, cfg.beta_max),
-        refine_tol=cfg.refine_tol,
-    )
-    fit = fit_usl(dataset, options)
+    fit = fit_usl(dataset, _fit_options(args, cfg))
     if fit.significance_warning:
         notices.append(
             "fewer than 6 distinct levels; coefficient estimates are weakly constrained"
@@ -596,7 +599,7 @@ def cmd_predict(args, cfg: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def _fit_from_path(path: str, cfg: AnalysisConfig) -> tuple[str, FitResult]:
+def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
     """A saved JSON fit report or a points file to fit fresh."""
     if path.endswith(".json"):
         try:
@@ -616,12 +619,13 @@ def _fit_from_path(path: str, cfg: AnalysisConfig) -> tuple[str, FitResult]:
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
             raise ParseError(f"not a saved fit report: {e}", path=path) from e
     dataset = read_points_csv(path)
-    return os.path.basename(path), fit_usl(dataset, FitOptions(beta_max=cfg.beta_max))
+    return os.path.basename(path), fit_usl(dataset, options)
 
 
 def cmd_compare(args, cfg: AnalysisConfig) -> int:
-    name_a, fit_a = _fit_from_path(args.a, cfg)
-    name_b, fit_b = _fit_from_path(args.b, cfg)
+    options = _fit_options(args, cfg)
+    name_a, fit_a = _fit_from_path(args.a, options)
+    name_b, fit_b = _fit_from_path(args.b, options)
     comp = compare_fits(fit_a, fit_b)
     if comp.scales_further == "tie":
         if math.isinf(comp.peak_a):

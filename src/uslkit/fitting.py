@@ -8,10 +8,23 @@ so every measurement carries equal weight.  Two modes exist:
 * raw-throughput-3param: x1 is fitted alongside (alpha, beta).
   Automatic fallback when no baseline measurement is present.
 
-The optimizer is deliberately boring and deterministic: a coarse grid
-over the feasible box picks a starting cell, a projected Nelder-Mead
-simplex refines it, and ties are broken toward smaller sse, then smaller
-beta, then smaller alpha.  Identical input yields bit-identical output.
+The solver uses the model's structure and has one path:
+
+1. Start.  In the linearized form of the law, Y = n*x1/x - 1 =
+   alpha*(n-1) + beta*n*(n-1) is linear in (alpha, beta), so a weighted
+   nonnegative least squares in two unknowns gives the start in closed
+   form: the interior solution when it is nonnegative, else the best of
+   the two faces and the corner.  Without a baseline, the lowest level's
+   throughput per user stands in for x1.
+2. Polish.  One bounded Levenberg-Marquardt run on the raw-throughput
+   sse over [0, 1 - 1e-12] x [0, beta_max], holding a coordinate that
+   sits on a bound with its gradient pointing outward.  In raw3 mode x1
+   stays profiled in closed form, x1 = <x, c> / <c, c>.
+3. Faces.  The first of (alpha, 0), (0, beta) and (0, 0) whose sse is
+   within refine_tol (relative) of the polished sse replaces the polished
+   point, so ties go to smaller beta, then smaller alpha.
+
+The solver is deterministic: identical input yields bit-identical output.
 """
 
 from __future__ import annotations
@@ -43,7 +56,6 @@ MODE_NORMALIZED = "normalized-capacity"
 MODE_RAW3 = "raw-throughput-3param"
 
 _ALPHA_MAX = 1.0 - 1e-12  # keep fits strictly inside the open upper bound
-_SNAP_EPS = 1e-9          # boundary proximity at which exact 0 is tried
 
 
 @dataclass(frozen=True)
@@ -108,11 +120,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Settings of fit_usl.
+
+    refine_tol: the polish stops once an accepted step lowers the sse by
+        at most this fraction of it; a face point within this fraction of
+        the polished sse is preferred to it.
+    max_refine_iter: cap on the polish's trial steps, accepted or not.
+    """
+
     mode: str = MODE_AUTO
     beta_max: float = 1.0
-    alpha_steps: int = 50
-    beta_steps: int = 50
-    refine_tol: float = 1e-10   # relative sse spread at which refinement stops
+    refine_tol: float = 1e-10
     max_refine_iter: int = 600
 
     def __post_init__(self) -> None:
@@ -120,8 +138,6 @@ class FitOptions:
             raise DomainError(f"unknown fit mode {self.mode!r}")
         if not (self.beta_max > 0.0):
             raise DomainError("beta_max must be positive")
-        if self.alpha_steps < 2 or self.beta_steps < 2:
-            raise DomainError("grid needs at least 2 steps per axis")
         if not (self.refine_tol > 0.0) or self.max_refine_iter < 1:
             raise DomainError("refinement settings must be positive")
 
@@ -194,139 +210,117 @@ def capacity_ratios(dataset: Dataset) -> list[tuple[float, float]]:
     return [(p.n, p.x / base.x) for p in dataset.points]
 
 
-def _capacity_grid(ns: np.ndarray, alpha, beta) -> np.ndarray:
-    # broadcasts over leading grid axes; last axis is the point index
+def _capacity(ns: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return ns / (1.0 + alpha * (ns - 1.0) + beta * ns * (ns - 1.0))
 
 
-def _profiled_x1(c: np.ndarray, xs: np.ndarray) -> float:
-    # closed-form least-squares scale for fixed (alpha, beta)
-    return float(np.dot(xs, c) / np.dot(c, c))
+def _residuals(ns, xs, x1_pin, theta) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x - x1*c, c, x1) at theta; x1 is profiled in closed form unless pinned."""
+    c = _capacity(ns, theta[0], theta[1])
+    x1 = x1_pin if x1_pin is not None else float(np.dot(xs, c) / np.dot(c, c))
+    return xs - x1 * c, c, x1
 
 
-def _make_objective(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None):
-    if x1_pin is not None:
-        def f(theta: np.ndarray) -> float:
-            c = _capacity_grid(ns, theta[0], theta[1])
-            r = xs - x1_pin * c
-            return float(np.dot(r, r))
-    else:
-        def f(theta: np.ndarray) -> float:
-            c = _capacity_grid(ns, theta[0], theta[1])
-            r = xs - _profiled_x1(c, xs) * c
-            return float(np.dot(r, r))
-    return f
+def _linear_start(ns, xs, x1_pin, basis: np.ndarray, beta_max: float) -> np.ndarray:
+    """Nonnegative least squares on Y = n*x1/x - 1 = alpha*(n-1) + beta*n*(n-1).
 
-
-def _grid_start(ns, xs, x1_pin, opt: FitOptions) -> tuple[float, float]:
-    alphas = np.linspace(0.0, 1.0, opt.alpha_steps, endpoint=False)
-    betas = np.concatenate(
-        [[0.0], np.geomspace(opt.beta_max * 1e-10, opt.beta_max, opt.beta_steps)]
-    )
-    a = alphas[:, None, None]
-    b = betas[None, :, None]
-    c = _capacity_grid(ns[None, None, :], a, b)
-    if x1_pin is not None:
-        r = xs[None, None, :] - x1_pin * c
-        sse = np.einsum("abp,abp->ab", r, r)
-    else:
-        dot = c @ xs
-        c2 = np.einsum("abp,abp->ab", c, c)
-        sse = float(np.dot(xs, xs)) - dot * dot / c2
-    aa, bb = np.meshgrid(alphas, betas, indexing="ij")
-    # lexsort: primary sse, then beta, then alpha
-    order = np.lexsort((aa.ravel(), bb.ravel(), sse.ravel()))
-    best = order[0]
-    return float(aa.ravel()[best]), float(bb.ravel()[best])
-
-
-def _project(theta: np.ndarray, beta_max: float) -> np.ndarray:
-    return np.array(
-        [min(max(theta[0], 0.0), _ALPHA_MAX), min(max(theta[1], 0.0), beta_max)]
-    )
-
-
-def _nelder_mead(f, start: np.ndarray, steps: np.ndarray, beta_max: float,
-                 tol: float, max_iter: int) -> tuple[np.ndarray, float]:
-    """Projected simplex descent in the (alpha, beta) box.
-
-    Every candidate vertex is clamped into the feasible box before
-    evaluation, so the boundary coefficients 0 are reachable exactly.
+    Each row is weighted by x^2/(x1*n), which makes its linear residual a
+    first-order approximation of the throughput residual.  Rows with x = 0
+    have no Y and are skipped; without a pinned x1 the lowest level's
+    throughput per user stands in for it.
     """
-    verts = [_project(start, beta_max)]
-    for i in range(2):
-        v = start.copy()
-        v[i] += steps[i]
-        v = _project(v, beta_max)
-        if np.array_equal(v, verts[0]):
-            v = start.copy()
-            v[i] -= steps[i]
-            v = _project(v, beta_max)
-        verts.append(v)
-    fs = [f(v) for v in verts]
+    keep = xs > 0.0
+    ns, xs, basis = ns[keep], xs[keep], basis[keep]
+    if ns.size == 0:
+        return np.zeros(2)
+    if x1_pin is None:
+        low = int(np.argmin(ns))
+        x1_pin = xs[low] / ns[low]
+    w = xs * xs / (x1_pin * ns)
+    a = w[:, None] * basis
+    y = w * (ns * x1_pin / xs - 1.0)
+    g, h = a.T @ a, a.T @ y
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if det > 0.0:
+        theta = np.array([g[1, 1] * h[0] - g[0, 1] * h[1], g[0, 0] * h[1] - g[1, 0] * h[0]]) / det
+        if theta.min() >= 0.0:
+            return np.minimum(theta, [_ALPHA_MAX, beta_max])
+    # the optimum lies on a face or in the corner: take the best of them
+    candidates = []
+    if g[0, 0] > 0.0:
+        candidates.append(np.array([max(h[0] / g[0, 0], 0.0), 0.0]))
+    if g[1, 1] > 0.0:
+        candidates.append(np.array([0.0, max(h[1] / g[1, 1], 0.0)]))
+    candidates.append(np.zeros(2))
+    theta = min(candidates, key=lambda t: t @ g @ t - 2.0 * (h @ t))
+    return np.minimum(theta, [_ALPHA_MAX, beta_max])
 
-    for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: (fs[i], i))
-        verts = [verts[i] for i in order]
-        fs = [fs[i] for i in order]
-        spread = fs[2] - fs[0]
-        diam = max(np.max(np.abs(verts[1] - verts[0])), np.max(np.abs(verts[2] - verts[0])))
-        if spread <= tol * max(abs(fs[0]), 1e-300) or diam <= 1e-13 * (1.0 + np.max(np.abs(verts[0]))):
+
+def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: np.ndarray,
+            opt: FitOptions) -> tuple[np.ndarray, float]:
+    """Bounded Levenberg-Marquardt on the throughput sse; returns (theta, sse).
+
+    A coordinate on a bound whose gradient points out of the box is held
+    fixed for the step (active set).  Without a pinned x1 the Jacobian is
+    Kaufman's variable-projection one: the part of the full-model Jacobian
+    orthogonal to c, since x1 is re-profiled at every point.  Stops when an
+    accepted step lowers the sse by at most refine_tol relative, when the
+    step no longer moves theta, or after max_refine_iter trial steps.
+    """
+    hi = np.array([_ALPHA_MAX, opt.beta_max])
+    r, c, x1 = _residuals(ns, xs, x1_pin, theta)
+    f = float(np.dot(r, r))
+    lam = 1e-3
+    fresh = True
+    for _ in range(opt.max_refine_iter):
+        if fresh:
+            d = 1.0 + basis @ theta
+            jac = (x1 * c / d)[:, None] * basis  # d(residual)/d(theta)
+            if x1_pin is None:
+                jac -= np.outer(c, c @ jac) / np.dot(c, c)
+            g = jac.T @ r  # half the gradient of the sse
+            norms = np.sqrt(np.einsum("pk,pk->k", jac, jac))
+            free = (norms > 0.0) & ~(((theta <= 0.0) & (g > 0.0)) | ((theta >= hi) & (g < 0.0)))
+            if not free.any():
+                break
+            # unit-norm columns, so lam damps both alike; a held coordinate
+            # gets an infinite scale, hence no gradient, coupling or step
+            scale = np.where(free, norms, np.inf)
+            v = -g / scale
+            rho = float(jac[:, 0] @ jac[:, 1]) / float(norms[0] * norms[1]) if free.all() else 0.0
+            fresh = False
+        m = 1.0 + lam
+        u = (m * v - rho * v[::-1]) / (m * m - rho * rho)
+        cand = np.clip(theta + u / scale, 0.0, hi)
+        if (cand == theta).all():
             break
-        centroid = (verts[0] + verts[1]) / 2.0
-        xr = _project(centroid + (centroid - verts[2]), beta_max)
-        fr = f(xr)
-        if fr < fs[0]:
-            xe = _project(centroid + 2.0 * (centroid - verts[2]), beta_max)
-            fe = f(xe)
-            if fe < fr:
-                verts[2], fs[2] = xe, fe
-            else:
-                verts[2], fs[2] = xr, fr
-        elif fr < fs[1]:
-            verts[2], fs[2] = xr, fr
+        rc, cc, x1c = _residuals(ns, xs, x1_pin, cand)
+        fc = float(np.dot(rc, rc))
+        if fc < f:
+            done = f - fc <= opt.refine_tol * f
+            theta, r, c, x1, f = cand, rc, cc, x1c, fc
+            if done:
+                break
+            lam = max(lam / 3.0, 1e-12)
+            fresh = True
         else:
-            if fr < fs[2]:
-                xc = _project(centroid + 0.5 * (xr - centroid), beta_max)
-            else:
-                xc = _project(centroid + 0.5 * (verts[2] - centroid), beta_max)
-            fc = f(xc)
-            if fc < min(fr, fs[2]):
-                verts[2], fs[2] = xc, fc
-            else:
-                for i in (1, 2):
-                    verts[i] = _project(verts[0] + 0.5 * (verts[i] - verts[0]), beta_max)
-                    fs[i] = f(verts[i])
-    order = sorted(range(3), key=lambda i: (fs[i], i))
-    return verts[order[0]], fs[order[0]]
+            lam *= 4.0
+    return theta, f
 
 
-def _minimize(ns, xs, x1_pin, opt: FitOptions) -> tuple[float, float, float]:
-    f = _make_objective(ns, xs, x1_pin)
-    a0, b0 = _grid_start(ns, xs, x1_pin, opt)
-    theta = np.array([a0, b0])
-    fbest = f(theta)
-    da = max(0.5 / opt.alpha_steps, 1e-6)
-    db = 0.5 * b0 if b0 > 0.0 else 1e-6 * opt.beta_max
-    steps = np.array([da, db])
-    # second pass restarts the simplex tighter around the first answer
-    for scale in (1.0, 0.1):
-        theta, fbest = _nelder_mead(
-            f, theta, steps * scale, opt.beta_max, opt.refine_tol, opt.max_refine_iter
-        )
-    # coefficients this close to 0 are tried at exactly 0; kept on ties,
-    # matching the smaller-beta-then-smaller-alpha preference
-    candidates = [(fbest, float(theta[1]), float(theta[0]))]
-    near_a0 = theta[0] < _SNAP_EPS
-    near_b0 = theta[1] < _SNAP_EPS * opt.beta_max
-    if near_a0:
-        candidates.append((f(np.array([0.0, theta[1]])), float(theta[1]), 0.0))
-    if near_b0:
-        candidates.append((f(np.array([theta[0], 0.0])), 0.0, float(theta[0])))
-    if near_a0 and near_b0:
-        candidates.append((f(np.array([0.0, 0.0])), 0.0, 0.0))
-    sse, beta, alpha = min(candidates)
-    return alpha, beta, sse
+def _minimize(ns, xs, x1_pin, opt: FitOptions) -> tuple[float, float]:
+    # the model's denominator is 1 + basis @ (alpha, beta)
+    basis = np.stack([ns - 1.0, ns * (ns - 1.0)], axis=1)
+    start = _linear_start(ns, xs, x1_pin, basis, opt.beta_max)
+    theta, f = _polish(ns, xs, x1_pin, basis, start, opt)
+    # a face within refine_tol of the polished sse wins the tie: smaller
+    # beta first, then smaller alpha
+    bound = f + opt.refine_tol * max(f, 1e-16 * float(np.dot(xs, xs)))
+    for face in ((theta[0], 0.0), (0.0, theta[1]), (0.0, 0.0)):
+        r, _, _ = _residuals(ns, xs, x1_pin, face)
+        if float(np.dot(r, r)) <= bound:
+            return float(face[0]), float(face[1])
+    return float(theta[0]), float(theta[1])
 
 
 def _resolve_mode(dataset: Dataset, opt: FitOptions) -> str:
@@ -342,12 +336,8 @@ def _fit_arrays(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None,
     Returns (alpha, beta, x1).  Used directly by the bootstrap, where
     resampling produces repeated levels that Dataset would reject.
     """
-    alpha, beta, _ = _minimize(ns, xs, x1_pin, opt)
-    if x1_pin is not None:
-        x1 = x1_pin
-    else:
-        c = _capacity_grid(ns, alpha, beta)
-        x1 = _profiled_x1(c, xs)
+    alpha, beta = _minimize(ns, xs, x1_pin, opt)
+    _, _, x1 = _residuals(ns, xs, x1_pin, (alpha, beta))
     return alpha, beta, x1
 
 
@@ -380,7 +370,7 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
         alpha, beta, x1 = _fit_arrays(ns, xs, None, opt)
 
     params = UslParams(alpha, beta, x1)
-    modeled = x1 * _capacity_grid(ns, alpha, beta)
+    modeled = x1 * _capacity(ns, alpha, beta)
     res = xs - modeled
     sse = float(np.dot(res, res))
     tss = float(np.dot(xs - xs.mean(), xs - xs.mean()))

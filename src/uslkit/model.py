@@ -111,10 +111,7 @@ def amdahl_capacity(n: ArrayLike, alpha: float):
     Equal bit-for-bit to usl_capacity with beta = 0.  The asymptote for
     large n is 1/alpha; capacity never exceeds n.
     """
-    if not (0.0 <= alpha < 1.0) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must be in [0, 1), got {alpha}")
-    levels = _as_levels(n)
-    return _match_shape(levels / (1.0 + alpha * (levels - 1.0)), n)
+    return usl_capacity(n, UslParams(alpha, 0.0))
 
 
 def efficiency(n: ArrayLike, capacity: ArrayLike):

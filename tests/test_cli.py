@@ -412,6 +412,20 @@ class TestConfigFile:
         assert main(["validate", suspect_csv, "--tolerance", "0.005"]) == EXIT_INVALID
         capsys.readouterr()
 
+    def test_compare_fits_points_with_the_configured_options(self, data_dir, monkeypatch, capsys):
+        # noisy enough that raw3 and normalized fits differ
+        pairs = [(1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0), (16, 700.0), (32, 720.0)]
+        points = write_points(data_dir / "p.csv", pairs)
+        cfg = data_dir / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "raw3"}))
+        monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+        assert main(["fit", points, "--format", "json"]) == EXIT_OK
+        fit = json.loads(capsys.readouterr().out)["fit"]
+        assert fit["mode"] == "raw-throughput-3param"
+        assert main(["compare", points, points, "--format", "json"]) == EXIT_OK
+        cmp = json.loads(capsys.readouterr().out)
+        assert (cmp["a"]["alpha"], cmp["a"]["beta"]) == (fit["alpha"], fit["beta"])
+
     def test_unknown_key_exits_two(self, data_dir, clean_csv, monkeypatch, capsys):
         cfg = data_dir / "cfg.json"
         cfg.write_text(json.dumps({"tollerance": 0.2}))

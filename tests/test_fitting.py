@@ -15,6 +15,8 @@ from uslkit import (
     InsufficientDataError,
     MismatchedDatasetError,
     MissingBaselineError,
+    QueueParams,
+    Regime,
     UslParams,
     ZeroBaselineError,
     bootstrap_confidence,
@@ -22,11 +24,13 @@ from uslkit import (
     compare_fits,
     evaluate_fit,
     fit_usl,
+    mva_solve,
     usl_capacity,
 )
-from oracles import sum_squared_residuals
+from oracles import grid_optimum, kkt_residual, sum_squared_residuals
 
 LEVELS = [1, 2, 4, 8, 16, 32]
+LEVELS_12 = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
 
 
 def exact_dataset(alpha, beta, x1, levels=LEVELS):
@@ -91,7 +95,10 @@ class TestRoundTrip:
     # same coefficient grid the noiseless recovery gate uses
     GRID = [(a, b) for a in (0.0, 0.02, 0.1, 0.3) for b in (0.0, 1e-4, 5e-3)]
 
-    @pytest.mark.parametrize("alpha,beta", GRID)
+    # alphas off any 0.02-spaced grid
+    OFF_GRID = [(a, b) for a in (0.005, 0.013, 0.037) for b in (0.0, 1e-4, 5e-3)]
+
+    @pytest.mark.parametrize("alpha,beta", GRID + OFF_GRID)
     def test_normalized_mode_recovers_exactly(self, alpha, beta):
         fit = fit_usl(exact_dataset(alpha, beta, 100.0))
         assert fit.mode == MODE_NORMALIZED
@@ -118,6 +125,21 @@ class TestRoundTrip:
         fit = fit_usl(Dataset.from_pairs(pairs))
         assert fit.params.alpha == 0.0
         assert fit.params.beta == 0.0
+
+    @pytest.mark.parametrize("levels", [LEVELS, LEVELS_12], ids=["6-levels", "12-levels"])
+    @pytest.mark.parametrize("alpha", [0.005, 0.013, 0.037, 0.02, 0.1, 0.3])
+    def test_contention_only_data_fits_beta_exactly_zero(self, alpha, levels):
+        fit = fit_usl(exact_dataset(alpha, 0.0, 100.0, levels))
+        assert fit.params.beta == 0.0
+        assert fit.params.alpha == pytest.approx(alpha, rel=1e-9)
+        assert fit.regime is Regime.AMDAHL_SATURATING
+
+    def test_amdahl_reproduction_has_no_peak(self):
+        fit = fit_usl(exact_dataset(0.005, 0.0, 100.0, [1, 2, 4, 8, 16, 32, 64, 128, 192]))
+        assert fit.params.beta == 0.0
+        assert fit.params.alpha == pytest.approx(0.005, rel=1e-9)
+        assert fit.r_squared >= 1.0 - 1e-12
+        assert fit.peak == math.inf
 
     def test_r_squared_is_one_on_exact_data(self):
         fit = fit_usl(exact_dataset(0.1, 0.001, 200.0))
@@ -157,6 +179,65 @@ class TestDeterminism:
                 pb = max(b + db, 0.0)
                 perturbed = sum_squared_residuals(points, pa, pb, x1)
                 assert perturbed >= base * (1.0 - 1e-9)
+
+
+def optimality_corpus(count=1000, seed=2027):
+    """Seeded (kind, mode, ns, xs): both modes, both faces, off-grid alpha, closed queues.
+
+    Modes cycle through normalized (n = 1 present), raw3 without a
+    baseline and raw3 forced with one; kinds cycle independently.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = ("random", "alpha0-face", "beta0-face", "off-grid", "queue")
+    out = []
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        mode = (MODE_AUTO, MODE_AUTO, MODE_RAW3)[i % 3]
+        size = int(rng.integers(6, 17))
+        lv = np.round(np.geomspace(2.0 if i % 3 == 1 else 1.0, rng.uniform(2.0 * size, 200.0), size))
+        for j in range(1, size):
+            lv[j] = max(lv[j], lv[j - 1] + 1.0)
+        noise = 0.0 if rng.random() < 0.125 else float(rng.uniform(0.0, 0.05))
+        if kind == "queue":
+            s = float(rng.uniform(0.5, 2.0))
+            z = s * float(rng.uniform(5.0, 200.0))
+            xs = np.array([mva_solve(QueueParams(int(n), s, z)).x for n in lv])
+        else:
+            alpha = float(rng.uniform(0.0, 0.3))
+            beta = float(10.0 ** rng.uniform(-7.0, -2.0))
+            if kind == "alpha0-face":
+                alpha = 0.0
+            elif kind == "beta0-face":
+                beta = 0.0
+            elif kind == "off-grid":
+                alpha = float(rng.choice([0.005, 0.013, 0.037]))
+                beta = 0.0 if rng.random() < 0.3 else float(10.0 ** rng.uniform(-7.0, -3.0))
+            xs = float(rng.uniform(10.0, 1000.0)) * np.asarray(usl_capacity(lv, UslParams(alpha, beta)))
+        xs = np.maximum(xs * (1.0 + rng.normal(0.0, noise, size=size)), 1e-9)
+        out.append((kind, mode, lv, xs))
+    return out
+
+
+class TestOptimality:
+    def test_matches_grid_oracle_and_kkt_on_seeded_corpus(self):
+        failures = []
+        faces = {"alpha": 0, "beta": 0}
+        for k, (kind, mode, ns, xs) in enumerate(optimality_corpus()):
+            d = Dataset.from_pairs(zip(ns.tolist(), xs.tolist()))
+            fit = fit_usl(d, FitOptions(mode=mode))
+            a, b = fit.params.alpha, fit.params.beta
+            pin = d.baseline.x if fit.mode == MODE_NORMALIZED else None
+            ref = grid_optimum(ns, xs, pin)[2]
+            if fit.sse > ref * (1.0 + 1e-9) + 1e-12 * float(np.dot(xs, xs)):
+                failures.append(f"{k} ({kind}, {fit.mode}): sse {fit.sse!r} > grid {ref!r}")
+            kkt = kkt_residual(list(zip(ns.tolist(), xs.tolist())), a, b, pin)
+            if kkt > 1e-5:
+                failures.append(f"{k} ({kind}, {fit.mode}): KKT residual {kkt:.3g} at ({a!r}, {b!r})")
+            faces["alpha"] += a == 0.0
+            faces["beta"] += b == 0.0
+        assert not failures, f"{len(failures)} failures: " + "; ".join(failures[:10])
+        # both faces of the box are exercised, not only its interior
+        assert faces["alpha"] >= 50 and faces["beta"] >= 50, faces
 
 
 class TestEvaluateAndCompare:
