@@ -2,8 +2,10 @@
 
 Point files are CSV with header ``n,x``; time-series files are CSV with
 header ``t,x``, one file per load level, the level taken from a
-``_N<load>.csv`` filename suffix or a ``manifest.csv`` mapping.  Lines
-starting with ``#`` and blank lines are ignored in both.
+``_N<load>.csv`` filename suffix or a ``manifest.csv`` mapping.  Blank
+lines and whole lines whose first non-blank character is ``#`` are
+ignored in both; a ``#`` after a value is not a comment, and makes the
+line unparseable.
 
 Subcommands: validate, fit, peak, predict, compare, simulate, steady.
 
@@ -30,6 +32,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -160,9 +164,39 @@ def _read_two_column(path: str, header: tuple[str, str]) -> list[tuple[float, fl
     return rows
 
 
+def _read_pairs(path: str, header: tuple[str, str]) -> np.ndarray:
+    """The rows of a two-column CSV file as a (k, 2) float array.
+
+    The body is parsed in one numpy call.  A file that call rejects is
+    re-read line by line by _read_two_column, which raises the ParseError
+    naming its path and line, or returns the rows float() accepts but
+    numpy does not, such as ``1_000``.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        lines = text.split("\n")
+        if "#" in text:
+            # drop whole-line comments here: numpy's comments option would
+            # also cut "2,3 # note" down to a valid row
+            lines = [s for s in lines if not s.strip().startswith("#")]
+        h = next((i for i, s in enumerate(lines) if s.strip()), None)
+        if h is not None and [c.strip().lower() for c in lines[h].split(",")] == list(header):
+            body = lines[h + 1:]
+            if not any(body):
+                return np.empty((0, 2))
+            # numpy skips empty lines; a line of blanks or a bad value raises
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            if rows.shape[1] == 2:
+                return rows
+    except (OSError, ValueError):
+        pass
+    return np.array(_read_two_column(path, header), dtype=float).reshape(-1, 2)
+
+
 def read_points_csv(path: str) -> Dataset:
     """Load a measurements file (header n,x) into a Dataset."""
-    pairs = _read_two_column(path, ("n", "x"))
+    pairs = _read_pairs(path, ("n", "x")).tolist()
     try:
         return Dataset.from_pairs(pairs)
     except DomainError as e:
@@ -192,9 +226,9 @@ def read_series_csv(path: str, load: float | None = None) -> RunSeries:
             "list it in manifest.csv, or pass --load",
             path=path,
         )
-    samples = _read_two_column(path, ("t", "x"))
+    samples = _read_pairs(path, ("t", "x"))
     try:
-        return RunSeries(load=load, samples=tuple(samples))
+        return RunSeries(load=load, samples=samples)
     except DomainError as e:
         raise ParseError(str(e), path=path) from e
 

@@ -34,45 +34,70 @@ from .fitting import Dataset
 from .model import MeasuredPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunSeries:
     """One run: (timestamp, throughput) samples at a fixed load level.
 
-    Timestamps are seconds, strictly increasing; at least 5 samples.
-    trim, when set, gives explicit (lead_in, lead_out) seconds to drop
-    and switches extraction to the explicit mode.
+    samples is any sequence of (timestamp, throughput) pairs, such as a
+    tuple of tuples or a (k, 2) array; it is stored as a read-only (k, 2)
+    float array, whose rows unpack as (t, x).  Timestamps are seconds,
+    strictly increasing; at least 5 samples.  trim, when set, gives
+    explicit (lead_in, lead_out) seconds to drop and switches extraction
+    to the explicit mode.  Runs compare and hash by value.
     """
 
     load: float
-    samples: tuple[tuple[float, float], ...]
+    samples: np.ndarray
     trim: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        pts = tuple((float(t), float(x)) for t, x in self.samples)
-        if len(pts) < 5:
-            raise DomainError(f"a run needs at least 5 samples, got {len(pts)}")
-        for (t0, x0), (t1, _) in zip(pts, pts[1:]):
-            if not t1 > t0:
-                raise DomainError(f"timestamps must strictly increase (at t={t1:g})")
-        for t, x in pts:
-            if not math.isfinite(t) or not math.isfinite(x) or x < 0.0:
-                raise DomainError(f"throughput must be finite and >= 0 (at t={t:g})")
+        pts = np.array(self.samples, dtype=float)
+        if pts.size == 0:
+            pts = pts.reshape(0, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise DomainError("samples must be (timestamp, throughput) pairs")
+        k = len(pts)
+        if k < 5:
+            raise DomainError(f"a run needs at least 5 samples, got {k}")
+        t, x = pts[:, 0].copy(), pts[:, 1].copy()
+        # each check reports its first offending sample; NaN fails every one
+        (bad,) = np.nonzero(~(t[1:] > t[:-1]))
+        if len(bad):
+            raise DomainError(f"timestamps must strictly increase (at t={float(t[bad[0] + 1]):g})")
+        (bad,) = np.nonzero(~(np.isfinite(t) & np.isfinite(x) & (x >= 0.0)))
+        if len(bad):
+            raise DomainError(f"throughput must be finite and >= 0 (at t={float(t[bad[0]]):g})")
         if not (self.load >= 1.0) or not math.isfinite(self.load):
             raise DomainError(f"load must be >= 1, got {self.load}")
         if self.trim is not None:
-            up, down = self.trim
-            if up < 0.0 or down < 0.0:
-                raise DomainError("trim durations must be >= 0")
-            object.__setattr__(self, "trim", (float(up), float(down)))
+            up, down = (float(v) for v in self.trim)
+            if not all(math.isfinite(v) and v >= 0.0 for v in (up, down)):
+                raise DomainError("trim durations must be finite and >= 0")
+            object.__setattr__(self, "trim", (up, down))
+        for a in (pts, t, x):
+            a.flags.writeable = False
         object.__setattr__(self, "samples", pts)
+        object.__setattr__(self, "_times", t)
+        object.__setattr__(self, "_values", x)
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
+        return self._times
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([x for _, x in self.samples])
+        return self._values
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.load, self.trim) == (other.load, other.trim) and bool(
+            np.array_equal(self.samples, other.samples)
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, so runs that compare equal hash equal
+        return hash((self.load, self.trim, (self.samples + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,52 @@ class TestParseErrors:
         assert main(["validate", str(p)]) == EXIT_OK
 
 
+SERIES_ROWS = "".join(f"{5 * i},{100 + i % 2}\n" for i in range(8))
+
+# (file body, line named in the message or None, message)
+SERIES_ERRORS = {
+    "wrong-header": ("time,x\n" + SERIES_ROWS, 1, "expected header 't,x', got 'time,x'"),
+    "bad-number": ("t,x\n0,100\n5,101\n10,fast\n15,100\n20,100\n", 4,
+                   "could not convert string to float: 'fast'"),
+    "three-columns": ("t,x\n0,100\n5,101,7\n" + SERIES_ROWS, 3, "expected 2 columns, got 3"),
+    "empty": ("", None, "empty file; expected header 't,x'"),
+    "four-rows": ("t,x\n0,100\n5,101\n10,100\n15,101\n", None,
+                  "a run needs at least 5 samples, got 4"),
+    "negative": ("t,x\n0,100\n5,101\n10,-3\n15,101\n20,100\n", None,
+                 "throughput must be finite and >= 0 (at t=10)"),
+    "repeated-time": ("t,x\n0,100\n5,101\n5,100\n15,101\n20,100\n", None,
+                      "timestamps must strictly increase (at t=5)"),
+}
+
+
+class TestSeriesParseErrors:
+    @pytest.mark.parametrize("case", sorted(SERIES_ERRORS))
+    @pytest.mark.parametrize("via", ["steady", "fit"])
+    def test_exit_two_names_path_and_line(self, data_dir, capsys, case, via):
+        body, line, message = SERIES_ERRORS[case]
+        runs = data_dir / "runs"
+        runs.mkdir()
+        path = runs / "bad_N2.csv"
+        path.write_text(body)
+        target = path if via == "steady" else runs
+        assert main([via, str(target)]) == EXIT_PARSE
+        where = f"{path}:" if line is None else f"{path}:{line}:"
+        assert capsys.readouterr().err == f"error: {where} {message}\n"
+
+    def test_comments_blanks_and_crlf_give_the_clean_window(self, data_dir, capsys):
+        samples = [(i * 5.0, 100.0 + (i % 3)) for i in range(40)]
+        clean = write_series(data_dir / "clean_N4.csv", samples)
+        messy = data_dir / "messy_N4.csv"
+        rows = [f" {t!r} , {x!r} " for t, x in samples]
+        rows[10:10] = ["# warm-up done", "", "   "]
+        messy.write_bytes(("# exported\r\n\r\nt,x\r\n" + "\r\n".join(rows) + "\r\n").encode())
+        windows = []
+        for path in (clean, str(messy)):
+            assert main(["steady", path, "--format", "json"]) == EXIT_OK
+            windows.append(json.loads(capsys.readouterr().out))
+        assert windows[0] == windows[1]
+
+
 class TestFitCommand:
     def test_recovers_coefficients_json(self, clean_csv, capsys):
         assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK
@@ -363,6 +409,13 @@ class TestSteadyCommand:
         path = write_series(data_dir / "short_N2.csv", plateau(2, 50.0, seconds=50))
         assert main(["steady", str(path), "--trim-up", "100"]) == EXIT_ERROR
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--trim-up", "--trim-down"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_trim_exits_one(self, data_dir, capsys, flag, value):
+        path = write_series(data_dir / "short_N2.csv", plateau(2, 50.0, seconds=50))
+        assert main(["steady", str(path), flag, value]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: trim durations must be finite and >= 0\n"
 
     def test_directory_aggregation_to_csv(self, data_dir, capsys):
         runs = data_dir / "runs"

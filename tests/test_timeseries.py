@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,76 @@ class TestRunSeries:
         r = constant_run(2.0, 50.0, n=5)
         assert list(r.times) == [0.0, 5.0, 10.0, 15.0, 20.0]
         assert list(r.values) == [50.0] * 5
+
+    @pytest.mark.parametrize("samples, message", [
+        (((0, 1), (1, 1), (2, 1), (3, 1)), "a run needs at least 5 samples, got 4"),
+        ((), "a run needs at least 5 samples, got 0"),
+        (((0, 1), (1, -1), (2, 1), (2, 1), (1, 1)), r"timestamps must strictly increase \(at t=2\)"),
+        (((0, 1), (1, 1), (math.nan, 1), (3, 1), (4, 1)),
+         r"timestamps must strictly increase \(at t=nan\)"),
+        (((0, 1), (1, 1), (2, math.inf), (3, -1), (4, 1)),
+         r"throughput must be finite and >= 0 \(at t=2\)"),
+        (((0, 1), (1, 1), (2, 1), (3, 1), (math.inf, 1)),
+         r"throughput must be finite and >= 0 \(at t=inf\)"),
+        (((0, 1), (1, 1), (2, 1), (3, -0.5), (4, math.nan)),
+         r"throughput must be finite and >= 0 \(at t=3\)"),
+    ])
+    def test_checks_name_the_first_offending_sample(self, samples, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            RunSeries(load=2.0, samples=samples)
+
+    @pytest.mark.parametrize("trim", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                      (0.0, math.inf), (-1.0, 0.0)])
+    def test_trims_must_be_finite_and_nonnegative(self, trim):
+        good = tuple((float(i), 10.0) for i in range(5))
+        with pytest.raises(DomainError, match=r"^trim durations must be finite and >= 0$"):
+            RunSeries(load=2.0, samples=good, trim=trim)
+
+    def test_tuple_and_array_samples_agree(self):
+        tup = trapezoid_run(4.0)
+        arr = RunSeries(load=4.0, samples=np.array(tup.samples))
+        for a, b in ((tup.times, arr.times), (tup.values, arr.values)):
+            assert a.tobytes() == b.tobytes()
+        assert extract_steady_state(tup) == extract_steady_state(arr)
+        assert tup == arr and hash(tup) == hash(arr)
+
+    def test_arrays_are_built_once_and_read_only(self):
+        run = trapezoid_run(4.0)
+        assert run.times is run.times and run.values is run.values
+        for a in (run.times, run.values, run.samples):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_caller_array_is_copied(self):
+        a = np.array([(float(i), 10.0) for i in range(5)])
+        run = RunSeries(load=2.0, samples=a)
+        a[1, 1] = -1.0
+        assert a.flags.writeable and run.values[1] == 10.0
+
+    def test_samples_keep_the_pair_interface(self):
+        pairs = tuple((float(i), 10.0 + i) for i in range(7))
+        run = RunSeries(load=2.0, samples=pairs)
+        assert len(run.samples) == 7
+        assert [(t, x) for t, x in run.samples] == list(pairs)
+
+    def test_replace_validates_and_keeps_the_samples(self):
+        run = constant_run(2.0, 50.0)
+        trimmed = dataclasses.replace(run, trim=(5.0, 5.0))
+        assert trimmed.trim == (5.0, 5.0) and trimmed.samples.tolist() == run.samples.tolist()
+        with pytest.raises(DomainError):
+            dataclasses.replace(run, trim=(math.nan, 0.0))
+
+    def test_equality_and_hash_by_value(self):
+        a = constant_run(2.0, 50.0)
+        assert a == constant_run(2.0, 50.0)
+        assert a != constant_run(2.0, 51.0)
+        assert a != constant_run(3.0, 50.0)
+        assert a != dataclasses.replace(a, trim=(0.0, 0.0))
+        assert a != constant_run(2.0, 50.0, n=21)
+        assert a != (a.load, a.samples, a.trim)
+        negzero = RunSeries(load=2.0, samples=((-0.0, 50.0), *a.samples[1:].tolist()))
+        assert negzero == a and hash(negzero) == hash(a)
+        assert len({a, constant_run(2.0, 50.0), constant_run(2.0, 51.0)}) == 2
 
 
 class TestExplicitTrim:
