@@ -24,12 +24,24 @@ The solver uses the model's structure and has one path:
    within refine_tol (relative) of the polished sse replaces the polished
    point, so ties go to smaller beta, then smaller alpha.
 
-The solver is deterministic: identical input yields bit-identical output.
+The polish also stops once its damped step would move the modelled
+throughputs by less than rounding, so exact data does not spin on
+rejected steps.  The solver is deterministic: identical input yields
+bit-identical output.
+
+The bootstrap fits all of its resamples in one batched pass over (R, P)
+arrays: the same start, polish, stop rules and face rule, with each row
+carrying its own damping and stop state.  Every reduction runs along a
+row, so a row's answer does not depend on the batch it shares.  fit_usl
+keeps the scalar solver: on a single dataset the batched kernel's array
+bookkeeping costs more than it saves, while across R resamples it
+replaces R Python-level fits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +68,8 @@ MODE_NORMALIZED = "normalized-capacity"
 MODE_RAW3 = "raw-throughput-3param"
 
 _ALPHA_MAX = 1.0 - 1e-12  # keep fits strictly inside the open upper bound
+_ROUNDING = 1e-16  # relative change of the modelled throughputs below float resolution
+_BATCH_POINTS = 1 << 16  # resampled points fitted per batch, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -265,9 +279,12 @@ def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: np.ndarray,
     Kaufman's variable-projection one: the part of the full-model Jacobian
     orthogonal to c, since x1 is re-profiled at every point.  Stops when an
     accepted step lowers the sse by at most refine_tol relative, when the
-    step no longer moves theta, or after max_refine_iter trial steps.
+    step no longer moves theta, when it would move the modelled throughputs
+    by less than rounding (the columns have unit norm, so the damped step
+    u is in throughput units), or after max_refine_iter trial steps.
     """
     hi = np.array([_ALPHA_MAX, opt.beta_max])
+    floor = _ROUNDING * math.sqrt(float(np.dot(xs, xs)))
     r, c, x1 = _residuals(ns, xs, x1_pin, theta)
     f = float(np.dot(r, r))
     lam = 1e-3
@@ -291,6 +308,8 @@ def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: np.ndarray,
             fresh = False
         m = 1.0 + lam
         u = (m * v - rho * v[::-1]) / (m * m - rho * rho)
+        if math.hypot(u[0], u[1]) <= floor:
+            break
         cand = np.clip(theta + u / scale, 0.0, hi)
         if (cand == theta).all():
             break
@@ -333,8 +352,7 @@ def _fit_arrays(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None,
                 opt: FitOptions) -> tuple[float, float, float]:
     """Core fit on raw arrays; x1_pin None means the 3-parameter mode.
 
-    Returns (alpha, beta, x1).  Used directly by the bootstrap, where
-    resampling produces repeated levels that Dataset would reject.
+    Returns (alpha, beta, x1).
     """
     alpha, beta = _minimize(ns, xs, x1_pin, opt)
     _, _, x1 = _residuals(ns, xs, x1_pin, (alpha, beta))
@@ -450,6 +468,143 @@ def compare_fits(a: FitResult, b: FitResult) -> FitComparison:
     )
 
 
+def _whole(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # reduce along the last, contiguous axis only, so that a row's result
+    # does not depend on how many rows share the batch
+    return np.einsum("rp,rp->r", a, b)
+
+
+def _profile_rows(ns, xs, x1_pin, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_residuals row by row: (x - x1*c, c, x1) for (R, P) arrays at theta (R, 2)."""
+    c = _capacity(ns, theta[:, :1], theta[:, 1:])
+    x1 = np.full(len(ns), x1_pin) if x1_pin is not None else _rowdot(xs, c) / _rowdot(c, c)
+    return xs - x1[:, None] * c, c, x1
+
+
+def _linear_start_rows(ns, xs, x1_pin, b0, b1, beta_max: float) -> np.ndarray:
+    """_linear_start row by row; rows with x = 0 get zero weight instead of being dropped."""
+    keep = xs > 0.0
+    if x1_pin is None:
+        low = np.argmin(np.where(keep, ns, np.inf), axis=1)[:, None]
+        x1 = np.take_along_axis(xs, low, 1) / np.take_along_axis(ns, low, 1)
+    else:
+        x1 = x1_pin
+    w = np.where(keep, xs * xs / (x1 * ns), 0.0)
+    y = np.where(keep, w * (ns * x1 / xs - 1.0), 0.0)
+    a0, a1 = w * b0, w * b1
+    g00, g01, g11 = _rowdot(a0, a0), _rowdot(a0, a1), _rowdot(a1, a1)
+    h0, h1 = _rowdot(a0, y), _rowdot(a1, y)
+    det = g00 * g11 - g01 * g01
+    inner = np.stack([g11 * h0 - g01 * h1, g00 * h1 - g01 * h0], axis=1) / det[:, None]
+    interior = (det > 0.0) & (inner.min(axis=1) >= 0.0)
+    # otherwise the first minimum of (alpha face, beta face, corner), whose
+    # objective t @ g @ t - 2 h @ t is 0 at the corner
+    fa = np.maximum(h0 / g00, 0.0)
+    fb = np.maximum(h1 / g11, 0.0)
+    oa = np.where(g00 > 0.0, fa * g00 * fa - 2.0 * (h0 * fa), np.inf)
+    ob = np.where(g11 > 0.0, fb * g11 * fb - 2.0 * (h1 * fb), np.inf)
+    on_a = (oa <= ob) & (oa <= 0.0)
+    on_b = ~on_a & (ob <= 0.0)
+    face = np.stack([np.where(on_a, fa, 0.0), np.where(on_b, fb, 0.0)], axis=1)
+    theta = np.where(interior[:, None], inner, face)
+    return np.minimum(theta, [_ALPHA_MAX, beta_max])
+
+
+def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
+                 opt: FitOptions) -> tuple[np.ndarray, np.ndarray]:
+    """_polish row by row; returns (theta, sse) of every row.
+
+    Each row keeps its own lam, fresh-Jacobian flag and stop rules.  A loop
+    pass is one trial step of every live row; a row that stops leaves the
+    live set, so the passes shrink to the rows still moving.
+    """
+    out_theta, out_f = np.empty_like(theta), np.empty(len(ns))
+    hi = np.array([_ALPHA_MAX, opt.beta_max])
+    floor = _ROUNDING * np.sqrt(_rowdot(xs, xs))
+    r, c, x1 = _profile_rows(ns, xs, x1_pin, theta)
+    f = _rowdot(r, r)
+    live = np.arange(len(ns))
+    lam = np.full(len(ns), 1e-3)
+    fresh = np.ones(len(ns), dtype=bool)
+    v, scale, rho = np.zeros((len(ns), 2)), np.ones((len(ns), 2)), np.zeros(len(ns))
+    for _ in range(opt.max_refine_iter):
+        stop = np.zeros(live.size, dtype=bool)
+        k = np.flatnonzero(fresh)
+        if k.size:
+            ck, tk = c[k], theta[k]
+            s = x1[k, None] * ck / (1.0 + tk[:, :1] * b0[k] + tk[:, 1:] * b1[k])
+            jac = np.stack([s * b0[k], s * b1[k]], axis=1)  # (K, 2, P)
+            if x1_pin is None:
+                jac -= ck[:, None, :] * (np.einsum("rkp,rp->rk", jac, ck)
+                                         / _rowdot(ck, ck)[:, None])[:, :, None]
+            g = np.einsum("rkp,rp->rk", jac, r[k])
+            norms = np.sqrt(np.einsum("rkp,rkp->rk", jac, jac))
+            free = (norms > 0.0) & ~(((tk <= 0.0) & (g > 0.0)) | ((tk >= hi) & (g < 0.0)))
+            stop[k] = ~free.any(axis=1)
+            scale[k] = np.where(free, norms, np.inf)
+            v[k] = -g / scale[k]
+            cos = _rowdot(jac[:, 0], jac[:, 1]) / (norms[:, 0] * norms[:, 1])
+            rho[k] = np.where(free.all(axis=1), cos, 0.0)
+        m = 1.0 + lam
+        u = (m[:, None] * v - rho[:, None] * v[:, ::-1]) / (m * m - rho * rho)[:, None]
+        cand = np.clip(theta + u / scale, 0.0, hi)
+        stop |= (np.hypot(u[:, 0], u[:, 1]) <= floor) | (cand == theta).all(axis=1)
+        rc, cc, x1c = _profile_rows(ns, xs, x1_pin, cand)
+        fc = _rowdot(rc, rc)
+        fresh = (fc < f) & ~stop
+        stop |= fresh & (f - fc <= opt.refine_tol * f)
+        theta = np.where(fresh[:, None], cand, theta)
+        r = np.where(fresh[:, None], rc, r)
+        c = np.where(fresh[:, None], cc, c)
+        x1 = np.where(fresh, x1c, x1)
+        f = np.where(fresh, fc, f)
+        lam = np.where(fresh, np.maximum(lam / 3.0, 1e-12), lam * 4.0)
+        if stop.any():
+            out_theta[live[stop]], out_f[live[stop]] = theta[stop], f[stop]
+            keep = ~stop
+            (live, ns, xs, b0, b1, floor, theta, r, c, x1, f, lam, fresh, v, scale,
+             rho) = (a[keep] for a in (live, ns, xs, b0, b1, floor, theta, r, c, x1, f,
+                                       lam, fresh, v, scale, rho))
+            if not live.size:
+                break
+    out_theta[live], out_f[live] = theta, f
+    return out_theta, out_f
+
+
+def _fit_rows(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None,
+              opt: FitOptions) -> np.ndarray:
+    """_fit_arrays on every row of the (R, P) arrays; returns (R, 3) rows (alpha, beta, x1).
+
+    Rows may repeat levels, as resamples do.  Every reduction runs along a
+    row, so a row's result is bit-identical whatever else shares the batch.
+    The masked-off branches of np.where (rows with x = 0 in the start, held
+    coordinates in the polish) may divide by zero, and a lam grown far may
+    overflow its square, which only shrinks that step to zero; hence the
+    errstate.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b0, b1 = ns - 1.0, ns * (ns - 1.0)
+        start = _linear_start_rows(ns, xs, x1_pin, b0, b1, opt.beta_max)
+        theta, f = _polish_rows(ns, xs, x1_pin, b0, b1, start, opt)
+        # the face tie rule of _minimize, row by row
+        bound = f + opt.refine_tol * np.maximum(f, 1e-16 * _rowdot(xs, xs))
+        best, left = theta, np.ones(len(ns), dtype=bool)
+        for face in (theta * [1.0, 0.0], theta * [0.0, 1.0], np.zeros_like(theta)):
+            rf, _, _ = _profile_rows(ns, xs, x1_pin, face)
+            tie = left & (_rowdot(rf, rf) <= bound)
+            best = np.where(tie[:, None], face, best)
+            left &= ~tie
+        _, _, x1 = _profile_rows(ns, xs, x1_pin, best)
+    return np.column_stack([best, x1])
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     """Percentile intervals from resampling points with replacement.
@@ -472,20 +627,27 @@ def bootstrap_confidence(dataset: Dataset, options: FitOptions | None = None,
                          level: float = 0.95) -> BootstrapResult:
     if not (0.0 < level < 1.0):
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
+    replicates = _whole(replicates, "replicates")
     if replicates < 2:
         raise DomainError("need at least 2 replicates")
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     opt = options or FitOptions()
     base_fit = fit_usl(dataset, opt)
     x1_pin = dataset.baseline.x if base_fit.mode == MODE_NORMALIZED else None
     ns, xs = dataset.ns, dataset.xs
     rng = np.random.default_rng(seed)
-    draws = np.empty((replicates, 3))
-    for i in range(replicates):
-        idx = rng.integers(0, len(ns), size=len(ns))
-        draws[i] = _fit_arrays(ns[idx], xs[idx], x1_pin, opt)
+    # one (rows, n) draw gives the indices of rows successive size-n draws,
+    # so batching leaves each seed's resamples as they were
+    rows = max(1, _BATCH_POINTS // len(ns))
+    draws = []
+    for done in range(0, replicates, rows):
+        idx = rng.integers(0, len(ns), size=(min(rows, replicates - done), len(ns)))
+        draws.append(_fit_rows(ns[idx], xs[idx], x1_pin, opt))
     lo = (1.0 - level) / 2.0
     hi = 1.0 - lo
-    q = np.quantile(draws, [lo, hi], axis=0)
+    q = np.quantile(np.concatenate(draws), [lo, hi], axis=0)
     return BootstrapResult(
         alpha_interval=(float(q[0, 0]), float(q[1, 0])),
         beta_interval=(float(q[0, 1]), float(q[1, 1])),

@@ -102,6 +102,40 @@ def grid_optimum(ns, xs, x1_pin, beta_max: float = 1.0, alpha_max: float = 1.0 -
     return best
 
 
+def bootstrap_per_replicate(dataset, options=None, replicates: int = 200, seed: int = 0,
+                            level: float = 0.95):
+    """``bootstrap_confidence`` as one scalar fit per replicate: (BootstrapResult, draws).
+
+    The loop the batched bootstrap replaced: replicate i draws its n
+    indices with its own ``rng.integers(0, n, size=n)`` call and fits them
+    with ``fit_usl``'s scalar solver, ``uslkit.fitting._fit_arrays``, with
+    which the batched kernel shares only the capacity formula.  ``draws``
+    holds the (alpha, beta, x1) of each replicate, in order.
+    """
+    from uslkit import BootstrapResult, FitOptions, fit_usl
+    from uslkit.fitting import MODE_NORMALIZED, _fit_arrays
+
+    opt = options or FitOptions()
+    x1_pin = dataset.baseline.x if fit_usl(dataset, opt).mode == MODE_NORMALIZED else None
+    ns, xs = dataset.ns, dataset.xs
+    rng = np.random.default_rng(seed)
+    draws = np.empty((replicates, 3))
+    for i in range(replicates):
+        idx = rng.integers(0, len(ns), size=len(ns))
+        draws[i] = _fit_arrays(ns[idx], xs[idx], x1_pin, opt)
+    lo = (1.0 - level) / 2.0
+    q = np.quantile(draws, [lo, 1.0 - lo], axis=0)
+    result = BootstrapResult(
+        alpha_interval=(float(q[0, 0]), float(q[1, 0])),
+        beta_interval=(float(q[0, 1]), float(q[1, 1])),
+        x1_interval=(float(q[0, 2]), float(q[1, 2])),
+        replicates=replicates,
+        seed=seed,
+        level=level,
+    )
+    return result, draws
+
+
 def kkt_residual(points, alpha: float, beta: float, x1_pin) -> float:
     """Largest first-order optimality violation of (alpha, beta), as a cosine.
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from uslkit import (
     mva_solve,
     usl_capacity,
 )
-from oracles import grid_optimum, kkt_residual, sum_squared_residuals
+from uslkit import fitting
+from oracles import bootstrap_per_replicate, grid_optimum, kkt_residual, sum_squared_residuals
 
 LEVELS = [1, 2, 4, 8, 16, 32]
 LEVELS_12 = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
@@ -179,6 +181,43 @@ class TestDeterminism:
                 pb = max(b + db, 0.0)
                 perturbed = sum_squared_residuals(points, pa, pb, x1)
                 assert perturbed >= base * (1.0 - 1e-9)
+
+
+class TestRoundingFloor:
+    # exact data on which every step near the optimum used to be rejected
+    # until the damped step underflowed, some 260 trial steps later
+    SPINNERS = [
+        (0.0, 1e-4, 1.0, [1, 2, 4, 8, 12, 16, 24, 32]),
+        (0.0, 1e-3, 750.0, [2, 4, 8, 16, 32, 64]),
+        (0.005, 0.0, 100.0, [2, 4, 8, 16, 32, 64]),
+        (0.02, 0.0, 100.0, [2, 4, 8, 16, 32, 64]),
+    ]
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = [0]
+        inner = getattr(fitting, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(fitting, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("alpha,beta,x1,levels", SPINNERS)
+    def test_scalar_polish_stops_at_the_rounding_floor(self, monkeypatch, alpha, beta, x1, levels):
+        calls = self.count_calls(monkeypatch, "_residuals")
+        fit = fit_usl(exact_dataset(alpha, beta, x1, levels))
+        assert calls[0] <= 20
+        assert fit.params.alpha == pytest.approx(alpha, rel=1e-6, abs=1e-9)
+        assert fit.params.beta == pytest.approx(beta, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha,beta,x1,levels", SPINNERS)
+    def test_batched_polish_stops_at_the_rounding_floor(self, monkeypatch, alpha, beta, x1, levels):
+        calls = self.count_calls(monkeypatch, "_profile_rows")
+        bootstrap_confidence(exact_dataset(alpha, beta, x1, levels), replicates=50, seed=1)
+        assert calls[0] <= 40
 
 
 def optimality_corpus(count=1000, seed=2027):
@@ -333,6 +372,66 @@ class TestFitErrors:
         assert not fit_usl(exact_dataset(0.05, 0.001, 100.0)).significance_warning
 
 
+BOOT_LEVELS_8 = (1, 2, 4, 8, 12, 16, 24, 32)
+BOOT_LEVELS_14 = (2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 64)
+
+
+def boot_dataset(kind, seed, noise=0.03):
+    """An 8-level normalized or a 14-level raw3 dataset, the shapes the bootstrap is timed on."""
+    if kind == "normalized-8":
+        return noisy_dataset(0.08, 2e-4, 200.0, noise, seed, BOOT_LEVELS_8)
+    return noisy_dataset(0.05, 1e-4, 120.0, noise, seed, BOOT_LEVELS_14)
+
+
+def with_zeros(dataset, levels):
+    """The dataset with throughput 0 at the given levels."""
+    return Dataset.from_pairs((p.n, 0.0 if p.n in levels else p.x) for p in dataset.points)
+
+
+def resamples(dataset, replicates, seed):
+    """The (R, n) level and throughput arrays a seed's bootstrap fits."""
+    idx = np.random.default_rng(seed).integers(0, len(dataset), size=(replicates, len(dataset)))
+    return dataset.ns[idx], dataset.xs[idx]
+
+
+def pin_of(dataset, options=None):
+    return dataset.baseline.x if fit_usl(dataset, options).mode == MODE_NORMALIZED else None
+
+
+def sse_mismatches(ns, xs, got, want):
+    """Rows whose plain-loop sse differs between the draws got and want.
+
+    Allowed: 1e-12 relative, plus the sse's own rounding resolution.  Near
+    an optimum each modelled throughput carries a few ulps of error, which
+    moves the sse by about eps * |x| * |r|; two correct solvers that stop a
+    rounding step apart may differ by that much.
+    """
+    bad = []
+    for i, (n_row, x_row) in enumerate(zip(ns, xs)):
+        points = list(zip(n_row.tolist(), x_row.tolist()))
+        sg = sum_squared_residuals(points, *got[i])
+        sw = sum_squared_residuals(points, *want[i])
+        top = max(sg, sw)
+        tol = 1e-12 * top + 8.0 * np.finfo(float).eps * math.sqrt(top * float(x_row @ x_row))
+        if abs(sg - sw) > tol:
+            bad.append(f"draw {i}: sse {sg!r} against {sw!r}")
+    return bad
+
+
+def assert_matches_oracle(dataset, replicates, seed, options=None):
+    """Intervals within 1e-6 relative and every draw's sse as sse_mismatches allows."""
+    got = bootstrap_confidence(dataset, options, replicates=replicates, seed=seed)
+    want, oracle_draws = bootstrap_per_replicate(dataset, options, replicates, seed)
+    ns, xs = resamples(dataset, replicates, seed)
+    draws = fitting._fit_rows(ns, xs, pin_of(dataset, options), options or FitOptions())
+    assert not sse_mismatches(ns, xs, draws, oracle_draws)
+    for name in ("alpha_interval", "beta_interval", "x1_interval"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-6, atol=0.0,
+                                   err_msg=f"seed {seed}: {name}")
+    assert (got.replicates, got.seed, got.level) == (want.replicates, want.seed, want.level)
+    return draws
+
+
 class TestBootstrap:
     def test_smoke_and_determinism(self):
         d = noisy_dataset(0.05, 0.002, 100.0, 0.03, seed=2)
@@ -358,3 +457,116 @@ class TestBootstrap:
             bootstrap_confidence(d, replicates=1)
         with pytest.raises(DomainError):
             bootstrap_confidence(d, level=1.0)
+        for replicates, seed in ((10.0, 0), ("10", 0), (10, -1), (10, 1.5), (10, None),
+                                 (10, np.float64(2.0))):
+            with pytest.raises(DomainError):
+                bootstrap_confidence(d, replicates=replicates, seed=seed)
+
+    def test_settings_are_checked_before_any_fit(self):
+        # every throughput zero: a fit would raise DegenerateDataError
+        d = Dataset.from_pairs([(1, 0.0), (2, 0.0), (4, 0.0)])
+        with pytest.raises(DomainError):
+            bootstrap_confidence(d, replicates=10.0)
+        with pytest.raises(DomainError):
+            bootstrap_confidence(d, seed=-1)
+
+    def test_numpy_integers_are_accepted(self):
+        d = noisy_dataset(0.05, 0.002, 100.0, 0.03, seed=2)
+        r = bootstrap_confidence(d, replicates=np.int64(12), seed=np.int64(4))
+        assert r == bootstrap_confidence(d, replicates=12, seed=4)
+        assert type(r.replicates) is int and type(r.seed) is int
+
+    @pytest.mark.parametrize("replicates", [100, 2])
+    @pytest.mark.parametrize("kind", ["normalized-8", "raw3-14"])
+    def test_matches_per_replicate_oracle(self, kind, replicates):
+        for seed in range(30):
+            assert_matches_oracle(boot_dataset(kind, seed), replicates, seed)
+
+    @pytest.mark.parametrize("kind", ["normalized-8", "raw3-14"])
+    def test_noiseless_data_matches_oracle(self, kind):
+        for seed in range(3):
+            draws = assert_matches_oracle(boot_dataset(kind, seed, noise=0.0), 50, seed)
+            assert (draws[:, 2] > 0.0).all()
+
+    @pytest.mark.parametrize("kind,zeros", [("normalized-8", (24.0, 32.0)),
+                                            ("raw3-14", (48.0, 64.0))])
+    def test_zero_throughput_resamples_match_oracle(self, kind, zeros):
+        for seed in range(5):
+            d = with_zeros(boot_dataset(kind, seed), zeros)
+            _, xs = resamples(d, 60, seed)
+            assert (xs == 0.0).any(axis=1).sum() >= 30
+            assert_matches_oracle(d, 60, seed)
+
+    @pytest.mark.parametrize("alpha,beta,on", [(0.0, 3e-4, 0), (0.05, 0.0, 1), (0.005, 0.0, 1)],
+                             ids=["alpha0-face", "beta0-face", "amdahl"])
+    @pytest.mark.parametrize("levels", [BOOT_LEVELS_8, BOOT_LEVELS_14],
+                             ids=["normalized-8", "raw3-14"])
+    def test_noiseless_face_data_lands_every_draw_on_the_face(self, alpha, beta, on, levels):
+        # the polish stops near the face, and the tie rule puts the draw on it
+        for seed in range(3):
+            draws = assert_matches_oracle(exact_dataset(alpha, beta, 150.0, levels), 60, seed)
+            assert (draws[:, on] == 0.0).all()
+
+    def test_single_level_raw3_resamples_match_oracle(self):
+        # with 4 levels, about one resample in 64 draws a single level 4 times
+        d = noisy_dataset(0.05, 1e-3, 100.0, 0.01, seed=2, levels=[2, 3, 5, 9])
+        assert fit_usl(d).mode == MODE_RAW3
+        ns, _ = resamples(d, 200, 7)
+        assert (ns == ns[:, :1]).all(axis=1).sum() >= 2
+        assert_matches_oracle(d, 200, 7)
+
+    def test_single_level_rows_have_no_free_coordinate(self):
+        opt = FitOptions()
+        for n in (1.0, 2.0, 7.0, 64.0):
+            ns, xs = np.full((1, 6), n), np.full((1, 6), 37.5)
+            row = fitting._fit_rows(ns, xs, None, opt)[0]
+            assert tuple(row) == fitting._fit_arrays(ns[0], xs[0], None, opt)
+            assert row[0] == row[1] == 0.0
+            assert row[2] == pytest.approx(37.5 / n, rel=1e-15)
+
+    def test_one_call_draw_equals_sequential_draws(self):
+        for seed, n, r in ((0, 8, 200), (3, 14, 200), (97, 4, 37), (12345, 1000, 5)):
+            one = np.random.default_rng(seed).integers(0, n, size=(r, n))
+            rng = np.random.default_rng(seed)
+            sequential = np.stack([rng.integers(0, n, size=n) for _ in range(r)])
+            assert np.array_equal(one, sequential)
+
+    @pytest.mark.parametrize("kind", ["normalized-8", "raw3-14"])
+    def test_each_row_equals_the_kernel_on_that_row_alone(self, kind):
+        d = with_zeros(boot_dataset(kind, 5), {32.0, 64.0})
+        ns, xs = resamples(d, 120, 5)
+        # single-level rows, the last of them at the lowest level
+        ns[:4], xs[:4] = ns[:4, :1], xs[:4, :1]
+        ns[4], xs[4] = d.ns[0], d.xs[0]
+        pin, opt = pin_of(d), FitOptions()
+        batch = fitting._fit_rows(ns, xs, pin, opt)
+        for j in range(len(ns)):
+            alone = fitting._fit_rows(ns[j:j + 1], xs[j:j + 1], pin, opt)[0]
+            assert np.array_equal(alone, batch[j]), j
+
+    def test_batch_size_does_not_change_the_result(self, monkeypatch):
+        d = boot_dataset("raw3-14", 8)
+        whole = bootstrap_confidence(d, replicates=50, seed=8)
+        monkeypatch.setattr(fitting, "_BATCH_POINTS", 3 * len(d))  # batches of 3 resamples
+        assert bootstrap_confidence(d, replicates=50, seed=8) == whole
+
+    def test_no_runtime_warnings(self):
+        datasets = [
+            boot_dataset("normalized-8", 1),
+            boot_dataset("raw3-14", 1),
+            boot_dataset("normalized-8", 1, noise=0.0),
+            boot_dataset("raw3-14", 1, noise=0.0),
+            # 4 levels: some resamples draw a single level
+            noisy_dataset(0.05, 1e-3, 100.0, 0.01, seed=2, levels=[2, 3, 5, 9]),
+            with_zeros(boot_dataset("normalized-8", 1), (16.0, 24.0, 32.0)),
+            with_zeros(boot_dataset("raw3-14", 1), (2.0, 48.0, 64.0)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in datasets:
+                fit_usl(d)
+                for seed in range(4):
+                    bootstrap_confidence(d, replicates=50, seed=seed)
+            for n in (1.0, 2.0, 64.0):
+                for pin in (None, 200.0):
+                    fitting._fit_rows(np.full((2, 6), n), np.full((2, 6), 37.5), pin, FitOptions())
