@@ -5,7 +5,10 @@ From raw time series to fittable points
 Load-test runs are trapezoids: ramp up, plateau, ramp down.  Feeding
 whole-run averages into a fit drags every point down by the ramps.
 This script detects the plateau automatically on one run, then reduces
-a batch of runs (one per load level) to a dataset and fits it.
+a batch of runs (one per load level) to a dataset and fits it.  Detection
+cuts the ramps off both ends by MSER truncation (the cut that minimizes
+the kept samples' squared deviations over their count squared), then
+checks the kept window against the cv, drift and duration bounds.
 """
 
 import numpy as np

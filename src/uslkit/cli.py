@@ -185,8 +185,15 @@ def _read_pairs(path: str, header: tuple[str, str]) -> np.ndarray:
             body = lines[h + 1:]
             if not any(body):
                 return np.empty((0, 2))
-            # numpy skips empty lines; a line of blanks or a bad value raises
-            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            try:
+                rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                # numpy skips empty lines but not lines of blanks; without
+                # those, only a bad value raises
+                body = [s for s in body if s.strip()]
+                if not body:
+                    return np.empty((0, 2))
+                rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
             if rows.shape[1] == 2:
                 return rows
     except (OSError, ValueError):
@@ -328,11 +335,20 @@ def interpretation_hints(params: UslParams, n_ref: float) -> list[str]:
     return hints
 
 
+def peak_dict(params: UslParams) -> dict:
+    """Peak location, practical peak and peak capacity; None where unbounded."""
+    nc = peak_concurrency(params)
+    return {
+        "n": _num(nc),
+        "practical_n": _num(practical_peak(params)),
+        "capacity": _num(usl_capacity(nc, params)) if math.isfinite(nc) else None,
+    }
+
+
 def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
                      unit: str | None, notices: list[str]) -> dict:
     """Single source for both renderings of a fit."""
     params = fit.params
-    nc = fit.peak
     report = {
         "fit": {
             "mode": fit.mode,
@@ -343,11 +359,7 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
             "r_squared": fit.r_squared,
             "significance_warning": fit.significance_warning,
         },
-        "peak": {
-            "n": _num(nc),
-            "practical_n": _num(fit.practical_peak),
-            "capacity": _num(usl_capacity(nc, params)) if math.isfinite(nc) else None,
-        },
+        "peak": peak_dict(params),
         "regime": fit.regime.value,
         "validation": validation,
         "residuals": [
@@ -387,6 +399,18 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return out
 
 
+def _validation_lines(v: dict) -> list[str]:
+    """The verdict line and the per-level table of a validation dict."""
+    return [f"verdict: **{v['verdict']}**", ""] + _md_table(
+        ["n", "capacity", "efficiency", "flags"],
+        [
+            [_fmt(r["n"]), _fmt(r["capacity"]), _fmt(r["efficiency"]),
+             ", ".join(r["flags"]) or "-"]
+            for r in v["rows"]
+        ],
+    )
+
+
 def render_fit_markdown(report: dict) -> str:
     f = report["fit"]
     lines = ["# Scalability fit", ""]
@@ -424,18 +448,8 @@ def render_fit_markdown(report: dict) -> str:
     if v is None:
         lines.append("not performed (no n = 1 baseline)")
     else:
-        lines.append(f"verdict: **{v['verdict']}**")
-        lines.append("")
-        lines += _md_table(
-            ["n", "capacity", "efficiency", "flags"],
-            [
-                [_fmt(r["n"]), _fmt(r["capacity"]), _fmt(r["efficiency"]),
-                 ", ".join(r["flags"]) or "-"]
-                for r in v["rows"]
-            ],
-        )
-        for note in v["notes"]:
-            lines.append(f"- {note}")
+        lines += _validation_lines(v)
+        lines += [f"- {note}" for note in v["notes"]]
     lines += ["", "## Residuals", ""]
     lines += _md_table(
         ["n", "measured", "modeled", "residual"],
@@ -459,15 +473,7 @@ def render_fit_markdown(report: dict) -> str:
 
 
 def render_validation_markdown(v: dict) -> str:
-    lines = ["# Data validation", "", f"verdict: **{v['verdict']}**", ""]
-    lines += _md_table(
-        ["n", "capacity", "efficiency", "flags"],
-        [
-            [_fmt(r["n"]), _fmt(r["capacity"]), _fmt(r["efficiency"]),
-             ", ".join(r["flags"]) or "-"]
-            for r in v["rows"]
-        ],
-    )
+    lines = ["# Data validation", ""] + _validation_lines(v)
     if v["notes"]:
         lines.append("")
         lines += [f"- {n}" for n in v["notes"]]
@@ -591,15 +597,10 @@ def cmd_fit(args, cfg: AnalysisConfig) -> int:
 
 def cmd_peak(args, cfg: AnalysisConfig) -> int:
     params = UslParams(args.alpha, args.beta)
-    nc = peak_concurrency(params)
     d = {
         "alpha": args.alpha,
         "beta": args.beta,
-        "peak": {
-            "n": _num(nc),
-            "practical_n": _num(practical_peak(params)),
-            "capacity": _num(usl_capacity(nc, params)) if math.isfinite(nc) else None,
-        },
+        "peak": peak_dict(params),
         "regime": classify_regime(params).value,
     }
     fmt = _effective(args.format, cfg.format)

@@ -3,23 +3,24 @@
 A measurement for the capacity model must come from the flat part of a
 run: ramp-up and ramp-down samples drag the mean and corrupt the fit.
 Two modes are supported.  Explicit trimming cuts fixed lead-in and
-lead-out durations.  Automatic detection finds the longest window whose
-fitted trend is flat (relative drift across the window below slope_tol)
-and whose coefficient of variation stays below cv_max.  Dips inside the
-window (GC pauses, compaction stalls) are part of steady state and are
-deliberately not outlier-rejected; they belong in the mean.
+lead-out durations.  Automatic detection truncates both ends by MSER, the
+marginal standard error rule (White 1997; Hoad, Robinson & Davies 2010):
+a cut of d samples from the front minimizes the squared deviations of the
+kept samples about their own mean, divided by the square of their count.
+Detection cuts the front of the run, then the back of what remains, and
+repeats until a pass cuts nothing.  Each cut is O(k) in the number of
+samples k, from suffix sums.  Dips inside the window (GC pauses,
+compaction stalls) are part of steady state and are deliberately not
+outlier-rejected; they belong in the mean.
 
-Detection picks the longest qualifying window, and among windows of equal
-duration the one with the earliest start.  The search scores window sizes
-(sample counts) from the whole run down, a block of consecutive sizes per
-numpy pass, and stops before the first block whose longest possible window
-is shorter than the minimum duration or strictly shorter than the best
-window found so far.  Durations are monotone under IEEE subtraction, so
-the stop is exact: the search returns the window an exhaustive scan of
-every (start, end) pair would.  The comparison is strict because, with
-irregular timestamps, a window with fewer samples and an earlier start can
-tie the best duration.  A run with no qualifying window is scored down to
-the minimum duration and still costs O(k^2) in the number of samples k.
+The window MSER keeps is then checked, not searched for: it needs at
+least 3 samples, a positive mean, a duration of at least min_fraction of
+the run, a coefficient of variation of at most cv_max, and a fitted drift
+(|slope| x duration / mean) of at most slope_tol once 3 standard errors of
+the fit are allowed for.  Without that allowance the drift of pure noise
+on a 61-sample plateau with 3% noise exceeds the default slope_tol about
+half the time.  A window that fails any check raises NoSteadyStateError
+naming the check and its measured value.
 """
 
 from __future__ import annotations
@@ -119,9 +120,11 @@ class SteadyWindow:
 
 @dataclass(frozen=True)
 class SteadyStateConfig:
-    slope_tol: float = 0.01     # max |fitted drift| across the window, relative to mean
+    """Acceptance checks on the window that MSER truncation keeps."""
+
+    slope_tol: float = 0.01     # max |fitted drift| less 3 standard errors, relative to the mean
     cv_max: float = 0.15        # max coefficient of variation inside the window
-    min_fraction: float = 0.3   # window must span this fraction of the run
+    min_fraction: float = 0.3   # min window duration, as a fraction of the run's
 
     def __post_init__(self) -> None:
         if not (self.slope_tol > 0.0 and self.cv_max > 0.0):
@@ -156,95 +159,76 @@ def _trimmed(run: RunSeries) -> SteadyWindow:
     return SteadyWindow(float(start), float(end), mean, cv, int(mask.sum()))
 
 
-_BLOCK_PAIRS = 1 << 13  # (size, start) pairs scored per numpy pass
+def _mser_cut(x: np.ndarray) -> int:
+    """MSER truncation point of x: the d in 0 .. len(x) // 2 minimizing
+    sum((x[d:] - mean(x[d:]))**2) / (len(x) - d)**2.
 
-
-def _size_blocks(k: int):
-    """(lo, top) ranges of window sizes from k down to 3, one per numpy pass.
-
-    A block of n sizes below top has n * (k - top + n) (size, start)
-    pairs; n is the largest that keeps this within _BLOCK_PAIRS.
+    The suffix sums run over x centred on its mean, so they do not cancel.
+    Scores within rounding of the minimum tie, and the smallest d wins: a
+    constant series keeps every sample.
     """
-    top = k
-    while top >= 3:
-        a = k - top
-        n = min(top - 2, max(1, (math.isqrt(a * a + 4 * _BLOCK_PAIRS) - a) // 2))
-        yield top - n + 1, top
-        top -= n
+    n = len(x)
+    y = x - x.mean()
+    h = n // 2 + 1
+    s1 = np.cumsum(y[::-1])[::-1][:h]
+    s2 = np.cumsum((y * y)[::-1])[::-1][:h]
+    m = np.arange(n, n - h, -1, dtype=float)
+    score = np.maximum(s2 - s1 * s1 / m, 0.0) / (m * m)
+    # a sum of m terms rounds by up to m ulps of s2, which moves the score
+    # by up to eps * s2 / m
+    tol = 16.0 * np.finfo(float).eps * s2 / m
+    return int(np.argmax(score <= score.min() + tol))
+
+
+def _rejection(t: np.ndarray, x: np.ndarray, total: float, cfg: SteadyStateConfig) -> str | None:
+    """Why the window t, x fails the acceptance checks, or None when it passes."""
+    k = len(x)
+    if k < 3:
+        return f"has {k} sample{'s' if k != 1 else ''}, fewer than 3"
+    mean, cv = _window_stats(x)
+    if not mean > 0.0:
+        return f"has mean throughput {mean:.4g}"
+    duration = t[-1] - t[0]
+    if not duration >= cfg.min_fraction * total:
+        return f"lasts {duration:.4g}s, under {cfg.min_fraction:.0%} of the {total:.4g}s run"
+    if not cv <= cfg.cv_max:
+        return f"has cv {cv:.4g} > {cfg.cv_max:g}"
+    # the fitted drift counts against slope_tol only beyond 3 standard
+    # errors of the fit, so that noise on a short plateau is not a trend
+    tc = t - t[0]
+    tc -= tc.mean()
+    stt = float(np.dot(tc, tc))
+    slope = float(np.dot(tc, x - mean)) / stt
+    r = x - mean - slope * tc
+    se = math.sqrt(float(np.dot(r, r)) / (k - 2) / stt) * duration / mean
+    drift = abs(slope) * duration / mean
+    if not drift - 3.0 * se <= cfg.slope_tol:
+        return f"has drift {drift:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
+    return None
 
 
 def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
     t, x = run.times, run.values
-    k = len(t)
-    total = t[-1] - t[0]
-    # prefix sums make every window's mean, variance and fitted slope O(1);
-    # timestamps are centered on t[0] so the slope terms do not cancel
-    tc = t - t[0]
-    zt = np.concatenate([[0.0], np.cumsum(tc)])
-    zx = np.concatenate([[0.0], np.cumsum(x)])
-    ztt = np.concatenate([[0.0], np.cumsum(tc * tc)])
-    zxx = np.concatenate([[0.0], np.cumsum(x * x)])
-    ztx = np.concatenate([[0.0], np.cumsum(tc * x)])
-
-    floor = cfg.min_fraction * total
-
-    # ends[:, p] holds the five prefix sums at p and t[p - 1], the terms at
-    # a window's end p = i + m; starts[:, i] holds the same at its start i.
-    # NaN tails make the pairs past the last sample fail every comparison.
-    ends = np.full((6, 2 * k + 1), np.nan)
-    ends[:5, :k + 1] = zt, zx, ztt, zxx, ztx
-    ends[5, 1:k + 1] = t
-    starts = np.stack([zt[:k], zx[:k], ztt[:k], zxx[:k], ztx[:k], t])
-
-    # Selection rule: the longest valid window, ties to the earliest start.
-    # Window sizes m = j - i + 1 are scored from k down, a block of sizes
-    # per pass over (size x start).  Before each block, dmax is the longest
-    # duration of any window of at most `top` samples: IEEE subtraction is
-    # monotone, so t[j] - t[i] grows with j and shrinks with i.  Once dmax
-    # falls below the floor, or strictly below the best duration, no
-    # remaining window can win.  A tie must still be scored, because with
-    # irregular timestamps an earlier start can reach the same duration
-    # with fewer samples.  The result is that of the full scan; a run with
-    # no valid window still scores O(k^2) pairs.
-    best = None  # (duration, -start_index, j)
-    for lo, top in _size_blocks(k):
-        dmax = (t[top - 1:] - t[:k - top + 1]).max()
-        if dmax < floor or (best is not None and dmax < best[0]):
+    # Two-sided MSER: cut the front of the window, then the back of what
+    # remains, until a pass cuts nothing.  A pass that cuts shrinks the
+    # window, so the loop ends; each pass is O(k).
+    i, j = 0, len(x)
+    while True:
+        front = _mser_cut(x[i:j])
+        i += front
+        back = _mser_cut(x[i:j][::-1])
+        j -= back
+        if front == back == 0:
             break
-        n = top - lo + 1
-        c = k - lo + 1
-        m = np.arange(lo, top + 1, dtype=float)[:, None]
-        # (sums, duration)[size m, start i] for m = lo .. top, i = 0 .. c - 1
-        win = np.lib.stride_tricks.sliding_window_view(ends[:, lo:lo + c + n - 1], n, axis=1)
-        st, sx, stt, sxx, stx, duration = win.transpose(0, 2, 1) - starts[:, None, :c]
-        mean = sx / m
-        var = np.maximum(sxx / m - mean * mean, 0.0)
-        den = m * stt - st * st
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (m * stx - st * sx) / den
-            # cv and drift matter only where mean > 0, which valid requires
-            cv = np.sqrt(var) / mean
-            drift = np.abs(slope) * duration / mean
-            valid = (mean > 0.0) & (cv <= cfg.cv_max) & (drift <= cfg.slope_tol) & (
-                duration >= floor
-            )
-        if valid.any():
-            d = duration[valid].max()
-            r, i = np.nonzero(valid & (duration == d))
-            first = i.min()
-            j = (i + r)[i == first].max() + lo - 1
-            cand = (float(d), -int(first), int(j))
-            if best is None or cand > best:
-                best = cand
-    if best is None:
+    reason = _rejection(t[i:j], x[i:j], t[-1] - t[0], cfg)
+    if reason is not None:
         raise NoSteadyStateError(
             f"no window of at least {cfg.min_fraction:.0%} of the run satisfies "
-            f"drift <= {cfg.slope_tol:g} and cv <= {cfg.cv_max:g}"
+            f"drift <= {cfg.slope_tol:g} and cv <= {cfg.cv_max:g}: the MSER window "
+            f"[{t[i]:g}s, {t[j - 1]:g}s] {reason}"
         )
-    _, neg_i, j = best
-    i = -neg_i
-    mean, cv = _window_stats(x[i:j + 1])
-    return SteadyWindow(float(t[i]), float(t[j]), mean, cv, j - i + 1)
+    mean, cv = _window_stats(x[i:j])
+    return SteadyWindow(float(t[i]), float(t[j - 1]), mean, cv, j - i)
 
 
 def extract_steady_state(run: RunSeries, config: SteadyStateConfig | None = None) -> SteadyWindow:

@@ -174,63 +174,85 @@ def kkt_residual(points, alpha: float, beta: float, x1_pin) -> float:
     return worst
 
 
-def steady_window_full_scan(times, values, cfg):
-    """Steady-state window by scanning every (start, end) pair.
+def _mser_cut_direct(x) -> int:
+    """MSER cut of x with fresh sums for every d, no prefix or suffix sums.
 
-    The exhaustive search that ``uslkit.timeseries`` prunes: same
-    prefix-sum formulas, same ``(duration, -start, end)`` maximum, same
-    error message, but every start is tried against every end.  Returns
-    a ``SteadyWindow``; raises ``NoSteadyStateError`` when no window
-    qualifies.
+    Each score sums the squared deviations of x[d:] about its own mean.
+    Scores within rounding of the minimum tie, and the smallest d wins, as
+    in the library.  The library's tolerance, 16 eps * sum((x[d:] -
+    mean(x))**2) / (len(x) - d), bounds rounding in the sums; here the
+    tail's mean is also off by a few ulps, which adds its square over the
+    count.
     """
-    import numpy as np
+    eps = np.finfo(float).eps
+    n = len(x)
+    xbar = x.sum() / n
+    scores, tols = [], []
+    for d in range(n // 2 + 1):
+        tail = x[d:]
+        m = n - d
+        mean = tail.sum() / m
+        dev = tail - mean
+        scores.append(float(dev @ dev) / (m * m))
+        c = tail - xbar
+        tols.append(16.0 * eps * float(c @ c) / m + (64.0 * eps * mean) ** 2 / m)
+    low = min(scores)
+    return next(d for d, (s, tol) in enumerate(zip(scores, tols)) if s <= low + tol)
 
+
+def steady_window_mser(times, values, cfg):
+    """Steady-state window by two-sided MSER truncation, from direct sums.
+
+    Cuts the front, then the back of what remains, until a pass cuts
+    nothing.  Then applies the acceptance checks in the library's order
+    with plain-loop statistics, where the drift less 3 standard errors of
+    the least-squares slope must be at most slope_tol, and raises
+    ``NoSteadyStateError`` with the library's message when one fails.
+    Returns a ``SteadyWindow`` whose mean and cv come from correctly
+    rounded sums (``math.fsum``).
+    """
     from uslkit import NoSteadyStateError, SteadyWindow
 
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
-    k = len(t)
+    i, j = 0, len(x)
+    while True:
+        front = _mser_cut_direct(x[i:j])
+        i += front
+        back = _mser_cut_direct(x[i:j][::-1])
+        j -= back
+        if front == 0 and back == 0:
+            break
+    wt, wx = t[i:j].tolist(), x[i:j].tolist()
+    k = len(wx)
+    mean = math.fsum(wx) / k
+    cv = math.sqrt(math.fsum((v - mean) ** 2 for v in wx) / k) / mean if mean > 0.0 else 0.0
     total = t[-1] - t[0]
-    tc = t - t[0]
-    zt = np.concatenate([[0.0], np.cumsum(tc)])
-    zx = np.concatenate([[0.0], np.cumsum(x)])
-    ztt = np.concatenate([[0.0], np.cumsum(tc * tc)])
-    zxx = np.concatenate([[0.0], np.cumsum(x * x)])
-    ztx = np.concatenate([[0.0], np.cumsum(tc * x)])
-
-    best = None  # (duration, -start_index, j)
-    for i in range(k - 2):
-        j = np.arange(i + 2, k)
-        m = j - i + 1
-        st = zt[j + 1] - zt[i]
-        sx = zx[j + 1] - zx[i]
-        stt = ztt[j + 1] - ztt[i]
-        sxx = zxx[j + 1] - zxx[i]
-        stx = ztx[j + 1] - ztx[i]
-        mean = sx / m
-        var = np.maximum(sxx / m - mean * mean, 0.0)
-        duration = t[j] - t[i]
-        den = m * stt - st * st
-        slope = (m * stx - st * sx) / den
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cv = np.where(mean > 0.0, np.sqrt(var) / np.where(mean > 0, mean, 1.0), np.inf)
-            drift = np.where(mean > 0.0, np.abs(slope) * duration / np.where(mean > 0, mean, 1.0), np.inf)
-        valid = (mean > 0.0) & (cv <= cfg.cv_max) & (drift <= cfg.slope_tol) & (
-            duration >= cfg.min_fraction * total
-        )
-        if valid.any():
-            idx = int(np.where(valid)[0][-1])  # longest duration for this start
-            cand = (float(duration[idx]), -i, int(j[idx]))
-            if best is None or cand > best:
-                best = cand
-    if best is None:
+    duration = wt[-1] - wt[0]
+    reason = None
+    if k < 3:
+        reason = f"has {k} sample{'s' if k != 1 else ''}, fewer than 3"
+    elif not mean > 0.0:
+        reason = f"has mean throughput {mean:.4g}"
+    elif not duration >= cfg.min_fraction * total:
+        reason = f"lasts {duration:.4g}s, under {cfg.min_fraction:.0%} of the {total:.4g}s run"
+    elif not cv <= cfg.cv_max:
+        reason = f"has cv {cv:.4g} > {cfg.cv_max:g}"
+    else:
+        tc = [v - wt[0] for v in wt]
+        tbar = math.fsum(tc) / k
+        sxy = math.fsum((a - tbar) * (v - mean) for a, v in zip(tc, wx))
+        sxx = math.fsum((a - tbar) ** 2 for a in tc)
+        slope = sxy / sxx
+        sse = math.fsum((v - mean - slope * (a - tbar)) ** 2 for a, v in zip(tc, wx))
+        drift = abs(slope) * duration / mean
+        se = math.sqrt(sse / (k - 2) / sxx) * duration / mean
+        if not drift - 3.0 * se <= cfg.slope_tol:
+            reason = f"has drift {drift:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
+    if reason is not None:
         raise NoSteadyStateError(
             f"no window of at least {cfg.min_fraction:.0%} of the run satisfies "
-            f"drift <= {cfg.slope_tol:g} and cv <= {cfg.cv_max:g}"
+            f"drift <= {cfg.slope_tol:g} and cv <= {cfg.cv_max:g}: the MSER window "
+            f"[{wt[0]:g}s, {wt[-1]:g}s] {reason}"
         )
-    _, neg_i, j = best
-    i = -neg_i
-    w = x[i:j + 1]
-    mean = float(w.mean())
-    cv = 0.0 if mean == 0.0 else float(w.std() / mean)
-    return SteadyWindow(float(t[i]), float(t[j]), mean, cv, j - i + 1)
+    return SteadyWindow(wt[0], wt[-1], mean, cv, k)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import uslkit.cli as cli
 from uslkit import UslParams, usl_capacity
 from uslkit.cli import (
     EXIT_ERROR,
@@ -14,6 +15,7 @@ from uslkit.cli import (
     EXIT_PARSE,
     main,
     read_points_csv,
+    read_series_csv,
 )
 from conftest import SUSPECT_CAPACITIES
 
@@ -147,6 +149,20 @@ class TestSeriesParseErrors:
             assert main(["steady", path, "--format", "json"]) == EXIT_OK
             windows.append(json.loads(capsys.readouterr().out))
         assert windows[0] == windows[1]
+
+    @pytest.mark.parametrize("blank", ["   ", "\t", " \t "])
+    def test_a_line_of_blanks_keeps_the_one_call_reader(self, data_dir, monkeypatch, blank):
+        samples = [(i * 5.0, 100.0 + (i % 3)) for i in range(40)]
+        rows = [f"{t!r},{x!r}" for t, x in samples]
+        rows[20:20] = [blank]
+        path = data_dir / "blank_N4.csv"
+        path.write_text("t,x\n" + "\n".join(rows) + "\n")
+
+        def line_by_line(*args):
+            raise AssertionError("fell back to the line-by-line reader")
+
+        monkeypatch.setattr(cli, "_read_two_column", line_by_line)
+        assert read_series_csv(str(path)).samples.tolist() == [list(p) for p in samples]
 
 
 class TestFitCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from uslkit import (
     aggregate_runs,
     extract_steady_state,
 )
-from uslkit.timeseries import _size_blocks
-from oracles import steady_window_full_scan
+from oracles import steady_window_mser
 
 
 def constant_run(load, level, n=20, step=5.0):
@@ -215,6 +215,41 @@ class TestDetection:
         with pytest.raises(NoSteadyStateError):
             extract_steady_state(constant_run(2.0, 0.0, n=10))
 
+    @pytest.mark.parametrize("values, cfg, reason", [
+        # a ramp is cut in half, pass after pass, down to one sample
+        ([1.0, 2.0, 3.0, 4.0, 5.0], SteadyStateConfig(), r"\[15s, 15s\] has 1 sample, fewer than 3"),
+        ([0.0] * 10, SteadyStateConfig(), r"\[0s, 45s\] has mean throughput 0"),
+        ([0.0] * 5 + [100.0] * 15, SteadyStateConfig(min_fraction=0.8),
+         r"\[25s, 95s\] lasts 70s, under 80% of the 95s run"),
+        ([50.0, 150.0] * 20, SteadyStateConfig(), r"\[0s, 195s\] has cv 0\.5 > 0\.15"),
+        (100.0 + 0.05 * np.arange(200) + np.random.default_rng(1).normal(0.0, 5.0, 200),
+         SteadyStateConfig(), r"\[0s, \d+s\] has drift 0\.\d+ \(standard error 0\.\d+\) > 0\.01"),
+    ], ids=["samples", "mean", "duration", "cv", "drift"])
+    def test_rejection_names_the_binding_check(self, values, cfg, reason):
+        run = RunSeries(load=2.0, samples=tuple((i * 5.0, v) for i, v in enumerate(values)))
+        with pytest.raises(NoSteadyStateError) as err:
+            extract_steady_state(run, cfg)
+        assert re.fullmatch(
+            f"no window of at least {cfg.min_fraction:.0%} of the run satisfies drift <= "
+            f"{cfg.slope_tol:g} and cv <= {cfg.cv_max:g}: the MSER window {reason}",
+            str(err.value),
+        )
+
+    def test_noise_on_a_short_plateau_is_not_drift(self):
+        # 61 samples of 3% noise: the fitted drift's standard error, about
+        # 0.013, exceeds slope_tol, so a drift above slope_tol alone is noise
+        rng = np.random.default_rng(7)
+        t, x = 5.0 * np.arange(61), 100.0 * (1.0 + rng.normal(0.0, 0.03, 61))
+        w = extract_steady_state(RunSeries(load=2.0, samples=np.column_stack([t, x])))
+        assert w.sample_count == 61
+        assert abs(np.polyfit(t, x, 1)[0]) * (w.end - w.start) / w.mean_throughput > 0.01
+
+    def test_long_linear_ramp_has_no_steady_state(self):
+        run = RunSeries(load=2.0, samples=np.column_stack([np.arange(20000.0),
+                                                           np.linspace(1.0, 100.0, 20000)]))
+        with pytest.raises(NoSteadyStateError):
+            extract_steady_state(run)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SteadyStateConfig(slope_tol=0.0)
@@ -229,7 +264,7 @@ def detect_both(times, values, cfg):
     out = []
     run = RunSeries(load=2.0, samples=tuple(zip(times, values)))
     for detect in (lambda: extract_steady_state(run, cfg),
-                   lambda: steady_window_full_scan(run.times, run.values, cfg)):
+                   lambda: steady_window_mser(run.times, run.values, cfg)):
         try:
             out.append(detect())
         except NoSteadyStateError as e:
@@ -297,50 +332,39 @@ def long_run(rng, case):
     return t, x, cfg
 
 
-class TestFullScanEquivalence:
-    def test_matches_the_full_scan_on_seeded_runs(self):
-        # the blocked search must return exactly what the exhaustive scan
-        # returns: every window field bit for bit, or the same error
+def same_outcome(got, want):
+    """Equal windows, with mean and cv to rounding; or the same error message."""
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return (got.start, got.end, got.sample_count) == (want.start, want.end, want.sample_count) and (
+        got.mean_throughput == pytest.approx(want.mean_throughput, rel=1e-12)
+        and got.cv == pytest.approx(want.cv, rel=1e-9, abs=1e-15)
+    )
+
+
+class TestMserOracle:
+    def test_matches_the_mser_oracle_on_seeded_runs(self):
+        # the suffix-sum cuts must choose the window the direct-sum oracle
+        # chooses: the same samples, or the same error message
         rng = np.random.default_rng(20261017)
         runs = [("short", random_run(rng, case)) for case in range(560)]
         runs += [("long", long_run(rng, case)) for case in range(40)]
         found = {"short": 0, "long": 0}
         failed = dict(found)
-        past_first_block = 0
+        cut = 0
         for case, (kind, (t, x, cfg)) in enumerate(runs):
             got, want = detect_both(t, x, cfg)
-            assert got == want, f"case {case}: {got!r} != {want!r}"
+            assert same_outcome(got, want), f"case {case}: {got!r} != {want!r}"
             if isinstance(want, str):
                 failed[kind] += 1
             else:
                 found[kind] += 1
-                first_lo, _ = next(_size_blocks(len(t)))
-                past_first_block += want.sample_count < first_lo
-        # both outcomes are exercised, so neither branch is compared vacuously,
-        # and most long windows are found blocks below the whole run
+                cut += want.sample_count < len(t)
+        # both outcomes are exercised, so neither branch is compared
+        # vacuously, and many accepted windows drop some samples
         assert found["short"] >= 150 and failed["short"] >= 50
         assert found["long"] >= 15 and failed["long"] >= 5
-        assert past_first_block >= 15
-
-    def test_equal_durations_go_to_the_earliest_start(self):
-        # two flat plateaus of ten samples each, split by one spike that
-        # no valid window can contain: both are maximal, the first wins
-        x = [100.0] * 10 + [1000.0] + [200.0] * 10
-        t = [float(i) for i in range(len(x))]
-        got, want = detect_both(t, x, SteadyStateConfig())
-        assert got == want
-        assert (got.start, got.end, got.mean_throughput) == (0.0, 9.0, 100.0)
-
-    def test_first_valid_window_found_late(self):
-        # a ramp over 70% of the run: no start before the plateau has a
-        # valid window, so the scan runs long before it has a best
-        rng = np.random.default_rng(5)
-        k = 400
-        x = np.minimum(np.arange(k) / 280.0, 1.0) * 100.0 * (1.0 + rng.normal(0.0, 0.01, k))
-        t = 1.7e9 + np.arange(k) * 0.5
-        got, want = detect_both(t, x, SteadyStateConfig(min_fraction=0.25))
-        assert got == want
-        assert got.start >= t[270]
+        assert cut >= 75
 
     def test_rounded_end_bound_keeps_the_boundary_window(self):
         # t[1] + 9 rounds (a tie, to even) one ulp past the last timestamp,
@@ -353,46 +377,29 @@ class TestFullScanEquivalence:
         cfg = SteadyStateConfig(min_fraction=9.0 / (9.0 + u))
         assert cfg.min_fraction * (t[-1] - t[0]) == 9.0
         got, want = detect_both(t, x, cfg)
-        assert got == want
+        assert same_outcome(got, want)
         assert (got.start, got.end) == (t[1], t[-1])
 
-    def test_longest_window_may_have_fewer_samples(self):
-        # 1000 samples at 100 over 9.99 s, then 16 at 200 over 30 s.  The
-        # dense plateau is the best window for many blocks of sizes before
-        # the sparse one, with far fewer samples, wins on duration
-        t = [i * 0.01 for i in range(1000)] + [10.0 + 2.0 * s for s in range(16)]
-        x = [100.0] * 1000 + [200.0] * 16
-        got, want = detect_both(t, x, SteadyStateConfig(cv_max=0.005, min_fraction=0.05))
-        assert got == want
-        assert (got.start, got.end, got.mean_throughput, got.sample_count) == (10.0, 40.0, 200.0, 16)
 
-    def test_equal_duration_with_fewer_samples_goes_to_the_earlier_start(self):
-        # a samples 4 s apart, then 4(a - 1) + 1 samples 1 s apart: both
-        # plateaus last 4(a - 1) s and the later one, with more samples, is
-        # found first.  a is the top size of a block, and no window of a
-        # samples lasts longer than the best, so a stop on dmax <= best
-        # would never score the earlier plateau
-        a = next(a for a in range(100, 400) if any(top == a for _, top in _size_blocks(5 * a - 3)))
-        d = 4.0 * (a - 1)
-        t = [4.0 * s for s in range(a)] + [d + 1.0 + s for s in range(4 * a - 3)]
-        x = [100.0] * a + [200.0] * (4 * a - 3)
-        got, want = detect_both(t, x, SteadyStateConfig(cv_max=0.005))
-        assert got == want
-        assert (got.start, got.end, got.mean_throughput, got.sample_count) == (0.0, d, 100.0, a)
+def ramped_values(rng, k, up, down):
+    # linear ramps over the first `up` and last `down` fractions of k
+    # samples around a plateau at 100 with 3% Gaussian noise
+    shape = np.ones(k)
+    u, d = int(up * k), int(down * k)
+    shape[:u] = np.arange(u) / u
+    shape[k - d:] = np.arange(d, 0, -1) / (d + 1)
+    return np.maximum(100.0 * shape * (1.0 + rng.normal(0.0, 0.03, k)), 0.0)
 
-    def test_winning_size_on_a_block_boundary(self):
-        # a flat plateau of s samples amid samples alternating 0 and 1000:
-        # the plateau is the only valid window.  s is the lowest size of
-        # one block and then the top size of the next one
-        k = 1000
-        lo, _ = list(_size_blocks(k))[2]
-        for s in (lo, lo - 1):
-            x = [0.0, 1000.0] * 25 + [100.0] * s + [0.0, 1000.0] * ((k - 50 - s) // 2 + 1)
-            x = x[:k]
-            t = [float(i) for i in range(k)]
-            got, want = detect_both(t, x, SteadyStateConfig(cv_max=0.005))
-            assert got == want
-            assert (got.start, got.end, got.sample_count) == (50.0, 49.0 + s, s)
+
+class TestBias:
+    @pytest.mark.parametrize("up, down", [(0.1, 0.05), (0.2, 0.2)])
+    def test_ramps_do_not_bias_the_mean(self, up, down):
+        # a window that keeps ramp samples reads low; the plateau is 100
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x = ramped_values(rng, 2000, up, down)
+            w = extract_steady_state(RunSeries(load=2.0, samples=np.column_stack([np.arange(2000.0), x])))
+            assert abs(w.mean_throughput - 100.0) < 0.5
 
 
 class TestAggregation:
