@@ -117,13 +117,30 @@ class AnalysisConfig:
             raise ParseError(f"cannot read config: {e}", path=path) from e
         except json.JSONDecodeError as e:
             raise ParseError(f"config is not valid JSON: {e}", path=path) from e
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ParseError(f"config must be a JSON object, got {json.dumps(raw)}", path=path)
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ParseError(
-                f"unknown config keys {sorted(unknown)}; known: {sorted(known)}", path=path
+                f"unknown config keys {sorted(unknown)}; known: {sorted(fields)}", path=path
+            )
+        for key, value in raw.items():
+            kind, _, optional = fields[key].partition(" | ")
+            types, wanted = _CONFIG_KINDS[kind]
+            if value is None and optional or (isinstance(value, types)
+                                              and not isinstance(value, bool)):
+                continue
+            raise ParseError(
+                f"config key {key!r} must be {wanted}{' or null' if optional else ''}, "
+                f"got {json.dumps(value)}", path=path,
             )
         return cls(**raw)
+
+
+# JSON values each AnalysisConfig field type accepts; a bool is no number
+_CONFIG_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+                 "str": (str, "a string")}
 
 
 # ---------------------------------------------------------------- file formats

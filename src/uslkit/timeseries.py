@@ -20,7 +20,7 @@ the run, a coefficient of variation of at most cv_max, and a fitted drift
 the fit are allowed for.  Without that allowance the drift of pure noise
 on a 61-sample plateau with 3% noise exceeds the default slope_tol about
 half the time.  A window that fails any check raises NoSteadyStateError
-naming the check and its measured value.
+naming the window, the check and its measured value, then the limits.
 """
 
 from __future__ import annotations
@@ -223,9 +223,9 @@ def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
     reason = _rejection(t[i:j], x[i:j], t[-1] - t[0], cfg)
     if reason is not None:
         raise NoSteadyStateError(
-            f"no window of at least {cfg.min_fraction:.0%} of the run satisfies "
-            f"drift <= {cfg.slope_tol:g} and cv <= {cfg.cv_max:g}: the MSER window "
-            f"[{t[i]:g}s, {t[j - 1]:g}s] {reason}"
+            f"the MSER window [{t[i]:g}s, {t[j - 1]:g}s] {reason}; a steady window needs "
+            f"at least 3 samples, a positive mean, at least {cfg.min_fraction:.0%} of the run, "
+            f"cv <= {cfg.cv_max:g} and drift <= {cfg.slope_tol:g} beyond 3 standard errors"
         )
     mean, cv = _window_stats(x[i:j])
     return SteadyWindow(float(t[i]), float(t[j - 1]), mean, cv, j - i)

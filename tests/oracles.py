@@ -136,6 +136,117 @@ def bootstrap_per_replicate(dataset, options=None, replicates: int = 200, seed: 
     return result, draws
 
 
+_ALPHA_MAX = 1.0 - 1e-12
+_ROUNDING = 1e-16
+
+
+def _capacity(ns, alpha, beta):
+    return ns / (1.0 + alpha * (ns - 1.0) + beta * ns * (ns - 1.0))
+
+
+def _residuals(ns, xs, x1_pin, theta):
+    c = _capacity(ns, theta[0], theta[1])
+    x1 = x1_pin if x1_pin is not None else float(np.dot(xs, c) / np.dot(c, c))
+    return xs - x1 * c, c, x1
+
+
+def _linear_start(ns, xs, x1_pin, basis, beta_max):
+    keep = xs > 0.0
+    ns, xs, basis = ns[keep], xs[keep], basis[keep]
+    if ns.size == 0:
+        return np.zeros(2)
+    if x1_pin is None:
+        low = int(np.argmin(ns))
+        x1_pin = xs[low] / ns[low]
+    w = xs * xs / (x1_pin * ns)
+    a = w[:, None] * basis
+    y = w * (ns * x1_pin / xs - 1.0)
+    g, h = a.T @ a, a.T @ y
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if det > 0.0:
+        theta = np.array([g[1, 1] * h[0] - g[0, 1] * h[1], g[0, 0] * h[1] - g[1, 0] * h[0]]) / det
+        if theta.min() >= 0.0:
+            return np.minimum(theta, [_ALPHA_MAX, beta_max])
+    candidates = []
+    if g[0, 0] > 0.0:
+        candidates.append(np.array([max(h[0] / g[0, 0], 0.0), 0.0]))
+    if g[1, 1] > 0.0:
+        candidates.append(np.array([0.0, max(h[1] / g[1, 1], 0.0)]))
+    candidates.append(np.zeros(2))
+    theta = min(candidates, key=lambda t: t @ g @ t - 2.0 * (h @ t))
+    return np.minimum(theta, [_ALPHA_MAX, beta_max])
+
+
+def _polish(ns, xs, x1_pin, basis, theta, opt):
+    hi = np.array([_ALPHA_MAX, opt.beta_max])
+    floor = _ROUNDING * math.sqrt(float(np.dot(xs, xs)))
+    r, c, x1 = _residuals(ns, xs, x1_pin, theta)
+    f = float(np.dot(r, r))
+    lam = 1e-3
+    fresh = True
+    for _ in range(opt.max_refine_iter):
+        if fresh:
+            d = 1.0 + basis @ theta
+            jac = (x1 * c / d)[:, None] * basis
+            if x1_pin is None:
+                jac -= np.outer(c, c @ jac) / np.dot(c, c)
+            g = jac.T @ r
+            norms = np.sqrt(np.einsum("pk,pk->k", jac, jac))
+            free = (norms > 0.0) & ~(((theta <= 0.0) & (g > 0.0)) | ((theta >= hi) & (g < 0.0)))
+            if not free.any():
+                break
+            scale = np.where(free, norms, np.inf)
+            v = -g / scale
+            rho = float(jac[:, 0] @ jac[:, 1]) / float(norms[0] * norms[1]) if free.all() else 0.0
+            fresh = False
+        m = 1.0 + lam
+        u = (m * v - rho * v[::-1]) / (m * m - rho * rho)
+        if math.hypot(u[0], u[1]) <= floor:
+            break
+        cand = np.clip(theta + u / scale, 0.0, hi)
+        if (cand == theta).all():
+            break
+        rc, cc, x1c = _residuals(ns, xs, x1_pin, cand)
+        fc = float(np.dot(rc, rc))
+        if fc < f:
+            done = f - fc <= opt.refine_tol * f
+            theta, r, c, x1, f = cand, rc, cc, x1c, fc
+            if done:
+                break
+            lam = max(lam / 3.0, 1e-12)
+            fresh = True
+        else:
+            lam *= 4.0
+    return theta, f
+
+
+def _minimize(ns, xs, x1_pin, opt):
+    basis = np.stack([ns - 1.0, ns * (ns - 1.0)], axis=1)
+    start = _linear_start(ns, xs, x1_pin, basis, opt.beta_max)
+    theta, f = _polish(ns, xs, x1_pin, basis, start, opt)
+    bound = f + opt.refine_tol * max(f, 1e-16 * float(np.dot(xs, xs)))
+    for face in ((theta[0], 0.0), (0.0, theta[1]), (0.0, 0.0)):
+        r, _, _ = _residuals(ns, xs, x1_pin, face)
+        if float(np.dot(r, r)) <= bound:
+            return float(face[0]), float(face[1])
+    return float(theta[0]), float(theta[1])
+
+
+def minimize_vector_reference(ns, xs, x1_pin, opt) -> tuple[float, float, float]:
+    """(alpha, beta, x1) from the scalar solver as it stood with numpy 2-vectors.
+
+    A frozen copy of ``fit_usl``'s solver before its two-coefficient
+    bookkeeping moved to Python floats: the linearized NNLS start, the
+    bounded Levenberg-Marquardt polish with Kaufman's Jacobian and the
+    face tie rule, with theta, the gradient, the column norms and the step
+    held in numpy arrays and clipped with ``np.clip``.  The library must
+    agree with it bit for bit.
+    """
+    alpha, beta = _minimize(ns, xs, x1_pin, opt)
+    _, _, x1 = _residuals(ns, xs, x1_pin, (alpha, beta))
+    return alpha, beta, x1
+
+
 def kkt_residual(points, alpha: float, beta: float, x1_pin) -> float:
     """Largest first-order optimality violation of (alpha, beta), as a cosine.
 
@@ -251,8 +362,8 @@ def steady_window_mser(times, values, cfg):
             reason = f"has drift {drift:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
     if reason is not None:
         raise NoSteadyStateError(
-            f"no window of at least {cfg.min_fraction:.0%} of the run satisfies "
-            f"drift <= {cfg.slope_tol:g} and cv <= {cfg.cv_max:g}: the MSER window "
-            f"[{wt[0]:g}s, {wt[-1]:g}s] {reason}"
+            f"the MSER window [{wt[0]:g}s, {wt[-1]:g}s] {reason}; a steady window needs "
+            f"at least 3 samples, a positive mean, at least {cfg.min_fraction:.0%} of the run, "
+            f"cv <= {cfg.cv_max:g} and drift <= {cfg.slope_tol:g} beyond 3 standard errors"
         )
     return SteadyWindow(wt[0], wt[-1], mean, cv, k)

@@ -509,6 +509,48 @@ class TestConfigFile:
         assert main(["validate", clean_csv]) == EXIT_PARSE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text,message", [
+        ("5", "config must be a JSON object, got 5"),
+        ("null", "config must be a JSON object, got null"),
+        ('{"refine_tol": "1e-3"}', "config key 'refine_tol' must be a number, got \"1e-3\""),
+        ('{"tolerance": null}', "config key 'tolerance' must be a number, got null"),
+        ('{"seed": 1.5}', "config key 'seed' must be an integer, got 1.5"),
+        ('{"seed": true}', "config key 'seed' must be an integer, got true"),
+        ('{"beta_max": true}', "config key 'beta_max' must be a number, got true"),
+        ('{"mode": 3}', "config key 'mode' must be a string, got 3"),
+        ('{"unit": 3}', "config key 'unit' must be a string or null, got 3"),
+        ('{"trim_up": "5"}', "config key 'trim_up' must be a number or null, got \"5\""),
+    ], ids=["number", "null", "string-for-float", "null-for-float", "float-for-seed",
+            "bool-for-seed", "bool-for-float", "number-for-string", "number-for-unit",
+            "string-for-trim"])
+    def test_mistyped_config_exits_two(self, data_dir, clean_csv, monkeypatch, capsys,
+                                       text, message):
+        cfg = data_dir / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+        assert main(["validate", clean_csv]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+    def test_mistyped_seed_exits_two_before_simulating(self, data_dir, monkeypatch, capsys):
+        cfg = data_dir / "cfg.json"
+        cfg.write_text('{"seed": 1.5}')
+        monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+        out = data_dir / "sim.csv"
+        rc = main(["simulate", "--alpha", "0.05", "--beta", "0.001", "--x1", "100",
+                   "--levels", "1,2,4,8", "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: config key 'seed'")
+
+    def test_config_accepts_ints_for_floats_and_nulls_for_optionals(
+            self, data_dir, suspect_csv, monkeypatch, capsys):
+        cfg = data_dir / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance": 1, "seed": 3, "trim_up": None, "unit": None,
+                                   "format": "json"}))
+        monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+        assert main(["validate", suspect_csv]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdict"] == "clean"
+
     def test_missing_config_file_exits_two(self, data_dir, clean_csv, monkeypatch, capsys):
         monkeypatch.setenv("USLKIT_CONFIG", str(data_dir / "absent.json"))
         assert main(["validate", clean_csv]) == EXIT_PARSE

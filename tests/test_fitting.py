@@ -29,7 +29,13 @@ from uslkit import (
     usl_capacity,
 )
 from uslkit import fitting
-from oracles import bootstrap_per_replicate, grid_optimum, kkt_residual, sum_squared_residuals
+from oracles import (
+    bootstrap_per_replicate,
+    grid_optimum,
+    kkt_residual,
+    minimize_vector_reference,
+    sum_squared_residuals,
+)
 
 LEVELS = [1, 2, 4, 8, 16, 32]
 LEVELS_12 = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
@@ -213,6 +219,16 @@ class TestRoundingFloor:
         assert fit.params.alpha == pytest.approx(alpha, rel=1e-6, abs=1e-9)
         assert fit.params.beta == pytest.approx(beta, rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("mode", [MODE_NORMALIZED, MODE_RAW3])
+    def test_scalar_fit_evaluates_the_model_through_residuals(self, monkeypatch, mode):
+        # keeps the upper bounds above from passing vacuously: the solver
+        # must evaluate the model through _residuals, whose calls they count
+        calls = self.count_calls(monkeypatch, "_residuals")
+        data = Dataset.from_pairs([(1, 955), (2, 1879), (4, 3549), (8, 6531),
+                                   (16, 10798), (32, 14214), (48, 14993)])
+        fit_usl(data, FitOptions(mode=mode))
+        assert calls[0] >= 5
+
     @pytest.mark.parametrize("alpha,beta,x1,levels", SPINNERS)
     def test_batched_polish_stops_at_the_rounding_floor(self, monkeypatch, alpha, beta, x1, levels):
         calls = self.count_calls(monkeypatch, "_profile_rows")
@@ -277,6 +293,71 @@ class TestOptimality:
         assert not failures, f"{len(failures)} failures: " + "; ".join(failures[:10])
         # both faces of the box are exercised, not only its interior
         assert faces["alpha"] >= 50 and faces["beta"] >= 50, faces
+
+
+CLOSE_LEVELS = [1000.0 + 0.5 * k for k in range(11)]
+CLOSE_XS = [86.6, 87.0, 86.96, 86.79, 86.87, 87.02, 86.99, 87.01, 87.02, 87.15, 87.11]
+REFERENCE_OPTIONS = [FitOptions(), FitOptions(max_refine_iter=1), FitOptions(beta_max=1e-5),
+                     FitOptions(refine_tol=1e-3)]
+
+
+def reference_mismatch(ns, xs, x1_pin, opt):
+    """None when _fit_arrays equals the vector reference bit for bit, else both results."""
+    got = fitting._fit_arrays(ns, xs, x1_pin, opt)
+    want = minimize_vector_reference(ns, xs, x1_pin, opt)
+    # repr tells -0.0 from 0.0 and prints nan; Python floats, not numpy scalars
+    if [repr(v) for v in got] == [repr(v) for v in want] and {type(v) for v in got} == {float}:
+        return None
+    return f"got {got!r}, reference {want!r}"
+
+
+class TestVectorReference:
+    """The scalar solver against the frozen numpy-vector solver in oracles.
+
+    The solver keeps its two coefficients, gradient, norms and step in
+    Python floats; every length-P computation is unchanged, so the results
+    must be equal bit for bit, signed zeros included.
+    """
+
+    @pytest.mark.parametrize("opt", REFERENCE_OPTIONS,
+                             ids=["default", "one-step", "beta-max", "loose-tol"])
+    def test_matches_on_seeded_corpus(self, opt):
+        mismatches = []
+        for k, (kind, _, ns, xs) in enumerate(optimality_corpus()):
+            # the lowest level's throughput as a pin, and profiled x1
+            for pin in (float(xs[0]), None):
+                diff = reference_mismatch(ns, xs, pin, opt)
+                if diff is not None:
+                    mismatches.append(f"{k} ({kind}, pin {pin}): {diff}")
+        assert not mismatches, f"{len(mismatches)} mismatches: " + "; ".join(mismatches[:5])
+
+    @pytest.mark.parametrize("ns,xs", [
+        # rows with x = 0, which the start skips
+        (LEVELS_12, [100.0, 0.0, 270.0, 340.0, 0.0, 520.0, 0.0, 700.0, 730.0, 0.0, 690.0, 640.0]),
+        # only one x > 0
+        (LEVELS, [0.0, 0.0, 0.0, 310.0, 0.0, 0.0]),
+        ([1, 2, 3, 5], [0.0, 0.0, 0.0, 7.5]),
+        # close levels: the two Jacobian columns are nearly collinear
+        ([1000, 1001, 1002, 1003, 1004, 1005], [61.0, 60.8, 61.1, 60.7, 60.9, 60.6]),
+        ([5000, 5000.5, 5001, 5001.5], [12.0, 12.01, 11.98, 12.02]),
+        # repeated levels, as in bootstrap resamples
+        ([1, 1, 2, 4, 4, 8], [100.0, 103.0, 188.0, 320.0, 331.0, 450.0]),
+        # at extreme scales the sums overflow or underflow; the two close-level
+        # cases come out as alpha = -0.0 and alpha = nan
+        (LEVELS, [1e150 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
+        (LEVELS, [1e-165 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
+        (CLOSE_LEVELS, [1e150 * v for v in CLOSE_XS]),
+        (CLOSE_LEVELS, [1e152 * v for v in CLOSE_XS]),
+    ], ids=["zero-rows", "one-positive", "one-positive-short", "collinear", "collinear-half",
+            "repeated", "huge", "tiny", "signed-zero", "nan"])
+    @pytest.mark.parametrize("opt", REFERENCE_OPTIONS + [FitOptions(beta_max=math.inf)],
+                             ids=["default", "one-step", "beta-max", "loose-tol", "unbounded"])
+    def test_matches_on_edge_cases(self, ns, xs, opt):
+        ns, xs = np.array(ns, dtype=float), np.array(xs, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for pin in (float(xs.max()), None):
+                assert reference_mismatch(ns, xs, pin, opt) is None
 
 
 class TestEvaluateAndCompare:

@@ -230,8 +230,9 @@ class TestDetection:
         with pytest.raises(NoSteadyStateError) as err:
             extract_steady_state(run, cfg)
         assert re.fullmatch(
-            f"no window of at least {cfg.min_fraction:.0%} of the run satisfies drift <= "
-            f"{cfg.slope_tol:g} and cv <= {cfg.cv_max:g}: the MSER window {reason}",
+            f"the MSER window {reason}; a steady window needs at least 3 samples, a positive "
+            f"mean, at least {cfg.min_fraction:.0%} of the run, cv <= {cfg.cv_max:g} and drift "
+            f"<= {cfg.slope_tol:g} beyond 3 standard errors",
             str(err.value),
         )
 
