@@ -135,7 +135,10 @@ class AnalysisConfig:
                 f"config key {key!r} must be {wanted}{' or null' if optional else ''}, "
                 f"got {json.dumps(value)}", path=path,
             )
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except DomainError as e:
+            raise ParseError(str(e), path=path) from e
 
 
 # JSON values each AnalysisConfig field type accepts; a bool is no number

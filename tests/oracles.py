@@ -247,6 +247,121 @@ def minimize_vector_reference(ns, xs, x1_pin, opt) -> tuple[float, float, float]
     return alpha, beta, x1
 
 
+def _rowdot(a, b):
+    return np.einsum("rp,rp->r", a, b)
+
+
+def _profile_rows(ns, xs, x1_pin, theta):
+    c = _capacity(ns, theta[:, :1], theta[:, 1:])
+    x1 = np.full(len(ns), x1_pin) if x1_pin is not None else _rowdot(xs, c) / _rowdot(c, c)
+    return xs - x1[:, None] * c, c, x1
+
+
+def _linear_start_rows(ns, xs, x1_pin, b0, b1, beta_max):
+    keep = xs > 0.0
+    if x1_pin is None:
+        low = np.argmin(np.where(keep, ns, np.inf), axis=1)[:, None]
+        x1 = np.take_along_axis(xs, low, 1) / np.take_along_axis(ns, low, 1)
+    else:
+        x1 = x1_pin
+    w = np.where(keep, xs * xs / (x1 * ns), 0.0)
+    y = np.where(keep, w * (ns * x1 / xs - 1.0), 0.0)
+    a0, a1 = w * b0, w * b1
+    g00, g01, g11 = _rowdot(a0, a0), _rowdot(a0, a1), _rowdot(a1, a1)
+    h0, h1 = _rowdot(a0, y), _rowdot(a1, y)
+    det = g00 * g11 - g01 * g01
+    inner = np.stack([g11 * h0 - g01 * h1, g00 * h1 - g01 * h0], axis=1) / det[:, None]
+    interior = (det > 0.0) & (inner.min(axis=1) >= 0.0)
+    fa = np.maximum(h0 / g00, 0.0)
+    fb = np.maximum(h1 / g11, 0.0)
+    oa = np.where(g00 > 0.0, fa * g00 * fa - 2.0 * (h0 * fa), np.inf)
+    ob = np.where(g11 > 0.0, fb * g11 * fb - 2.0 * (h1 * fb), np.inf)
+    on_a = (oa <= ob) & (oa <= 0.0)
+    on_b = ~on_a & (ob <= 0.0)
+    face = np.stack([np.where(on_a, fa, 0.0), np.where(on_b, fb, 0.0)], axis=1)
+    theta = np.where(interior[:, None], inner, face)
+    return np.minimum(theta, [_ALPHA_MAX, beta_max])
+
+
+def _polish_rows(ns, xs, x1_pin, b0, b1, theta, opt):
+    out_theta, out_f = np.empty_like(theta), np.empty(len(ns))
+    hi = np.array([_ALPHA_MAX, opt.beta_max])
+    floor = _ROUNDING * np.sqrt(_rowdot(xs, xs))
+    r, c, x1 = _profile_rows(ns, xs, x1_pin, theta)
+    f = _rowdot(r, r)
+    live = np.arange(len(ns))
+    lam = np.full(len(ns), 1e-3)
+    fresh = np.ones(len(ns), dtype=bool)
+    v, scale, rho = np.zeros((len(ns), 2)), np.ones((len(ns), 2)), np.zeros(len(ns))
+    for _ in range(opt.max_refine_iter):
+        stop = np.zeros(live.size, dtype=bool)
+        k = np.flatnonzero(fresh)
+        if k.size:
+            ck, tk = c[k], theta[k]
+            s = x1[k, None] * ck / (1.0 + tk[:, :1] * b0[k] + tk[:, 1:] * b1[k])
+            jac = np.stack([s * b0[k], s * b1[k]], axis=1)
+            if x1_pin is None:
+                jac -= ck[:, None, :] * (np.einsum("rkp,rp->rk", jac, ck)
+                                         / _rowdot(ck, ck)[:, None])[:, :, None]
+            g = np.einsum("rkp,rp->rk", jac, r[k])
+            norms = np.sqrt(np.einsum("rkp,rkp->rk", jac, jac))
+            free = (norms > 0.0) & ~(((tk <= 0.0) & (g > 0.0)) | ((tk >= hi) & (g < 0.0)))
+            stop[k] = ~free.any(axis=1)
+            scale[k] = np.where(free, norms, np.inf)
+            v[k] = -g / scale[k]
+            cos = _rowdot(jac[:, 0], jac[:, 1]) / (norms[:, 0] * norms[:, 1])
+            rho[k] = np.where(free.all(axis=1), cos, 0.0)
+        m = 1.0 + lam
+        u = (m[:, None] * v - rho[:, None] * v[:, ::-1]) / (m * m - rho * rho)[:, None]
+        cand = np.clip(theta + u / scale, 0.0, hi)
+        stop |= (np.hypot(u[:, 0], u[:, 1]) <= floor) | (cand == theta).all(axis=1)
+        rc, cc, x1c = _profile_rows(ns, xs, x1_pin, cand)
+        fc = _rowdot(rc, rc)
+        fresh = (fc < f) & ~stop
+        stop |= fresh & (f - fc <= opt.refine_tol * f)
+        theta = np.where(fresh[:, None], cand, theta)
+        r = np.where(fresh[:, None], rc, r)
+        c = np.where(fresh[:, None], cc, c)
+        x1 = np.where(fresh, x1c, x1)
+        f = np.where(fresh, fc, f)
+        lam = np.where(fresh, np.maximum(lam / 3.0, 1e-12), lam * 4.0)
+        if stop.any():
+            out_theta[live[stop]], out_f[live[stop]] = theta[stop], f[stop]
+            keep = ~stop
+            (live, ns, xs, b0, b1, floor, theta, r, c, x1, f, lam, fresh, v, scale,
+             rho) = (a[keep] for a in (live, ns, xs, b0, b1, floor, theta, r, c, x1, f,
+                                       lam, fresh, v, scale, rho))
+            if not live.size:
+                break
+    out_theta[live], out_f[live] = theta, f
+    return out_theta, out_f
+
+
+def fit_rows_reference(ns, xs, x1_pin, opt):
+    """(R, 3) rows (alpha, beta, x1) from the batched bootstrap solver as it stood
+    with one trial step per row and pass.
+
+    A frozen copy of the batched kernel before a rejected row's shrinking
+    steps were tried together: the row-wise linearized start, the bounded
+    Levenberg-Marquardt polish in which every loop pass takes one trial step
+    of every live row, with the Jacobian as a (K, 2, P) stack, and the face
+    tie rule.  The library must agree with it bit for bit on every row.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b0, b1 = ns - 1.0, ns * (ns - 1.0)
+        start = _linear_start_rows(ns, xs, x1_pin, b0, b1, opt.beta_max)
+        theta, f = _polish_rows(ns, xs, x1_pin, b0, b1, start, opt)
+        bound = f + opt.refine_tol * np.maximum(f, 1e-16 * _rowdot(xs, xs))
+        best, left = theta, np.ones(len(ns), dtype=bool)
+        for face in (theta * [1.0, 0.0], theta * [0.0, 1.0], np.zeros_like(theta)):
+            rf, _, _ = _profile_rows(ns, xs, x1_pin, face)
+            tie = left & (_rowdot(rf, rf) <= bound)
+            best = np.where(tie[:, None], face, best)
+            left &= ~tie
+        _, _, x1 = _profile_rows(ns, xs, x1_pin, best)
+    return np.column_stack([best, x1])
+
+
 def kkt_residual(points, alpha: float, beta: float, x1_pin) -> float:
     """Largest first-order optimality violation of (alpha, beta), as a cosine.
 

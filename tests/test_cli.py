@@ -531,6 +531,20 @@ class TestConfigFile:
         assert main(["validate", clean_csv]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"tolerance": 0}', "tolerance must be positive"),
+        ('{"refine_tol": -1e-3}', "refine_tol must be positive"),
+        ('{"format": "yaml"}', "format must be json or markdown, got 'yaml'"),
+        ('{"mode": "lsq"}', "mode must be one of ['auto', 'normalized', 'raw3']"),
+    ], ids=["zero-tolerance", "negative-refine-tol", "unknown-format", "unknown-mode"])
+    def test_out_of_range_config_exits_two(self, data_dir, clean_csv, monkeypatch, capsys,
+                                           text, message):
+        cfg = data_dir / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+        assert main(["validate", clean_csv]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
     def test_mistyped_seed_exits_two_before_simulating(self, data_dir, monkeypatch, capsys):
         cfg = data_dir / "cfg.json"
         cfg.write_text('{"seed": 1.5}')

@@ -31,6 +31,7 @@ from uslkit import (
 from uslkit import fitting
 from oracles import (
     bootstrap_per_replicate,
+    fit_rows_reference,
     grid_optimum,
     kkt_residual,
     minimize_vector_reference,
@@ -299,6 +300,26 @@ CLOSE_LEVELS = [1000.0 + 0.5 * k for k in range(11)]
 CLOSE_XS = [86.6, 87.0, 86.96, 86.79, 86.87, 87.02, 86.99, 87.01, 87.02, 87.15, 87.11]
 REFERENCE_OPTIONS = [FitOptions(), FitOptions(max_refine_iter=1), FitOptions(beta_max=1e-5),
                      FitOptions(refine_tol=1e-3)]
+EDGE_CASES = [
+    # rows with x = 0, which the start skips
+    (LEVELS_12, [100.0, 0.0, 270.0, 340.0, 0.0, 520.0, 0.0, 700.0, 730.0, 0.0, 690.0, 640.0]),
+    # only one x > 0
+    (LEVELS, [0.0, 0.0, 0.0, 310.0, 0.0, 0.0]),
+    ([1, 2, 3, 5], [0.0, 0.0, 0.0, 7.5]),
+    # close levels: the two Jacobian columns are nearly collinear
+    ([1000, 1001, 1002, 1003, 1004, 1005], [61.0, 60.8, 61.1, 60.7, 60.9, 60.6]),
+    ([5000, 5000.5, 5001, 5001.5], [12.0, 12.01, 11.98, 12.02]),
+    # repeated levels, as in bootstrap resamples
+    ([1, 1, 2, 4, 4, 8], [100.0, 103.0, 188.0, 320.0, 331.0, 450.0]),
+    # at extreme scales the sums overflow or underflow; the two close-level
+    # cases come out as alpha = -0.0 and alpha = nan
+    (LEVELS, [1e150 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
+    (LEVELS, [1e-165 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
+    (CLOSE_LEVELS, [1e150 * v for v in CLOSE_XS]),
+    (CLOSE_LEVELS, [1e152 * v for v in CLOSE_XS]),
+]
+EDGE_IDS = ["zero-rows", "one-positive", "one-positive-short", "collinear", "collinear-half",
+            "repeated", "huge", "tiny", "signed-zero", "nan"]
 
 
 def reference_mismatch(ns, xs, x1_pin, opt):
@@ -331,25 +352,7 @@ class TestVectorReference:
                     mismatches.append(f"{k} ({kind}, pin {pin}): {diff}")
         assert not mismatches, f"{len(mismatches)} mismatches: " + "; ".join(mismatches[:5])
 
-    @pytest.mark.parametrize("ns,xs", [
-        # rows with x = 0, which the start skips
-        (LEVELS_12, [100.0, 0.0, 270.0, 340.0, 0.0, 520.0, 0.0, 700.0, 730.0, 0.0, 690.0, 640.0]),
-        # only one x > 0
-        (LEVELS, [0.0, 0.0, 0.0, 310.0, 0.0, 0.0]),
-        ([1, 2, 3, 5], [0.0, 0.0, 0.0, 7.5]),
-        # close levels: the two Jacobian columns are nearly collinear
-        ([1000, 1001, 1002, 1003, 1004, 1005], [61.0, 60.8, 61.1, 60.7, 60.9, 60.6]),
-        ([5000, 5000.5, 5001, 5001.5], [12.0, 12.01, 11.98, 12.02]),
-        # repeated levels, as in bootstrap resamples
-        ([1, 1, 2, 4, 4, 8], [100.0, 103.0, 188.0, 320.0, 331.0, 450.0]),
-        # at extreme scales the sums overflow or underflow; the two close-level
-        # cases come out as alpha = -0.0 and alpha = nan
-        (LEVELS, [1e150 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
-        (LEVELS, [1e-165 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
-        (CLOSE_LEVELS, [1e150 * v for v in CLOSE_XS]),
-        (CLOSE_LEVELS, [1e152 * v for v in CLOSE_XS]),
-    ], ids=["zero-rows", "one-positive", "one-positive-short", "collinear", "collinear-half",
-            "repeated", "huge", "tiny", "signed-zero", "nan"])
+    @pytest.mark.parametrize("ns,xs", EDGE_CASES, ids=EDGE_IDS)
     @pytest.mark.parametrize("opt", REFERENCE_OPTIONS + [FitOptions(beta_max=math.inf)],
                              ids=["default", "one-step", "beta-max", "loose-tol", "unbounded"])
     def test_matches_on_edge_cases(self, ns, xs, opt):
@@ -651,3 +654,178 @@ class TestBootstrap:
             for n in (1.0, 2.0, 64.0):
                 for pin in (None, 200.0):
                     fitting._fit_rows(np.full((2, 6), n), np.full((2, 6), 37.5), pin, FitOptions())
+
+
+ROWS_OPTIONS = [FitOptions(), FitOptions(max_refine_iter=1), FitOptions(max_refine_iter=2),
+                FitOptions(max_refine_iter=3), FitOptions(max_refine_iter=7),
+                FitOptions(max_refine_iter=15), FitOptions(beta_max=1e-5),
+                FitOptions(refine_tol=1e-3)]
+ROWS_OPTION_IDS = ["default", "iter-1", "iter-2", "iter-3", "iter-7", "iter-15", "beta-max",
+                   "loose-tol"]
+
+
+def rows_batches():
+    """(name, ns, xs, pin) batches of resampled rows: both modes, zero throughputs,
+    single-level rows, noiseless face data and rows that all spin together."""
+    out = []
+    for kind in ("normalized-8", "raw3-14"):
+        for seed in range(4):
+            d = boot_dataset(kind, seed)
+            out.append((f"{kind}/{seed}", *resamples(d, 120, seed), pin_of(d)))
+        zeros = (24.0, 32.0) if kind == "normalized-8" else (2.0, 48.0, 64.0)
+        d = with_zeros(boot_dataset(kind, 1), zeros)
+        out.append((f"{kind}/zeros", *resamples(d, 120, 1), pin_of(d)))
+        d = boot_dataset(kind, 3, noise=0.0)
+        out.append((f"{kind}/noiseless", *resamples(d, 60, 3), pin_of(d)))
+    d = noisy_dataset(0.05, 1e-3, 100.0, 0.01, seed=2, levels=[2, 3, 5, 9])
+    ns, xs = resamples(d, 200, 7)
+    ns[:3], xs[:3] = ns[:3, :1], xs[:3, :1]  # single-level rows
+    out.append(("single-level", ns, xs, None))
+    for alpha, beta in ((0.0, 3e-4), (0.05, 0.0), (0.005, 0.0)):
+        for levels in (BOOT_LEVELS_8, BOOT_LEVELS_14):
+            d = exact_dataset(alpha, beta, 150.0, levels)
+            out.append((f"face/{alpha}/{beta}/{len(levels)}", *resamples(d, 60, 3), pin_of(d)))
+    # resamples whose steps are rejected 11 and 17 times in a row, alone and
+    # repeated, so that every row is rejected on the same passes
+    d = boot_dataset("normalized-8", 0)
+    ns, xs = resamples(d, 200, 0)
+    for row in (83, 198):
+        for rows in (1, 200):
+            name = f"rejected/{row}" + ("/repeated" if rows > 1 else "")
+            out.append((name, np.tile(ns[row], (rows, 1)), np.tile(xs[row], (rows, 1)),
+                        d.baseline.x))
+    return out
+
+
+class TestRowsReference:
+    """The batched solver against its frozen one-step-per-pass copy in oracles.
+
+    Trying a rejected row's shrinking steps together changes how many
+    passes the polish takes, never a row's arithmetic, so every row must be
+    equal bit for bit, signed zeros and nans included.
+    """
+
+    @pytest.mark.parametrize("batch_points", [None, 64], ids=["batch-default", "batch-64"])
+    @pytest.mark.parametrize("opt", ROWS_OPTIONS, ids=ROWS_OPTION_IDS)
+    def test_rows_match_bit_for_bit(self, monkeypatch, opt, batch_points):
+        if batch_points is not None:
+            monkeypatch.setattr(fitting, "_BATCH_POINTS", batch_points)
+        mismatches = []
+        for name, ns, xs, pin in rows_batches():
+            got = fitting._fit_rows(ns, xs, pin, opt)
+            want = fit_rows_reference(ns, xs, pin, opt)
+            bad = [i for i in range(len(ns)) if got[i].tobytes() != want[i].tobytes()]
+            if bad:
+                mismatches.append(f"{name}: rows {bad[:5]}, e.g. {got[bad[0]]!r} "
+                                  f"against {want[bad[0]]!r}")
+        assert not mismatches, "; ".join(mismatches)
+
+    @pytest.mark.parametrize("ns,xs", EDGE_CASES, ids=EDGE_IDS)
+    def test_edge_rows_match_bit_for_bit(self, ns, xs):
+        ns, xs = np.array(ns, dtype=float), np.array(xs, dtype=float)
+        idx = np.random.default_rng(4).integers(0, len(ns), size=(40, len(ns)))
+        idx[0] = np.arange(len(ns))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for opt in ROWS_OPTIONS + [FitOptions(beta_max=math.inf)]:
+                for pin in (float(xs.max()), None):
+                    got = fitting._fit_rows(ns[idx], xs[idx], pin, opt)
+                    want = fit_rows_reference(ns[idx], xs[idx], pin, opt)
+                    assert got.tobytes() == want.tobytes(), (opt, pin)
+
+    def test_rejected_rows_share_one_pass(self, monkeypatch):
+        # 200 copies of a resample whose steps are rejected after its third
+        # pass try their shrinking steps in one grid, 16 to a row, or as
+        # many as _BATCH_POINTS allows
+        sizes = []
+        inner = fitting._profile_rows
+
+        def sized(*args):
+            sizes.append(len(args[0]))
+            return inner(*args)
+
+        monkeypatch.setattr(fitting, "_profile_rows", sized)
+        _, ns, xs, pin = next(b for b in rows_batches() if b[0] == "rejected/83/repeated")
+        want = fit_rows_reference(ns, xs, pin, FitOptions()).tobytes()
+        assert fitting._fit_rows(ns, xs, pin, FitOptions()).tobytes() == want
+        assert max(sizes) == 200 * 16
+        sizes.clear()
+        monkeypatch.setattr(fitting, "_BATCH_POINTS", 200 * 8 * 5)
+        assert fitting._fit_rows(ns, xs, pin, FitOptions()).tobytes() == want
+        assert max(sizes) == 200 * 5
+
+
+# bootstrap_confidence(boot_dataset(kind, seed), replicates=200, seed=seed) as the solver
+# with one trial step per pass gave them; the reprs are exact, so any change to a
+# bootstrap digest fails here
+PINNED_INTERVALS = {
+    ("normalized-8", 0): "((0.0763087692028788, 0.08403050856543694), "
+                         "(0.0, 0.0002757460056043124), "
+                         "(200.75438132656035, 200.75438132656035))",
+    ("normalized-8", 1): "((0.07119429535654871, 0.08844459258317759), "
+                         "(0.0, 0.0007095142299408233), "
+                         "(202.07350515238872, 202.07350515238872))",
+    ("normalized-8", 2): "((0.06662169137679685, 0.08758645242535858), "
+                         "(0.0, 0.0009060270881321746), "
+                         "(201.13432029076122, 201.13432029076122))",
+    ("raw3-14", 0): "((0.03941196151374335, 0.06621232546125079), (0.0, 0.0003606277094722666), "
+                    "(115.91909664291431, 133.34749451971962))",
+    ("raw3-14", 1): "((0.04126945830711112, 0.054894280653845766), "
+                    "(3.744212973635808e-05, 0.00023452019429948432), "
+                    "(114.20423910736221, 124.08483997569384))",
+    ("raw3-14", 2): "((0.03659416384850182, 0.05352932985169696), "
+                    "(0.00011220889187364999, 0.00026968753815227747), "
+                    "(110.52079580220762, 125.03752242981491))",
+}
+
+
+class TestBootstrapSetup:
+    @pytest.mark.parametrize("kind,seed", sorted(PINNED_INTERVALS))
+    def test_intervals_are_pinned(self, kind, seed):
+        r = bootstrap_confidence(boot_dataset(kind, seed), replicates=200, seed=seed)
+        got = repr((r.alpha_interval, r.beta_interval, r.x1_interval))
+        assert got == PINNED_INTERVALS[kind, seed]
+
+    def test_bootstrap_does_not_call_fit_usl(self, monkeypatch):
+        d = boot_dataset("raw3-14", 3)
+        want = bootstrap_confidence(d, replicates=30, seed=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bootstrap_confidence called fit_usl")
+
+        monkeypatch.setattr(fitting, "fit_usl", refuse)
+        assert bootstrap_confidence(d, replicates=30, seed=3) == want
+        assert fitting.bootstrap_confidence(d, replicates=30, seed=3) == want
+
+    @pytest.mark.parametrize("pairs,mode,error", [
+        ([(1, 0.0), (2, 0.0), (4, 0.0)], MODE_AUTO, DegenerateDataError),
+        ([(1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0)], MODE_RAW3, DegenerateDataError),
+        ([(1, 10.0), (2, 18.0)], MODE_AUTO, InsufficientDataError),
+        ([(2, 18.0), (4, 30.0), (8, 44.0)], MODE_AUTO, InsufficientDataError),
+        ([(1, 10.0), (2, 18.0), (4, 30.0)], MODE_RAW3, InsufficientDataError),
+        ([(2, 18.0), (4, 30.0), (8, 44.0), (16, 50.0)], MODE_NORMALIZED, MissingBaselineError),
+        ([(1, 0.0), (2, 18.0), (4, 30.0)], MODE_NORMALIZED, ZeroBaselineError),
+        ([(1, 0.0), (2, 18.0), (4, 30.0)], MODE_AUTO, ZeroBaselineError),
+    ], ids=["all-zero", "all-zero-raw3", "normalized-2", "raw3-3", "forced-raw3-3",
+            "no-baseline", "zero-baseline", "zero-baseline-auto"])
+    def test_bootstrap_raises_what_fit_usl_raises(self, pairs, mode, error):
+        d, opt = Dataset.from_pairs(pairs), FitOptions(mode=mode)
+        with pytest.raises(error) as fit_error:
+            fit_usl(d, opt)
+        with pytest.raises(error) as boot_error:
+            bootstrap_confidence(d, opt, replicates=10)
+        assert str(boot_error.value) == str(fit_error.value)
+
+    def test_overflowing_data_is_resampled_without_a_base_fit(self):
+        # the scalar fit of this set overflows to alpha = nan, so fit_usl
+        # raises; the resamples overflow too and all land on the corner
+        xs = (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)
+        d = Dataset.from_pairs((n, 1e154 * x) for n, x in zip(LEVELS, xs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DomainError):
+                fit_usl(d)
+            warnings.simplefilter("error")
+            r = bootstrap_confidence(d, replicates=50, seed=0)
+        assert (r.alpha_interval, r.beta_interval, r.x1_interval) == ((0.0, 0.0), (0.0, 0.0),
+                                                                       (1e154, 1e154))
