@@ -44,10 +44,15 @@ the original data (best of 80 alternating calls, 2 vCPUs, Python 3.11,
 numpy 2.4).
 
 fit_usl keeps the scalar solver, whose length-P algebra runs in numpy
-and whose two coefficients, gradient and step are Python floats.  On the
-1000 datasets of perfbench fit-corpus seed 5 it takes 384 us a fit,
-against 1291 us for a one-row batch, which also moves 744 of the fits by
-up to 3.5e-7 relative (2 vCPUs, Python 3.11, numpy 2.4).
+and whose two coefficients, gradient and step are Python floats.  Most of
+its cost is numpy's per-call overhead, so it computes n - 1 once a fit,
+takes the faces' capacities without their zero term, does not evaluate
+a face that is the polished point again, and builds its records with
+hand-written __init__s.  On the 1000 datasets of perfbench fit-corpus
+seed 5 it takes 153 us a fit, against 190 us before those cuts and
+588 us for a one-row batch, which also moves 744 of the fits by up to
+3.5e-7 relative (best of 63 alternating passes, 2 vCPUs, Python 3.11,
+numpy 2.4).
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ from .model import (
     MeasuredPoint,
     Regime,
     UslParams,
+    _capacity,
+    _set,
     classify_regime,
     peak_concurrency,
     practical_peak,
@@ -86,6 +93,7 @@ _RUNGS = 16  # trial steps of a row with a rejected step tried in one pass
 _POW4 = 4.0 ** np.arange(_RUNGS)  # exact powers of 4
 # rows of _polish_rows' packed state: theta, f, x1, lam, v, scale, rho, floor, steps left
 _STATE = (slice(0, 2), 2, 3, 4, slice(5, 7), slice(7, 9), 9, 10, 11)
+_LEVEL = operator.attrgetter("n")  # the sort key of a dataset's points
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ class Dataset:
     points: tuple[MeasuredPoint, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted(self.points, key=lambda p: p.n))
+        pts = tuple(sorted(self.points, key=_LEVEL))
         if len(pts) < 2:
             raise DomainError(f"a dataset needs at least 2 points, got {len(pts)}")
         for a, b in zip(pts, pts[1:]):
@@ -128,11 +136,9 @@ class Dataset:
 
     @property
     def baseline(self) -> MeasuredPoint | None:
-        """The n = 1 point when present."""
-        for p in self.points:
-            if p.n == 1.0:
-                return p
-        return None
+        """The n = 1 point when present: the first, as levels are sorted and >= 1."""
+        p = self.points[0]
+        return p if p.n == 1.0 else None
 
     @property
     def has_baseline(self) -> bool:
@@ -172,15 +178,25 @@ class FitOptions:
             raise DomainError("refinement settings must be positive")
 
 
-@dataclass(frozen=True)
+_DEFAULTS = FitOptions()  # frozen, so the calls without options share it
+
+
+@dataclass(frozen=True, init=False)
 class Residual:
     n: float
     measured: float
     modeled: float
     residual: float
 
+    # stores with _set; see UslParams
+    def __init__(self, n: float, measured: float, modeled: float, residual: float) -> None:
+        _set(self, "n", n)
+        _set(self, "measured", measured)
+        _set(self, "modeled", modeled)
+        _set(self, "residual", residual)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class FitResult:
     """Fitted coefficients plus goodness-of-fit bookkeeping.
 
@@ -194,6 +210,16 @@ class FitResult:
     residuals: tuple[Residual, ...]
     significance_warning: bool
     mode: str
+
+    # stores with _set; see UslParams
+    def __init__(self, params: UslParams, sse: float, r_squared: float,
+                 residuals: tuple[Residual, ...], significance_warning: bool, mode: str) -> None:
+        _set(self, "params", params)
+        _set(self, "sse", sse)
+        _set(self, "r_squared", r_squared)
+        _set(self, "residuals", residuals)
+        _set(self, "significance_warning", significance_warning)
+        _set(self, "mode", mode)
 
     @property
     def peak(self) -> float:
@@ -240,15 +266,16 @@ def capacity_ratios(dataset: Dataset) -> list[tuple[float, float]]:
     return [(p.n, p.x / base.x) for p in dataset.points]
 
 
-def _capacity(ns: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    return ns / (1.0 + alpha * (ns - 1.0) + beta * ns * (ns - 1.0))
+def _residuals(xs, x1_pin, c):
+    """(x - x1*c, c, x1, <c, c>) at the capacities c.
 
-
-def _residuals(ns, xs, x1_pin, theta) -> tuple[np.ndarray, np.ndarray, float]:
-    """(x - x1*c, c, x1) at theta; x1 is profiled in closed form unless pinned."""
-    c = _capacity(ns, theta[0], theta[1])
-    x1 = x1_pin if x1_pin is not None else float(np.dot(xs, c) / np.dot(c, c))
-    return xs - x1 * c, c, x1
+    x1 is profiled in closed form unless pinned; <c, c> is None when pinned.
+    """
+    if x1_pin is not None:
+        return xs - x1_pin * c, c, x1_pin, None
+    cc = np.dot(c, c)
+    x1 = float(np.dot(xs, c) / cc)
+    return xs - x1 * c, c, x1, cc
 
 
 def _quotient(a: float, b: float) -> float:
@@ -269,11 +296,12 @@ def _linear_start(ns, xs, x1_pin, basis: np.ndarray,
     throughput per user stands in for it.  The result is capped at hi.
     """
     keep = xs > 0.0
-    ns, xs, basis = ns[keep], xs[keep], basis[keep]
-    if ns.size == 0:
-        return 0.0, 0.0
+    if not keep.all():
+        ns, xs, basis = ns[keep], xs[keep], basis[keep]
+        if ns.size == 0:
+            return 0.0, 0.0
     if x1_pin is None:
-        low = int(np.argmin(ns))
+        low = int(ns.argmin())
         x1_pin = xs[low] / ns[low]
     w = xs * xs / (x1_pin * ns)
     a = w[:, None] * basis
@@ -309,7 +337,7 @@ def _clip(t: float, top: float) -> float:
     return 0.0 if t <= 0.0 else top if t >= top else t
 
 
-def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
+def _polish(ns, b0, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
             hi: tuple[float, float], xx: float, opt: FitOptions):
     """Bounded Levenberg-Marquardt on the throughput sse.
 
@@ -325,7 +353,8 @@ def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
     """
     (t0, t1), (hi0, hi1) = theta, hi
     floor = _ROUNDING * math.sqrt(xx)
-    r, c, x1 = _residuals(ns, xs, x1_pin, theta)
+    tol = opt.refine_tol
+    r, c, x1, cc = _residuals(xs, x1_pin, _capacity(ns, b0, t0, t1))
     f = float(np.dot(r, r))
     lam = 1e-3
     fresh = True
@@ -334,7 +363,7 @@ def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
             d = 1.0 + basis @ (t0, t1)
             jac = (x1 * c / d)[:, None] * basis  # d(residual)/d(theta)
             if x1_pin is None:
-                jac -= np.outer(c, c @ jac) / np.dot(c, c)
+                jac -= c[:, None] * (c @ jac) / cc
             g0, g1 = (jac.T @ r).tolist()  # half the gradient of the sse
             n0, n1 = map(math.sqrt, np.einsum("pk,pk->k", jac, jac).tolist())
             free0, free1 = _free(t0, g0, n0, hi0), _free(t1, g1, n1, hi1)
@@ -354,11 +383,11 @@ def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
         c0, c1 = _clip(t0 + u0 / s0, hi0), _clip(t1 + u1 / s1, hi1)
         if c0 == t0 and c1 == t1:
             break
-        rc, cc, x1c = _residuals(ns, xs, x1_pin, (c0, c1))
-        fc = float(np.dot(rc, rc))
+        trial = _residuals(xs, x1_pin, _capacity(ns, b0, c0, c1))
+        fc = float(np.dot(trial[0], trial[0]))
         if fc < f:
-            done = f - fc <= opt.refine_tol * f
-            t0, t1, r, c, x1, f = c0, c1, rc, cc, x1c, fc
+            done = f - fc <= tol * f
+            t0, t1, f, (r, c, x1, cc) = c0, c1, fc, trial
             if done:
                 break
             lam = max(lam / 3.0, 1e-12)
@@ -368,33 +397,34 @@ def _polish(ns, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
     return (t0, t1), f, r, c, x1
 
 
-def _minimize(ns, xs, x1_pin,
-              opt: FitOptions) -> tuple[float, float, np.ndarray, np.ndarray, float]:
-    """(alpha, beta, r, c, x1): the fit and _residuals there."""
+def _minimize(ns, xs, x1_pin, opt: FitOptions):
+    """(alpha, beta, r, c, x1, sse): the fit, _residuals there and its sse."""
     # the model's denominator is 1 + basis @ (alpha, beta)
-    basis = np.stack([ns - 1.0, ns * (ns - 1.0)], axis=1)
+    b0 = ns - 1.0
+    basis = np.empty((ns.size, 2))
+    basis[:, 0] = b0
+    basis[:, 1] = ns * b0
     hi = (_ALPHA_MAX, float(opt.beta_max))
     xx = float(np.dot(xs, xs))
     start = _linear_start(ns, xs, x1_pin, basis, hi)
-    (alpha, beta), f, r, c, x1 = _polish(ns, xs, x1_pin, basis, start, hi, xx, opt)
+    (alpha, beta), f, r, c, x1 = _polish(ns, b0, xs, x1_pin, basis, start, hi, xx, opt)
     # a face within refine_tol of the polished sse wins the tie: smaller
-    # beta first, then smaller alpha
+    # beta first, then smaller alpha.  On finite levels a zero coefficient's
+    # term adds exactly 0.0 to the denominator, so a face drops it; a face
+    # that equals the polished point is that point, unless its sse is nan.
     bound = f + opt.refine_tol * max(f, 1e-16 * xx)
-    for face in ((alpha, 0.0), (0.0, beta), (0.0, 0.0)):
-        rf, cf, x1f = _residuals(ns, xs, x1_pin, face)
-        if float(np.dot(rf, rf)) <= bound:
-            return face[0], face[1], rf, cf, x1f
-    return alpha, beta, r, c, x1
-
-
-def _fit_arrays(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None,
-                opt: FitOptions) -> tuple[float, float, float]:
-    """Core fit on raw arrays; x1_pin None means the 3-parameter mode.
-
-    Returns (alpha, beta, x1).
-    """
-    alpha, beta, _, _, x1 = _minimize(ns, xs, x1_pin, opt)
-    return alpha, beta, x1
+    for fa, fb in ((alpha, 0.0), (0.0, beta), (0.0, 0.0)):
+        if fa == alpha and fb == beta and f <= bound:
+            return fa, fb, r, c, x1, f
+        if fb == 0.0:
+            cf = ns / (1.0 + fa * b0) if fa else ns
+        else:
+            cf = ns / (1.0 + fb * ns * b0)
+        rf, cf, x1f, _ = _residuals(xs, x1_pin, cf)
+        ff = float(np.dot(rf, rf))
+        if ff <= bound:
+            return fa, fb, rf, cf, x1f, ff
+    return alpha, beta, r, c, x1, f
 
 
 def _fit_setup(dataset: Dataset,
@@ -405,7 +435,7 @@ def _fit_setup(dataset: Dataset,
     before it fits, so the bootstrap can learn the mode without a fit.
     """
     ns, xs = dataset.ns, dataset.xs
-    if not np.any(xs > 0.0):
+    if not (xs > 0.0).any():
         raise DegenerateDataError("every throughput is zero; nothing to fit")
     base = dataset.baseline
     mode = opt.mode
@@ -432,13 +462,12 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     zero, and the baseline errors when a requested normalized fit has
     no usable n = 1 point.
     """
-    opt = options or FitOptions()
+    opt = options or _DEFAULTS
     ns, xs, mode, x1_pin = _fit_setup(dataset, opt)
-    alpha, beta, res, c, x1 = _minimize(ns, xs, x1_pin, opt)
+    alpha, beta, res, c, x1, sse = _minimize(ns, xs, x1_pin, opt)
 
     modeled = x1 * c
-    sse = float(np.dot(res, res))
-    dev = xs - xs.mean()
+    dev = xs - float(xs.sum()) / xs.size  # xs.mean(), without its wrapper
     tss = float(np.dot(dev, dev))
     if tss == 0.0:
         r2 = 1.0 if sse == 0.0 else 0.0
@@ -470,21 +499,24 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
     params = result.params
     if params.x1 is None:
         raise MismatchedDatasetError("fit result carries no x1; cannot model throughput")
+    alpha, beta, x1 = params.alpha, params.beta, params.x1
+    points = dataset.points
     sse = 0.0
     mean = 0.0
-    for p in dataset.points:
+    for p in points:
         mean += p.x
-    mean /= len(dataset.points)
+    mean /= len(points)
     tss = 0.0
     max_rel = 0.0
-    for p in dataset.points:
-        denom = 1.0 + params.alpha * (p.n - 1.0) + params.beta * p.n * (p.n - 1.0)
-        modeled = params.x1 * (p.n / denom)
-        r = p.x - modeled
+    for p in points:
+        n, x = p.n, p.x
+        denom = 1.0 + alpha * (n - 1.0) + beta * n * (n - 1.0)
+        r = x - x1 * (n / denom)
         sse += r * r
-        tss += (p.x - mean) * (p.x - mean)
-        scale = abs(p.x) if p.x != 0.0 else 1.0
-        max_rel = max(max_rel, abs(r) / scale)
+        tss += (x - mean) * (x - mean)
+        rel = abs(r) / (abs(x) if x != 0.0 else 1.0)
+        if rel > max_rel:  # max(max_rel, rel), nan included
+            max_rel = rel
     if tss == 0.0:
         r2 = 1.0 if sse == 0.0 else 0.0
     else:
@@ -528,7 +560,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _profile_rows(ns, xs, b0, x1_pin, alpha,
                   beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_residuals row by row: (x - x1*c, c, x1) for (R, P) arrays at (alpha, beta), each (R,).
+    """_residuals and _capacity row by row: (x - x1*c, c, x1) for (R, P) arrays at (alpha, beta), each (R,).
 
     b0 is ns - 1, so c equals _capacity's value bit for bit.
     """
@@ -672,7 +704,7 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
 
 def _fit_rows(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None,
               opt: FitOptions) -> np.ndarray:
-    """_fit_arrays on every row of the (R, P) arrays; returns (R, 3) rows (alpha, beta, x1).
+    """_minimize on every row of the (R, P) arrays; returns (R, 3) rows (alpha, beta, x1).
 
     Rows may repeat levels, as resamples do.  Every reduction runs along a
     row, so a row's result is bit-identical whatever else shares the batch.
@@ -726,7 +758,7 @@ def bootstrap_confidence(dataset: Dataset, options: FitOptions | None = None,
     seed = _whole(seed, "seed")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    opt = options or FitOptions()
+    opt = options or _DEFAULTS
     ns, xs, _, x1_pin = _fit_setup(dataset, opt)
     rng = np.random.default_rng(seed)
     # one (rows, n) draw gives the indices of rows successive size-n draws,

@@ -31,6 +31,8 @@ ArrayLike = Union[float, int, np.ndarray, list, tuple]
 #: Marker returned by peak_concurrency when beta = 0 (no finite peak).
 UNBOUNDED = math.inf
 
+_set = object.__setattr__  # stores a field of a frozen record
+
 
 class Regime(str, enum.Enum):
     """Qualitative scaling behaviour implied by the coefficients."""
@@ -40,7 +42,7 @@ class Regime(str, enum.Enum):
     RETROGRADE = "retrograde"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UslParams:
     """Fitted or assumed model coefficients.
 
@@ -54,17 +56,29 @@ class UslParams:
     beta: float
     x1: float | None = None
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha < 1.0) or not math.isfinite(self.alpha):
-            raise DomainError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.beta < 0.0 or not math.isfinite(self.beta):
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if self.x1 is not None:
-            if not (self.x1 > 0.0) or not math.isfinite(self.x1):
-                raise DomainError(f"x1 must be positive, got {self.x1}")
+    # A frozen dataclass's generated __init__ looks object.__setattr__ up
+    # for every field, then calls __post_init__.  The records built per
+    # point or per fit run their checks in a hand-written __init__ and
+    # store with _set, looked up once.  Storing through __dict__ would build
+    # faster still, but CPython 3.11 then reads the instance's fields about
+    # 2x slower and gives it a dict of its own.
+    def __init__(self, alpha: float, beta: float, x1: float | None = None) -> None:
+        if not (0.0 <= alpha < 1.0) or not math.isfinite(alpha):
+            raise DomainError(f"alpha must be in [0, 1), got {alpha}")
+        if beta < 0.0 or not math.isfinite(beta):
+            raise DomainError(f"beta must be >= 0, got {beta}")
+        if x1 is not None:
+            if not (x1 > 0.0) or not math.isfinite(x1):
+                raise DomainError(f"x1 must be positive, got {x1}")
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "x1", x1)
 
 
-@dataclass(frozen=True)
+_FRESH = object()  # MeasuredPoint's default meta: a new dict for each point
+
+
+@dataclass(frozen=True, init=False)
 class MeasuredPoint:
     """One throughput measurement at a concurrency level.
 
@@ -76,22 +90,27 @@ class MeasuredPoint:
     x: float
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not (self.n >= 1.0) or not math.isfinite(self.n):
-            raise DomainError(f"concurrency must be >= 1, got {self.n}")
-        if self.x < 0.0 or not math.isfinite(self.x):
-            raise DomainError(f"throughput must be >= 0 and finite, got {self.x}")
+    def __init__(self, n: float, x: float, meta: dict = _FRESH) -> None:
+        if not (n >= 1.0) or not math.isfinite(n):
+            raise DomainError(f"concurrency must be >= 1, got {n}")
+        if x < 0.0 or not math.isfinite(x):
+            raise DomainError(f"throughput must be >= 0 and finite, got {x}")
+        _set(self, "n", n)
+        _set(self, "x", x)
+        _set(self, "meta", {} if meta is _FRESH else meta)
 
 
 def _as_levels(n: ArrayLike) -> np.ndarray:
     arr = np.asarray(n, dtype=float)
-    if np.any(arr < 1.0) or not np.all(np.isfinite(arr)):
+    # one pass; nan fails both comparisons
+    if not ((arr >= 1.0) & (arr < math.inf)).all():
         raise DomainError("concurrency levels must be finite and >= 1")
     return arr
 
 
-def _match_shape(out: np.ndarray, n: ArrayLike):
-    return float(out) if np.ndim(n) == 0 else out
+def _capacity(ns, b0, alpha: float, beta: float):
+    """C(n) with b0 = n - 1, on floats or arrays, in the order every caller relies on."""
+    return ns / (1.0 + alpha * b0 + beta * ns * b0)
 
 
 def usl_capacity(n: ArrayLike, params: UslParams):
@@ -101,8 +120,8 @@ def usl_capacity(n: ArrayLike, params: UslParams):
     returns the same shape.  C(1) is exactly 1.
     """
     levels = _as_levels(n)
-    denom = 1.0 + params.alpha * (levels - 1.0) + params.beta * levels * (levels - 1.0)
-    return _match_shape(levels / denom, n)
+    out = _capacity(levels, levels - 1.0, params.alpha, params.beta)
+    return float(out) if levels.ndim == 0 else out
 
 
 def amdahl_capacity(n: ArrayLike, alpha: float):
@@ -121,8 +140,8 @@ def efficiency(n: ArrayLike, capacity: ArrayLike):
     ratio definition rules out; measured data showing it is suspect.
     """
     levels = _as_levels(n)
-    cap = np.asarray(capacity, dtype=float)
-    return _match_shape(cap / levels, n)
+    out = np.asarray(capacity, dtype=float) / levels
+    return float(out) if levels.ndim == 0 else out
 
 
 def peak_concurrency(params: UslParams) -> float:
@@ -150,9 +169,9 @@ def practical_peak(params: UslParams) -> float:
     hi = max(1.0, math.ceil(nc))
     if lo == hi:
         return lo
-    c_lo = usl_capacity(lo, params)
-    c_hi = usl_capacity(hi, params)
-    return hi if c_hi > c_lo else lo
+    # usl_capacity's operations in the same order, on Python floats
+    a, b = params.alpha, params.beta
+    return hi if _capacity(hi, hi - 1.0, a, b) > _capacity(lo, lo - 1.0, a, b) else lo
 
 
 def predict_throughput(n: ArrayLike, params: UslParams):
@@ -205,7 +224,9 @@ def scalability_curve(params: UslParams, domain_max: float, num: int = 100) -> S
         raise DomainError(f"domain_max must be > 1, got {domain_max}")
     if num < 2:
         raise DomainError(f"need at least 2 samples, got {num}")
-    ns = np.linspace(1.0, float(domain_max), int(num))
-    caps = usl_capacity(ns, params)
+    top = float(domain_max)
+    ns = np.linspace(1.0, top, int(num))
+    # every level is finite and >= 1, so the capacities need no check
+    caps = _capacity(ns, ns - 1.0, params.alpha, params.beta)
     xs = params.x1 * caps if params.x1 is not None else None
-    return ScalabilityCurve(params, float(domain_max), ns, caps, xs)
+    return ScalabilityCurve(params, top, ns, caps, xs)

@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import DomainError
 from .fitting import Dataset
-from .model import MeasuredPoint, UslParams, usl_capacity
+from .model import MeasuredPoint, UslParams, _set, usl_capacity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueueParams:
     """Closed-queue description.
 
@@ -38,18 +38,23 @@ class QueueParams:
     z: float
     c: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DomainError(f"population must be an integer >= 1, got {self.n!r}")
-        if not (self.s > 0.0) or not math.isfinite(self.s):
-            raise DomainError(f"service time must be positive, got {self.s}")
-        if self.z < 0.0 or not math.isfinite(self.z):
-            raise DomainError(f"think time must be >= 0, got {self.z}")
-        if self.c < 0.0 or not math.isfinite(self.c):
-            raise DomainError(f"coherency penalty must be >= 0, got {self.c}")
+    # stores with _set; see UslParams
+    def __init__(self, n: int, s: float, z: float, c: float = 0.0) -> None:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise DomainError(f"population must be an integer >= 1, got {n!r}")
+        if not (s > 0.0) or not math.isfinite(s):
+            raise DomainError(f"service time must be positive, got {s}")
+        if z < 0.0 or not math.isfinite(z):
+            raise DomainError(f"think time must be >= 0, got {z}")
+        if c < 0.0 or not math.isfinite(c):
+            raise DomainError(f"coherency penalty must be >= 0, got {c}")
+        _set(self, "n", n)
+        _set(self, "s", s)
+        _set(self, "z", z)
+        _set(self, "c", c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueueSolution:
     """Steady-state metrics: throughput x, residence time r (queueing
     plus service), mean number at the server q, mean wait w = r - s."""
@@ -58,6 +63,13 @@ class QueueSolution:
     r: float
     q: float
     w: float
+
+    # stores with _set; see UslParams
+    def __init__(self, x: float, r: float, q: float, w: float) -> None:
+        _set(self, "x", x)
+        _set(self, "r", r)
+        _set(self, "q", q)
+        _set(self, "w", w)
 
 
 def mva_solve(params: QueueParams) -> QueueSolution:
@@ -74,14 +86,15 @@ def mva_solve(params: QueueParams) -> QueueSolution:
             "exact MVA covers the load-independent queue; "
             "use sync_bound_capacity for the coherency extension"
         )
+    s, z = params.s, params.z
     q = 0.0
-    r = params.s
-    x = 1.0 / (params.s + params.z)
+    r = s
+    x = 1.0 / (s + z)
     for k in range(1, params.n + 1):
-        r = params.s * (1.0 + q)
-        x = k / (r + params.z)
+        r = s * (1.0 + q)
+        x = k / (r + z)
         q = x * r
-    return QueueSolution(x=x, r=r, q=q, w=r - params.s)
+    return QueueSolution(x, r, q, r - s)
 
 
 def sync_bound(params: QueueParams) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InsufficientDataError, MissingBaselineError, ZeroBaselineError
 from .fitting import Dataset, capacity_ratios
+from .model import _set
 
 FLAG_EFFICIENCY_ABOVE_ONE = "efficiency-above-one"   # hard
 FLAG_DECREASE_BEFORE_PEAK = "decrease-before-peak"   # soft
@@ -38,12 +39,19 @@ class ProfileShape(str, enum.Enum):
     IRREGULAR = "irregular"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ValidationRow:
     n: float
     capacity: float
     efficiency: float
     flags: tuple[str, ...]
+
+    # stores with _set; see UslParams
+    def __init__(self, n: float, capacity: float, efficiency: float, flags: tuple[str, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "capacity", capacity)
+        _set(self, "efficiency", efficiency)
+        _set(self, "flags", flags)
 
 
 @dataclass(frozen=True)
@@ -80,25 +88,27 @@ def validate_dataset(dataset: Dataset, tolerance: float = 0.005) -> ValidationRe
 
     seen_decrease_at = None
     seen_x: dict[float, float] = {}
-    for i, (p, (n, cap)) in enumerate(zip(dataset.points, ratios)):
-        eff = cap / n
-        if eff > 1.0 + tolerance:
+    effs = [cap / n for n, cap in ratios]
+    limit = 1.0 + tolerance
+    for i, (p, (n, cap), eff) in enumerate(zip(dataset.points, ratios, effs)):
+        x = p.x
+        if eff > limit:
             flags[i].append(FLAG_EFFICIENCY_ABOVE_ONE)
             notes.append(
                 f"N={n:g}: efficiency {eff:.4f} exceeds 1 by more than {tolerance:g}; "
                 "capacity is a ratio to N=1 and cannot scale better than linearly"
             )
-        if p.x == 0.0:
+        if x == 0.0:
             flags[i].append(FLAG_ZERO_THROUGHPUT)
             notes.append(f"N={n:g}: zero throughput")
-        if p.x in seen_x:
+        if x in seen_x:
             flags[i].append(FLAG_DUPLICATE_THROUGHPUT)
             notes.append(
-                f"N={n:g}: throughput {p.x:g} identical to N={seen_x[p.x]:g}; "
+                f"N={n:g}: throughput {x:g} identical to N={seen_x[x]:g}; "
                 "possible copy/paste or stuck load generator"
             )
         else:
-            seen_x[p.x] = p.n
+            seen_x[x] = p.n
         if i > 0:
             if cap < caps[i - 1]:
                 seen_decrease_at = i
@@ -123,8 +133,7 @@ def validate_dataset(dataset: Dataset, tolerance: float = 0.005) -> ValidationRe
         verdict = Verdict.CLEAN
 
     rows = tuple(
-        ValidationRow(n=n, capacity=cap, efficiency=cap / n, flags=tuple(fl))
-        for (n, cap), fl in zip(ratios, flags)
+        ValidationRow(n, cap, eff, tuple(fl)) for (n, cap), eff, fl in zip(ratios, effs, flags)
     )
     return ValidationReport(rows=rows, verdict=verdict, notes=tuple(notes))
 

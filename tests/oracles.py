@@ -108,12 +108,12 @@ def bootstrap_per_replicate(dataset, options=None, replicates: int = 200, seed: 
 
     The loop the batched bootstrap replaced: replicate i draws its n
     indices with its own ``rng.integers(0, n, size=n)`` call and fits them
-    with ``fit_usl``'s scalar solver, ``uslkit.fitting._fit_arrays``, with
+    with ``fit_usl``'s scalar solver, ``uslkit.fitting._minimize``, with
     which the batched kernel shares only the capacity formula.  ``draws``
     holds the (alpha, beta, x1) of each replicate, in order.
     """
     from uslkit import BootstrapResult, FitOptions, fit_usl
-    from uslkit.fitting import MODE_NORMALIZED, _fit_arrays
+    from uslkit.fitting import MODE_NORMALIZED, _minimize
 
     opt = options or FitOptions()
     x1_pin = dataset.baseline.x if fit_usl(dataset, opt).mode == MODE_NORMALIZED else None
@@ -122,7 +122,8 @@ def bootstrap_per_replicate(dataset, options=None, replicates: int = 200, seed: 
     draws = np.empty((replicates, 3))
     for i in range(replicates):
         idx = rng.integers(0, len(ns), size=len(ns))
-        draws[i] = _fit_arrays(ns[idx], xs[idx], x1_pin, opt)
+        alpha, beta, _, _, x1, _ = _minimize(ns[idx], xs[idx], x1_pin, opt)
+        draws[i] = alpha, beta, x1
     lo = (1.0 - level) / 2.0
     q = np.quantile(draws, [lo, 1.0 - lo], axis=0)
     result = BootstrapResult(

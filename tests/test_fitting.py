@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -18,6 +20,7 @@ from uslkit import (
     MissingBaselineError,
     QueueParams,
     Regime,
+    UslError,
     UslParams,
     ZeroBaselineError,
     bootstrap_confidence,
@@ -323,8 +326,9 @@ EDGE_IDS = ["zero-rows", "one-positive", "one-positive-short", "collinear", "col
 
 
 def reference_mismatch(ns, xs, x1_pin, opt):
-    """None when _fit_arrays equals the vector reference bit for bit, else both results."""
-    got = fitting._fit_arrays(ns, xs, x1_pin, opt)
+    """None when _minimize's (alpha, beta, x1) equals the vector reference bit for bit, else both."""
+    alpha, beta, _, _, x1, _ = fitting._minimize(ns, xs, x1_pin, opt)
+    got = alpha, beta, x1
     want = minimize_vector_reference(ns, xs, x1_pin, opt)
     # repr tells -0.0 from 0.0 and prints nan; Python floats, not numpy scalars
     if [repr(v) for v in got] == [repr(v) for v in want] and {type(v) for v in got} == {float}:
@@ -361,6 +365,44 @@ class TestVectorReference:
             warnings.simplefilter("ignore", RuntimeWarning)
             for pin in (float(xs.max()), None):
                 assert reference_mismatch(ns, xs, pin, opt) is None
+
+
+def fit_usl_outputs():
+    """repr of fit_usl's whole result, or of its error, on the corpus and the edge cases.
+
+    The corpus runs under each option set in its own mode; each edge case
+    runs in both the automatic and the raw3 mode.  repr prints every float
+    exactly, signed zeros and nans included.
+    """
+    out = []
+    corpus = optimality_corpus()
+    for opt in REFERENCE_OPTIONS:
+        for _, mode, ns, xs in corpus:
+            d = Dataset.from_pairs(zip(ns.tolist(), xs.tolist()))
+            out.append(repr(fit_usl(d, dataclasses.replace(opt, mode=mode))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for ns, xs in EDGE_CASES:
+            for opt in REFERENCE_OPTIONS + [FitOptions(beta_max=math.inf)]:
+                for mode in (MODE_AUTO, MODE_RAW3):
+                    try:
+                        fit = fit_usl(Dataset.from_pairs(zip(ns, xs)), dataclasses.replace(opt, mode=mode))
+                        out.append(repr(fit))
+                    except UslError as e:
+                        out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+class TestFitUslPinned:
+    # sha256 of fit_usl_outputs() as the solver stood before its per-call
+    # overheads were cut: any change to a fitted bit, a residual row, the
+    # sse, r^2, the mode or an error message fails here
+    DIGEST = "91aa022577236aecd805ed2e31fb86177eddf0eb31aee12c7cb704543a80f269"
+
+    def test_every_output_is_pinned(self):
+        out = fit_usl_outputs()
+        assert len(out) == 4 * 1000 + 5 * 2 * len(EDGE_CASES)
+        assert hashlib.sha256("\n".join(out).encode()).hexdigest() == self.DIGEST
 
 
 class TestEvaluateAndCompare:
@@ -604,7 +646,8 @@ class TestBootstrap:
         for n in (1.0, 2.0, 7.0, 64.0):
             ns, xs = np.full((1, 6), n), np.full((1, 6), 37.5)
             row = fitting._fit_rows(ns, xs, None, opt)[0]
-            assert tuple(row) == fitting._fit_arrays(ns[0], xs[0], None, opt)
+            alpha, beta, _, _, x1, _ = fitting._minimize(ns[0], xs[0], None, opt)
+            assert tuple(row) == (alpha, beta, x1)
             assert row[0] == row[1] == 0.0
             assert row[2] == pytest.approx(37.5 / n, rel=1e-15)
 

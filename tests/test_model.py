@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -239,3 +240,60 @@ class TestCurve:
             scalability_curve(CACHE_V1, domain_max=1.0)
         with pytest.raises(DomainError):
             scalability_curve(CACHE_V1, domain_max=8.0, num=1)
+
+
+def model_outputs():
+    """repr of both peaks and the curve's bytes over seeded and special params.
+
+    The specials put N_c below 1, on an integer, near 1e6 and at infinity
+    (beta = 0); the seeded draws span 12 decades of beta.  usl_capacity
+    runs on a scalar, a list, a tuple and an array.
+    """
+    params = [UslParams(0.5, 0.9), UslParams(0.5, 2.0, 40.0),   # N_c < 1
+              UslParams(0.0, 1 / 64), UslParams(0.0, 0.0625, 12.5),   # N_c = 8 and 4
+              UslParams(0.1, 0.9e-12), UslParams(0.3, 7.1e-13, 250.0),   # N_c = 1e6 and near it
+              UslParams(0.2, 0.0), UslParams(0.0, 0.0, 3.0)]   # no peak
+    rng = np.random.default_rng(1313)
+    for _ in range(300):
+        alpha = float(rng.uniform(0.0, 0.99))
+        beta = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-12.0, 0.0))
+        x1 = None if rng.random() < 0.5 else float(rng.uniform(1.0, 1e4))
+        params.append(UslParams(alpha, beta, x1))
+    levels = [1, 2.5, 7, 1e6]
+    out = []
+    for p in params:
+        nc = peak_concurrency(p)
+        out.append(f"{p!r} {nc!r} {practical_peak(p)!r}")
+        for num in (2, 50, 101):
+            c = scalability_curve(p, 1e3 if math.isinf(nc) else max(2.0, 3.0 * nc), num)
+            xs = b"none" if c.throughputs is None else c.throughputs.tobytes()
+            out.append((c.ns.tobytes() + c.capacities.tobytes() + xs).hex())
+        for n in (*levels, np.float64(3.0), np.array(5.0), list(levels), tuple(levels), np.array(levels)):
+            got = usl_capacity(n, p)
+            out.append(f"{type(got).__name__} {np.asarray(got).tobytes().hex()}")
+    return out
+
+
+class TestModelPinned:
+    # sha256 of model_outputs() as the model stood before the peak's
+    # neighbours moved to plain float arithmetic and the level check to
+    # one pass
+    DIGEST = "3d6cba6e5318483846afa34d87a3c08092e3da4c02798fb1081ab0e47b85bdf6"
+
+    def test_every_output_is_pinned(self):
+        out = model_outputs()
+        # 13 lines a params: the peaks, 3 curves, 9 usl_capacity calls
+        assert out[2 * 13] == "UslParams(alpha=0.0, beta=0.015625, x1=None) 8.0 8"
+        assert out[3 * 13].endswith(" 4.0 4")
+        assert out[4 * 13].endswith(" 1000000.0 1000000")
+        assert hashlib.sha256("\n".join(out).encode()).hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 0.5, [1.0, math.nan]],
+                             ids=["nan", "inf", "-inf", "half", "list-nan"])
+    def test_invalid_levels_raise(self, n):
+        with pytest.raises(DomainError, match="^concurrency levels must be finite and >= 1$"):
+            usl_capacity(n, CACHE_V1)
+
+    def test_empty_levels_pass(self):
+        got = usl_capacity(np.array([]), CACHE_V1)
+        assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == float
