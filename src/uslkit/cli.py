@@ -25,6 +25,7 @@ defaults; command-line flags override it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -51,6 +52,7 @@ from .fitting import (
     Dataset,
     FitOptions,
     FitResult,
+    Residual,
     compare_fits,
     fit_usl,
 )
@@ -148,40 +150,49 @@ _CONFIG_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer")
 
 # ---------------------------------------------------------------- file formats
 
-def _data_rows(path: str):
+def _table(path: str, header: tuple[str, str], empty_message: str):
+    """(line number, cells) of each row of a two-column CSV file.
+
+    Blank lines and comment lines are skipped.  The first other line must
+    be the header, and every line after it must have two cells.
+    """
     try:
         fh = open(path, newline="")
     except OSError as e:
         raise ParseError(str(e), path=path) from e
+    saw_header = False
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            yield lineno, [c.strip() for c in line.split(",")]
-
-
-def _read_two_column(path: str, header: tuple[str, str]) -> list[tuple[float, float]]:
-    rows = []
-    saw_header = False
-    for lineno, cells in _data_rows(path):
-        if not saw_header:
-            if [c.lower() for c in cells] != list(header):
+            cells = [c.strip() for c in line.split(",")]
+            if saw_header:
+                if len(cells) != 2:
+                    raise ParseError(f"expected 2 columns, got {len(cells)}",
+                                     path=path, line=lineno)
+                yield lineno, cells
+            elif [c.lower() for c in cells] == list(header):
+                saw_header = True
+            else:
                 raise ParseError(
                     f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
                     path=path, line=lineno,
                 )
-            saw_header = True
-            continue
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 columns, got {len(cells)}", path=path, line=lineno)
-        try:
-            rows.append((float(cells[0]), float(cells[1])))
-        except ValueError as e:
-            raise ParseError(str(e), path=path, line=lineno) from e
     if not saw_header:
-        raise ParseError(f"empty file; expected header {','.join(header)!r}", path=path)
-    return rows
+        raise ParseError(empty_message, path=path)
+
+
+def _float(cell: str, path: str, lineno: int) -> float:
+    try:
+        return float(cell)
+    except ValueError as e:
+        raise ParseError(str(e), path=path, line=lineno) from e
+
+
+def _read_two_column(path: str, header: tuple[str, str]) -> list[tuple[float, float]]:
+    empty = f"empty file; expected header {','.join(header)!r}"
+    return [(_float(a, path, i), _float(b, path, i)) for i, (a, b) in _table(path, header, empty)]
 
 
 def _read_pairs(path: str, header: tuple[str, str]) -> np.ndarray:
@@ -230,12 +241,14 @@ def read_points_csv(path: str) -> Dataset:
         raise ParseError(str(e), path=path) from e
 
 
-def write_points_csv(fh, dataset: Dataset, comments=()) -> None:
-    for c in comments:
-        fh.write(f"# {c}\n")
-    fh.write("n,x\n")
-    for p in dataset.points:
-        fh.write(f"{p.n!r},{p.x!r}\n")
+def write_points_csv(path: str | None, rows, comments=()) -> None:
+    """(n, x) rows as a points CSV, to the file at path, or to stdout without one."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        fh.write("n,x\n")
+        for n, x in rows:
+            fh.write(f"{n!r},{x!r}\n")
 
 
 def infer_load(path: str) -> float | None:
@@ -269,28 +282,11 @@ def read_series_dir(dirpath: str) -> list[RunSeries]:
     manifest = os.path.join(dirpath, "manifest.csv")
     runs = []
     if os.path.exists(manifest):
-        saw_header = False
-        for lineno, cells in _data_rows(manifest):
-            if not saw_header:
-                if [c.lower() for c in cells] != ["file", "n"]:
-                    raise ParseError(
-                        f"expected header 'file,n', got {','.join(cells)!r}",
-                        path=manifest, line=lineno,
-                    )
-                saw_header = True
-                continue
-            if len(cells) != 2:
-                raise ParseError(f"expected 2 columns, got {len(cells)}", path=manifest, line=lineno)
-            try:
-                load = float(cells[1])
-            except ValueError as e:
-                raise ParseError(str(e), path=manifest, line=lineno) from e
-            runs.append(read_series_csv(os.path.join(dirpath, cells[0]), load=load))
-        if not saw_header:
-            raise ParseError("empty manifest", path=manifest)
+        for lineno, (name, n) in _table(manifest, ("file", "n"), "empty manifest"):
+            load = _float(n, manifest, lineno)
+            runs.append(read_series_csv(os.path.join(dirpath, name), load=load))
     else:
-        names = sorted(n for n in os.listdir(dirpath) if n.endswith(".csv"))
-        for name in names:
+        for name in sorted(n for n in os.listdir(dirpath) if n.endswith(".csv")):
             path = os.path.join(dirpath, name)
             if infer_load(path) is None:
                 raise ParseError(
@@ -356,12 +352,15 @@ def interpretation_hints(params: UslParams, n_ref: float) -> list[str]:
 
 
 def peak_dict(params: UslParams) -> dict:
-    """Peak location, practical peak and peak capacity; None where unbounded."""
+    """Peak location, practical peak and peak capacity; None where unbounded.
+
+    Capacity is defined from N = 1, so a peak below 1 reports C(1) = 1.
+    """
     nc = peak_concurrency(params)
     return {
         "n": _num(nc),
         "practical_n": _num(practical_peak(params)),
-        "capacity": _num(usl_capacity(nc, params)) if math.isfinite(nc) else None,
+        "capacity": _num(usl_capacity(max(nc, 1.0), params)) if math.isfinite(nc) else None,
     }
 
 
@@ -369,7 +368,7 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
                      unit: str | None, notices: list[str]) -> dict:
     """Single source for both renderings of a fit."""
     params = fit.params
-    report = {
+    return {
         "fit": {
             "mode": fit.mode,
             "alpha": params.alpha,
@@ -393,7 +392,6 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
         "unit": unit,
         "notices": list(notices),
     }
-    return report
 
 
 def validation_dict(report) -> dict:
@@ -433,11 +431,8 @@ def _validation_lines(v: dict) -> list[str]:
 
 def render_fit_markdown(report: dict) -> str:
     f = report["fit"]
-    lines = ["# Scalability fit", ""]
-    for n in report["notices"]:
-        lines.append(f"> {n}")
-    if report["notices"]:
-        lines.append("")
+    notices = [f"> {n}" for n in report["notices"]]
+    lines = ["# Scalability fit", ""] + (notices + [""] if notices else [])
     lines += ["## Coefficients", ""]
     unit = f" ({report['unit']})" if report.get("unit") else ""
     lines += _md_table(
@@ -500,75 +495,94 @@ def render_validation_markdown(v: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_peak_markdown(d: dict) -> str:
+    p = d["peak"]
+    lines = [
+        "peak N: " + ("none (beta=0)" if p["n"] is None else format(p["n"], ".4f")),
+        "practical N: " + ("none (beta=0)" if p["practical_n"] is None
+                           else format(p["practical_n"], ".0f")),
+    ]
+    if p["capacity"] is not None:
+        lines.append(f"peak capacity: {p['capacity']:.4f}")
+    return "\n".join(lines + [f"regime: {d['regime']}"])
+
+
+def render_predict_markdown(d: dict) -> str:
+    return (f"N={d['n']:g}: capacity {d['capacity']:.4f}, "
+            f"efficiency {d['efficiency']:.4f}, throughput {d['throughput']:.4f}")
+
+
+def render_compare_markdown(d: dict) -> str:
+    a, b, delta = d["a"], d["b"], d["delta"]
+    lines = ["# Fit comparison", ""] + _md_table(
+        ["quantity", a["name"], b["name"], "delta (b-a)"],
+        [
+            ["alpha", _fmt(a["alpha"]), _fmt(b["alpha"]), _fmt(delta["alpha"])],
+            ["beta", _fmt(a["beta"]), _fmt(b["beta"]), _fmt(delta["beta"])],
+            ["peak N", _fmt(a["peak_n"]), _fmt(b["peak_n"]),
+             _fmt(delta["peak_n"], unbounded_label="-")],
+        ],
+    )
+    return "\n".join(lines + ["", d["verdict"]])
+
+
+def render_steady_markdown(d: dict) -> str:
+    w = d["window"]
+    return (f"load N={d['load']:g} ({d['mode']})\n"
+            f"window: [{w['start']:g}s, {w['end']:g}s] "
+            f"({w['duration']:g}s, {w['samples']} samples)\n"
+            f"mean throughput: {w['mean_throughput']:.4f} (cv {w['cv']:.4f})")
+
+
 # ------------------------------------------------------------------ commands
 
-def _effective(args_value, config_value):
-    return config_value if args_value is None else args_value
-
-
-def _steady_config(args, cfg: AnalysisConfig) -> SteadyStateConfig:
-    return SteadyStateConfig(
-        slope_tol=_effective(getattr(args, "slope_tol", None), cfg.slope_tol),
-        cv_max=_effective(getattr(args, "cv_max", None), cfg.cv_max),
-        min_fraction=_effective(getattr(args, "min_fraction", None), cfg.min_fraction),
-    )
-
-
-def _trim_pair(args, cfg: AnalysisConfig) -> tuple[float, float] | None:
-    up = _effective(getattr(args, "trim_up", None), cfg.trim_up)
-    down = _effective(getattr(args, "trim_down", None), cfg.trim_down)
-    if up is None and down is None:
-        return None
-    return (up or 0.0, down or 0.0)
-
-
-def _read_runs(args, cfg: AnalysisConfig) -> list[RunSeries]:
-    """The runs in the input directory, with the effective trim applied."""
-    runs = read_series_dir(args.input)
-    trim = _trim_pair(args, cfg)
-    if trim is not None:
-        runs = [dataclasses.replace(r, trim=trim) for r in runs]
-    return runs
-
-
-def _fit_options(args, cfg: AnalysisConfig) -> FitOptions:
-    return FitOptions(
-        mode=_MODE_NAMES[_effective(getattr(args, "mode", None), cfg.mode)],
-        beta_max=_effective(getattr(args, "beta_max", None), cfg.beta_max),
-        refine_tol=cfg.refine_tol,
-    )
-
-
-def _load_dataset(args, cfg: AnalysisConfig) -> tuple[Dataset, list[str]]:
-    """Points file or directory of series; exactly one input path."""
-    notices: list[str] = []
-    if os.path.isdir(args.input):
-        runs = _read_runs(args, cfg)
-        dataset = aggregate_runs(runs, _steady_config(args, cfg))
-        notices.append(f"aggregated {len(runs)} time-series runs from {args.input}")
-    else:
-        dataset = read_points_csv(args.input)
-    return dataset, notices
-
-
-def cmd_validate(args, cfg: AnalysisConfig) -> int:
-    dataset = read_points_csv(args.input)
-    tol = _effective(args.tolerance, cfg.tolerance)
-    report = validate_dataset(dataset, tolerance=tol)
-    d = validation_dict(report)
-    fmt = _effective(args.format, cfg.format)
-    out = render_json(d) if fmt == "json" else render_validation_markdown(d)
+def _emit(args, report: dict, markdown) -> None:
+    out = render_json(report) if args.format == "json" else markdown(report)
     print(out, end="" if out.endswith("\n") else "\n")
+
+
+def _steady_config(args) -> SteadyStateConfig:
+    return SteadyStateConfig(args.slope_tol, args.cv_max, args.min_fraction)
+
+
+def _fit_options(args) -> FitOptions:
+    return FitOptions(_MODE_NAMES[args.mode], args.beta_max, args.refine_tol)
+
+
+def _trim(args, run: RunSeries) -> RunSeries:
+    """The run with the trim set by flag or config, if either sets one."""
+    if args.trim_up is None and args.trim_down is None:
+        return run
+    return dataclasses.replace(run, trim=(args.trim_up or 0.0, args.trim_down or 0.0))
+
+
+def _aggregate(args) -> Dataset:
+    """The steady-state means of the runs in the input directory."""
+    config = _steady_config(args)
+    return aggregate_runs([_trim(args, r) for r in read_series_dir(args.input)], config)
+
+
+def _points(dataset: Dataset):
+    return ((p.n, p.x) for p in dataset.points)
+
+
+def cmd_validate(args) -> int:
+    report = validate_dataset(read_points_csv(args.input), tolerance=args.tolerance)
+    _emit(args, validation_dict(report), render_validation_markdown)
     return EXIT_INVALID if report.verdict is Verdict.INVALID else EXIT_OK
 
 
-def cmd_fit(args, cfg: AnalysisConfig) -> int:
-    dataset, notices = _load_dataset(args, cfg)
-    tol = _effective(args.tolerance, cfg.tolerance)
+def cmd_fit(args) -> int:
+    notices: list[str] = []
+    if os.path.isdir(args.input):
+        dataset = _aggregate(args)
+        notices.append(f"aggregated {len(dataset)} time-series runs from {args.input}")
+    else:
+        dataset = read_points_csv(args.input)
 
     validation = None
     if dataset.has_baseline and dataset.baseline.x > 0.0:
-        vreport = validate_dataset(dataset, tolerance=tol)
+        vreport = validate_dataset(dataset, tolerance=args.tolerance)
         validation = validation_dict(vreport)
         if vreport.verdict is Verdict.INVALID and not args.force:
             sys.stderr.write(
@@ -585,7 +599,7 @@ def cmd_fit(args, cfg: AnalysisConfig) -> int:
     else:
         notices.append("validation skipped: no usable n = 1 baseline")
 
-    fit = fit_usl(dataset, _fit_options(args, cfg))
+    fit = fit_usl(dataset, _fit_options(args))
     if fit.significance_warning:
         notices.append(
             "fewer than 6 distinct levels; coefficient estimates are weakly constrained"
@@ -599,97 +613,68 @@ def cmd_fit(args, cfg: AnalysisConfig) -> int:
     if args.extrapolate:
         notices.append(f"curve extrapolated to N={args.extrapolate:g}")
 
-    unit = _effective(args.unit, cfg.unit)
-    report = build_fit_report(fit, dataset, validation, curve, unit, notices)
+    report = build_fit_report(fit, dataset, validation, curve, args.unit, notices)
     if args.plot_data:
         os.makedirs(args.plot_data, exist_ok=True)
-        with open(os.path.join(args.plot_data, "points.csv"), "w") as fh:
-            write_points_csv(fh, dataset)
-        with open(os.path.join(args.plot_data, "curve.csv"), "w") as fh:
-            fh.write("n,x\n")
-            for n, _, x in curve.samples:
-                fh.write(f"{n!r},{x!r}\n")
-    fmt = _effective(args.format, cfg.format)
-    out = render_json(report) if fmt == "json" else render_fit_markdown(report)
-    print(out, end="" if out.endswith("\n") else "\n")
+        write_points_csv(os.path.join(args.plot_data, "points.csv"), _points(dataset))
+        write_points_csv(os.path.join(args.plot_data, "curve.csv"),
+                         ((n, x) for n, _, x in curve.samples))
+    _emit(args, report, render_fit_markdown)
     return EXIT_OK
 
 
-def cmd_peak(args, cfg: AnalysisConfig) -> int:
+def cmd_peak(args) -> int:
     params = UslParams(args.alpha, args.beta)
-    d = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "peak": peak_dict(params),
-        "regime": classify_regime(params).value,
-    }
-    fmt = _effective(args.format, cfg.format)
-    if fmt == "json":
-        print(render_json(d))
-    else:
-        p = d["peak"]
-        print(f"peak N: {'none (beta=0)' if p['n'] is None else format(p['n'], '.4f')}")
-        print(f"practical N: {'none (beta=0)' if p['practical_n'] is None else format(p['practical_n'], '.0f')}")
-        if p["capacity"] is not None:
-            print(f"peak capacity: {p['capacity']:.4f}")
-        print(f"regime: {d['regime']}")
+    d = {"alpha": args.alpha, "beta": args.beta, "peak": peak_dict(params),
+         "regime": classify_regime(params).value}
+    _emit(args, d, render_peak_markdown)
     return EXIT_OK
 
 
-def cmd_predict(args, cfg: AnalysisConfig) -> int:
+def cmd_predict(args) -> int:
     params = UslParams(args.alpha, args.beta, args.x1)
     cap = usl_capacity(args.n, params)
-    d = {
-        "n": args.n,
-        "capacity": cap,
-        "efficiency": cap / args.n,
-        "throughput": predict_throughput(args.n, params),
-    }
-    fmt = _effective(args.format, cfg.format)
-    if fmt == "json":
-        print(render_json(d))
-    else:
-        print(f"N={args.n:g}: capacity {d['capacity']:.4f}, "
-              f"efficiency {d['efficiency']:.4f}, throughput {d['throughput']:.4f}")
+    d = {"n": args.n, "capacity": cap, "efficiency": cap / args.n,
+         "throughput": predict_throughput(args.n, params)}
+    _emit(args, d, render_predict_markdown)
     return EXIT_OK
 
 
 def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
-    """A saved JSON fit report or a points file to fit fresh."""
-    if path.endswith(".json"):
-        try:
-            with open(path) as fh:
-                d = json.load(fh)
-            f = d["fit"]
-            params = UslParams(f["alpha"], f["beta"], f.get("x1"))
-            fit = FitResult(
-                params=params,
-                sse=f.get("sse", 0.0),
-                r_squared=f.get("r_squared", 0.0),
-                residuals=(),
-                significance_warning=bool(f.get("significance_warning", False)),
-                mode=f.get("mode", MODE_NORMALIZED),
-            )
-            return os.path.basename(path), fit
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ParseError(f"not a saved fit report: {e}", path=path) from e
-    dataset = read_points_csv(path)
-    return os.path.basename(path), fit_usl(dataset, options)
+    """A saved JSON fit report, read back whole, or a points file to fit fresh.
+
+    The report must hold every key build_fit_report writes for the fit and
+    its residuals; the result then equals the FitResult it was built from.
+    """
+    if not path.endswith(".json"):
+        return os.path.basename(path), fit_usl(read_points_csv(path), options)
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        f = d["fit"]
+        fit = FitResult(
+            params=UslParams(f["alpha"], f["beta"], f["x1"]),
+            sse=f["sse"], r_squared=f["r_squared"],
+            residuals=tuple(Residual(**r) for r in d["residuals"]),
+            significance_warning=f["significance_warning"], mode=f["mode"],
+        )
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+        raise ParseError(f"not a saved fit report: {e}", path=path) from e
+    return os.path.basename(path), fit
 
 
-def cmd_compare(args, cfg: AnalysisConfig) -> int:
-    options = _fit_options(args, cfg)
+def cmd_compare(args) -> int:
+    options = _fit_options(args)
     name_a, fit_a = _fit_from_path(args.a, options)
     name_b, fit_b = _fit_from_path(args.b, options)
     comp = compare_fits(fit_a, fit_b)
-    if comp.scales_further == "tie":
-        if math.isinf(comp.peak_a):
-            verdict = "both scale without a finite peak"
-        else:
-            verdict = f"tie: both peak at N={_fmt(comp.peak_a)}"
-    else:
+    if comp.scales_further != "tie":
         further = name_a if comp.scales_further == "a" else name_b
         verdict = f"{further} peaks later and scales further"
+    elif math.isinf(comp.peak_a):
+        verdict = "both scale without a finite peak"
+    else:
+        verdict = f"tie: both peak at N={_fmt(comp.peak_a)}"
     d = {
         "a": {"name": name_a, "alpha": fit_a.params.alpha, "beta": fit_a.params.beta,
               "peak_n": _num(comp.peak_a)},
@@ -700,22 +685,7 @@ def cmd_compare(args, cfg: AnalysisConfig) -> int:
         "scales_further": comp.scales_further,
         "verdict": verdict,
     }
-    fmt = _effective(args.format, cfg.format)
-    if fmt == "json":
-        print(render_json(d))
-    else:
-        lines = ["# Fit comparison", ""]
-        lines += _md_table(
-            ["quantity", name_a, name_b, "delta (b-a)"],
-            [
-                ["alpha", _fmt(fit_a.params.alpha), _fmt(fit_b.params.alpha), _fmt(comp.alpha_delta)],
-                ["beta", _fmt(fit_a.params.beta), _fmt(fit_b.params.beta), _fmt(comp.beta_delta)],
-                ["peak N", _fmt(_num(comp.peak_a)), _fmt(_num(comp.peak_b)),
-                 _fmt(_num(comp.peak_delta), unbounded_label="-")],
-            ],
-        )
-        lines += ["", d["verdict"]]
-        print("\n".join(lines))
+    _emit(args, d, render_compare_markdown)
     return EXIT_OK
 
 
@@ -743,7 +713,7 @@ def _parse_levels(spec: str) -> list[float]:
         raise DomainError(f"bad level list {spec!r}: {e}") from e
 
 
-def cmd_simulate(args, cfg: AnalysisConfig) -> int:
+def cmd_simulate(args) -> int:
     queue_mode = args.service is not None or args.think is not None
     usl_mode = args.alpha is not None or args.beta is not None
     if queue_mode and usl_mode:
@@ -768,36 +738,24 @@ def cmd_simulate(args, cfg: AnalysisConfig) -> int:
         params = UslParams(args.alpha, args.beta, args.x1)
         origin = f"model: alpha={args.alpha:g} beta={args.beta:g} x1={args.x1:g}"
     levels = _parse_levels(args.levels)
-    seed = _effective(args.seed, cfg.seed)
-    dataset = generate_synthetic(params, levels, noise=args.noise, seed=seed)
-    comments = [f"synthetic measurements ({origin} noise={args.noise:g} seed={seed})"]
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_points_csv(fh, dataset, comments=comments)
-    else:
-        write_points_csv(sys.stdout, dataset, comments=comments)
+    dataset = generate_synthetic(params, levels, noise=args.noise, seed=args.seed)
+    comment = f"synthetic measurements ({origin} noise={args.noise:g} seed={args.seed})"
+    write_points_csv(args.out, _points(dataset), [comment])
     return EXIT_OK
 
 
-def cmd_steady(args, cfg: AnalysisConfig) -> int:
-    sconfig = _steady_config(args, cfg)
-    fmt = _effective(args.format, cfg.format)
+def cmd_steady(args) -> int:
     if os.path.isdir(args.input):
-        dataset = aggregate_runs(_read_runs(args, cfg), sconfig)
-        comments = ["steady-state means per load level"]
-        for p in dataset.points:
-            comments.append(f"N={p.n:g}: cv={p.meta['cv']:.4f} samples={p.meta['samples']}")
-        if args.out:
-            with open(args.out, "w") as fh:
-                write_points_csv(fh, dataset, comments=comments)
-        else:
-            write_points_csv(sys.stdout, dataset, comments=comments)
+        dataset = _aggregate(args)
+        comments = ["steady-state means per load level"] + [
+            f"N={p.n:g}: cv={p.meta['cv']:.4f} samples={p.meta['samples']}"
+            for p in dataset.points
+        ]
+        write_points_csv(args.out, _points(dataset), comments)
         return EXIT_OK
-    run = read_series_csv(args.input, load=args.load)
-    trim = _trim_pair(args, cfg)
-    if trim is not None:
-        run = dataclasses.replace(run, trim=trim)
-    w = extract_steady_state(run, sconfig)
+    config = _steady_config(args)
+    run = _trim(args, read_series_csv(args.input, load=args.load))
+    w = extract_steady_state(run, config)
     d = {
         "load": run.load,
         "window": {
@@ -807,138 +765,122 @@ def cmd_steady(args, cfg: AnalysisConfig) -> int:
         },
         "mode": "trimmed" if run.trim is not None else "detected",
     }
-    if fmt == "json":
-        print(render_json(d))
-    else:
-        print(f"load N={run.load:g} ({d['mode']})")
-        print(f"window: [{w.start:g}s, {w.end:g}s] ({w.end - w.start:g}s, {w.sample_count} samples)")
-        print(f"mean throughput: {w.mean_throughput:.4f} (cv {w.cv:.4f})")
+    _emit(args, d, render_steady_markdown)
     return EXIT_OK
 
 
 # --------------------------------------------------------------------- driver
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; a flag left out is None, to be filled from the config."""
     parser = argparse.ArgumentParser(
         prog="uslkit",
         description="Scalability analysis: fit, validate and explore throughput data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
     def add_format(p):
-        p.add_argument("--format", choices=["json", "markdown"], default=None,
+        p.add_argument("--format", choices=["json", "markdown"],
                        help="output format (default from config, else markdown)")
 
-    p = sub.add_parser("validate", help="check a points file for impossible rows")
+    def add_steady_flags(p):
+        p.add_argument("--trim-up", type=float,
+                       help="seconds to drop from the start of each run (directory input)")
+        p.add_argument("--trim-down", type=float,
+                       help="seconds to drop from the end of each run (directory input)")
+        p.add_argument("--slope-tol", type=float)
+        p.add_argument("--cv-max", type=float)
+        p.add_argument("--min-fraction", type=float)
+
+    p = add_command("validate", cmd_validate, "check a points file for impossible rows")
     p.add_argument("input", help="points CSV (header n,x)")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=float,
                    help="slack on the efficiency-above-1 check (default 0.005)")
     add_format(p)
 
-    p = sub.add_parser("fit", help="estimate alpha/beta (and x1) from measurements")
+    p = add_command("fit", cmd_fit, "estimate alpha/beta (and x1) from measurements")
     p.add_argument("input", help="points CSV, or a directory of time-series runs")
-    p.add_argument("--mode", choices=sorted(_MODE_NAMES), default=None,
+    p.add_argument("--mode", choices=sorted(_MODE_NAMES),
                    help="normalized (pin x1 to the n=1 point), raw3 (fit x1), or auto")
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--beta-max", dest="beta_max", type=float, default=None)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--beta-max", type=float)
     p.add_argument("--force", action="store_true",
                    help="fit even when validation says the data is invalid")
-    p.add_argument("--extrapolate", type=float, default=None, metavar="N",
+    p.add_argument("--extrapolate", type=float, metavar="N",
                    help="extend the reported model curve out to N")
-    p.add_argument("--plot-data", dest="plot_data", default=None, metavar="DIR",
-                   help="write points.csv and curve.csv for plotting")
-    p.add_argument("--unit", default=None, help="throughput unit label for reports")
-    p.add_argument("--trim-up", dest="trim_up", type=float, default=None,
-                   help="seconds to drop from the start of each run (directory input)")
-    p.add_argument("--trim-down", dest="trim_down", type=float, default=None,
-                   help="seconds to drop from the end of each run (directory input)")
-    p.add_argument("--slope-tol", dest="slope_tol", type=float, default=None)
-    p.add_argument("--cv-max", dest="cv_max", type=float, default=None)
-    p.add_argument("--min-fraction", dest="min_fraction", type=float, default=None)
+    p.add_argument("--plot-data", metavar="DIR", help="write points.csv and curve.csv for plotting")
+    p.add_argument("--unit", help="throughput unit label for reports")
+    add_steady_flags(p)
     add_format(p)
 
-    p = sub.add_parser("peak", help="peak concurrency for given coefficients")
+    p = add_command("peak", cmd_peak, "peak concurrency for given coefficients")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     add_format(p)
 
-    p = sub.add_parser("predict", help="throughput prediction at a level")
+    p = add_command("predict", cmd_predict, "throughput prediction at a level")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--x1", type=float, required=True, help="single-user throughput")
     p.add_argument("--n", type=float, required=True)
     add_format(p)
 
-    p = sub.add_parser("compare", help="diff two fits (saved reports or point files)")
+    p = add_command("compare", cmd_compare, "diff two fits (saved reports or point files)")
     p.add_argument("a", help="points CSV or saved JSON fit report")
     p.add_argument("b", help="points CSV or saved JSON fit report")
     add_format(p)
 
-    p = sub.add_parser("simulate", help="generate synthetic measurements")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p = add_command("simulate", cmd_simulate, "generate synthetic measurements")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
     p.add_argument("--x1", type=float, default=1.0)
-    p.add_argument("--service", type=float, default=None,
-                   help="queue mode: mean service time")
-    p.add_argument("--think", type=float, default=None,
-                   help="queue mode: mean think time")
+    p.add_argument("--service", type=float, help="queue mode: mean service time")
+    p.add_argument("--think", type=float, help="queue mode: mean think time")
     p.add_argument("--coherency", type=float, default=0.0,
                    help="queue mode: per-pair service inflation")
-    p.add_argument("--levels", required=True,
-                   help="comma list (1,2,4) or range start:stop[:step]")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="relative noise standard deviation")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output points CSV (default stdout)")
+    p.add_argument("--levels", required=True, help="comma list (1,2,4) or range start:stop[:step]")
+    p.add_argument("--noise", type=float, default=0.0, help="relative noise standard deviation")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", help="output points CSV (default stdout)")
 
-    p = sub.add_parser("steady", help="steady-state window from time series")
+    p = add_command("steady", cmd_steady, "steady-state window from time series")
     p.add_argument("input", help="series CSV (header t,x) or a directory of runs")
-    p.add_argument("--load", type=float, default=None,
-                   help="load level when the filename has no _N<load> suffix")
-    p.add_argument("--out", default=None,
-                   help="directory input: write aggregated points CSV here")
-    p.add_argument("--trim-up", dest="trim_up", type=float, default=None)
-    p.add_argument("--trim-down", dest="trim_down", type=float, default=None)
-    p.add_argument("--slope-tol", dest="slope_tol", type=float, default=None)
-    p.add_argument("--cv-max", dest="cv_max", type=float, default=None)
-    p.add_argument("--min-fraction", dest="min_fraction", type=float, default=None)
+    p.add_argument("--load", type=float, help="load level when the filename has no _N<load> suffix")
+    p.add_argument("--out", help="directory input: write aggregated points CSV here")
+    add_steady_flags(p)
     add_format(p)
 
     return parser
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "fit": cmd_fit,
-    "peak": cmd_peak,
-    "predict": cmd_predict,
-    "compare": cmd_compare,
-    "simulate": cmd_simulate,
-    "steady": cmd_steady,
-}
+# the exit code of an error is that of the first class here it is an instance of
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    ((MissingBaselineError, ZeroBaselineError), EXIT_NO_BASELINE),
+    (InsufficientDataError, EXIT_INSUFFICIENT),
+    (NoSteadyStateError, EXIT_NO_STEADY),
+    (UslError, EXIT_ERROR),
+)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = AnalysisConfig.from_env()
-        return _COMMANDS[args.command](args, cfg)
-    except ParseError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PARSE
-    except (MissingBaselineError, ZeroBaselineError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_NO_BASELINE
-    except InsufficientDataError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_INSUFFICIENT
-    except NoSteadyStateError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_NO_STEADY
+        # every setting a flag leaves unset, or a command has no flag for,
+        # comes from the config field of the same name
+        for field in dataclasses.fields(cfg):
+            if getattr(args, field.name, None) is None:
+                setattr(args, field.name, getattr(cfg, field.name))
+        return args.run(args)
     except UslError as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_ERROR
+        return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
 
 
 def console_main() -> None:

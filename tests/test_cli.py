@@ -4,7 +4,7 @@ import re
 import pytest
 
 import uslkit.cli as cli
-from uslkit import UslParams, usl_capacity
+from uslkit import FitOptions, UslParams, fit_usl, generate_synthetic, usl_capacity
 from uslkit.cli import (
     EXIT_ERROR,
     EXIT_INSUFFICIENT,
@@ -244,6 +244,24 @@ class TestFitCommand:
         assert any("x1 was fitted" in n for n in d["notices"])
         assert d["validation"] is None
 
+    # alpha and beta both at their bounds put the peak near N = 0
+    BELOW_ONE = [(1, 100), (2, 40), (3, 20), (4, 12), (6, 6), (8, 3)]
+
+    def test_peak_below_one_json(self, data_dir, capsys):
+        p = write_points(data_dir / "below.csv", self.BELOW_ONE)
+        assert main(["fit", p, "--force", "--format", "json"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        assert d["peak"]["n"] < 1.0
+        assert d["peak"]["practical_n"] == 1.0
+        assert d["peak"]["capacity"] == 1.0
+
+    def test_peak_below_one_markdown(self, data_dir, capsys):
+        p = write_points(data_dir / "below.csv", self.BELOW_ONE)
+        assert main(["fit", p, "--force"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "| practical N | 1 |" in out
+        assert "| peak capacity | 1 |" in out
+
     def test_directory_of_runs(self, data_dir, capsys):
         runs = data_dir / "runs"
         runs.mkdir()
@@ -284,6 +302,17 @@ class TestPeakCommand:
     def test_bad_alpha_exits_one(self, capsys):
         assert main(["peak", "--alpha", "1.5", "--beta", "0"]) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_peak_below_one_markdown(self, capsys):
+        # N_c = sqrt(0.5 / 2) = 0.5; capacity is defined from N = 1
+        assert main(["peak", "--alpha", "0.5", "--beta", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "peak N: 0.5000\npractical N: 1\npeak capacity: 1.0000\nregime: retrograde\n")
+
+    def test_peak_below_one_json(self, capsys):
+        assert main(["peak", "--alpha", "0.5", "--beta", "2", "--format", "json"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        assert d["peak"] == {"n": 0.5, "practical_n": 1.0, "capacity": 1.0}
 
 
 class TestPredictCommand:
@@ -333,6 +362,45 @@ class TestCompareCommand:
         bad.write_text("{\"not\": \"a report\"}")
         assert main(["compare", str(bad), str(bad)]) == EXIT_PARSE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["mode", "alpha", "beta", "x1", "sse", "r_squared",
+                                     "significance_warning", "residuals"])
+    def test_report_missing_a_key_exits_two(self, data_dir, clean_csv, capsys, key):
+        assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        del (report if key == "residuals" else report["fit"])[key]
+        partial = data_dir / "partial.json"
+        partial.write_text(json.dumps(report))
+        assert main(["compare", str(partial), clean_csv]) == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {partial}: not a saved fit report: '{key}'\n"
+
+    def test_report_with_a_short_residual_row_exits_two(self, data_dir, clean_csv, capsys):
+        assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        del report["residuals"][2]["modeled"]
+        partial = data_dir / "partial.json"
+        partial.write_text(json.dumps(report))
+        assert main(["compare", str(partial), clean_csv]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {partial}: not a saved fit report:")
+
+
+class TestSavedReportRoundTrip:
+    """A saved report reads back as the FitResult it was written from."""
+
+    @pytest.mark.parametrize("levels", [[1, 2, 4, 8, 16, 24, 32, 48], [2, 3, 4, 8, 16, 32, 48]],
+                             ids=["baseline", "no-baseline"])
+    def test_read_back_equals_fit_usl(self, data_dir, capsys, levels):
+        points, saved = data_dir / "p.csv", data_dir / "fit.json"
+        for seed in range(100):
+            data = generate_synthetic(UslParams(0.05, 0.002, 100.0), levels, noise=0.03, seed=seed)
+            cli.write_points_csv(str(points), ((p.n, p.x) for p in data.points))
+            assert main(["fit", str(points), "--force", "--format", "json"]) == EXIT_OK
+            saved.write_text(capsys.readouterr().out)
+            _, back = cli._fit_from_path(str(saved), FitOptions())
+            fresh = fit_usl(read_points_csv(str(points)))
+            assert back == fresh, seed
 
 
 class TestSimulateCommand:
@@ -569,6 +637,71 @@ class TestConfigFile:
         monkeypatch.setenv("USLKIT_CONFIG", str(data_dir / "absent.json"))
         assert main(["validate", clean_csv]) == EXIT_PARSE
         capsys.readouterr()
+
+
+def _drifting(step=0.02, wobble=0.2):
+    """120 samples climbing by step per second about a mean of 100, with a fixed wobble."""
+    return [(float(i), 100.0 + step * i + ((i * 37) % 11 - 5) * wobble) for i in range(120)]
+
+
+def _ramped(mean=300.0):
+    """120 samples, ramping up over the first 20, then wobbling by 1% about mean."""
+    return [(float(i), (mean * (0.2 + 0.04 * i) if i < 20 else mean)
+             + ((i * 37) % 11 - 5) * 0.002 * mean) for i in range(120)]
+
+
+# AnalysisConfig field -> (command line, config value, flag that overrides it or None);
+# {name} stands for the input file of that name
+SETTINGS = {
+    "tolerance": (["validate", "{suspect}"], 0.2, ["--tolerance", "0.005"]),
+    "mode": (["fit", "{noisy}", "--format", "json"], "raw3", ["--mode", "normalized"]),
+    "beta_max": (["fit", "{clean}", "--format", "json"], 0.001, ["--beta-max", "1"]),
+    "refine_tol": (["fit", "{noisy}", "--format", "json"], 0.5, None),
+    "slope_tol": (["steady", "{drift}"], 0.05, ["--slope-tol", "0.001"]),
+    "cv_max": (["steady", "{ramped}"], 0.001, ["--cv-max", "0.5"]),
+    "min_fraction": (["steady", "{ramped}"], 0.95, ["--min-fraction", "0.5"]),
+    "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"]),
+    "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"]),
+    "seed": (["simulate", "--alpha", "0.05", "--beta", "0.001", "--levels", "1,2,4",
+              "--noise", "0.05"], 3, ["--seed", "7"]),
+    "unit": (["fit", "{clean}"], "req/s", ["--unit", "ops"]),
+}
+
+
+class TestSettings:
+    """Each setting comes from its flag when one is given, else from the config."""
+
+    @pytest.mark.parametrize("field", sorted(SETTINGS))
+    def test_config_sets_it_and_the_flag_overrides(self, data_dir, clean_csv, suspect_csv,
+                                                   monkeypatch, capsys, field):
+        argv, value, flag = SETTINGS[field]
+        files = {
+            "clean": clean_csv,
+            "suspect": suspect_csv,
+            "noisy": write_points(data_dir / "noisy.csv", [
+                (1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0), (16, 700.0), (32, 720.0)]),
+            "drift": write_series(data_dir / "drift_N2.csv", _drifting()),
+            "ramped": write_series(data_dir / "ramped_N4.csv", _ramped()),
+        }
+        argv = [a.format(**files) for a in argv]
+        cfg = data_dir / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+
+        def run(extra, configured):
+            if configured:
+                monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+            else:
+                monkeypatch.delenv("USLKIT_CONFIG", raising=False)
+            rc = main(argv + extra)
+            out = capsys.readouterr()
+            return rc, out.out, out.err
+
+        from_config = run([], True)
+        assert from_config != run([], False)
+        if flag is not None:
+            from_flag = run(flag, False)
+            assert from_flag != from_config
+            assert run(flag, True) == from_flag
 
 
 class TestPipelines:
