@@ -65,9 +65,9 @@ from .model import (
     scalability_curve,
     usl_capacity,
 )
-from .queueing import generate_synthetic
+from .queueing import QueueParams, generate_synthetic, sync_bound_capacity
 from .timeseries import RunSeries, SteadyStateConfig, aggregate_runs, extract_steady_state
-from .validation import Verdict, validate_dataset
+from .validation import DEFAULT_TOLERANCE, Verdict, check_tolerance, validate_dataset
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -83,17 +83,17 @@ _LOAD_SUFFIX = re.compile(r"_[nN](\d+(?:\.\d+)?)\.csv$")
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Defaults shared by the subcommands, optionally from a JSON file."""
+    """The config file's schema; each analysis setting's default and range are its owner's."""
 
     format: str = "markdown"
-    tolerance: float = 0.005
+    tolerance: float = DEFAULT_TOLERANCE
     seed: int = 0
-    beta_max: float = 1.0
-    refine_tol: float = 1e-10
-    mode: str = "auto"
-    slope_tol: float = 0.01
-    cv_max: float = 0.15
-    min_fraction: float = 0.3
+    beta_max: float = FitOptions.beta_max
+    refine_tol: float = FitOptions.refine_tol
+    mode: str = FitOptions.mode  # MODE_AUTO, whose name in _MODE_NAMES is its value
+    slope_tol: float = SteadyStateConfig.slope_tol
+    cv_max: float = SteadyStateConfig.cv_max
+    min_fraction: float = SteadyStateConfig.min_fraction
     trim_up: float | None = None
     trim_down: float | None = None
     unit: str | None = None
@@ -103,9 +103,7 @@ class AnalysisConfig:
             raise DomainError(f"format must be json or markdown, got {self.format!r}")
         if self.mode not in _MODE_NAMES:
             raise DomainError(f"mode must be one of {sorted(_MODE_NAMES)}")
-        for name in ("tolerance", "beta_max", "refine_tol", "slope_tol", "cv_max", "min_fraction"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be positive")
+        _analysis_settings(self)
 
     @classmethod
     def from_env(cls) -> "AnalysisConfig":
@@ -146,6 +144,13 @@ class AnalysisConfig:
 # JSON values each AnalysisConfig field type accepts; a bool is no number
 _CONFIG_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"),
                  "str": (str, "a string")}
+
+
+def _analysis_settings(s) -> tuple[FitOptions, SteadyStateConfig]:
+    """The FitOptions and SteadyStateConfig of a config or of the merged arguments, checked."""
+    check_tolerance(s.tolerance)
+    return (FitOptions(_MODE_NAMES[s.mode], s.beta_max, s.refine_tol),
+            SteadyStateConfig(s.slope_tol, s.cv_max, s.min_fraction))
 
 
 # ---------------------------------------------------------------- file formats
@@ -541,14 +546,6 @@ def _emit(args, report: dict, markdown) -> None:
     print(out, end="" if out.endswith("\n") else "\n")
 
 
-def _steady_config(args) -> SteadyStateConfig:
-    return SteadyStateConfig(args.slope_tol, args.cv_max, args.min_fraction)
-
-
-def _fit_options(args) -> FitOptions:
-    return FitOptions(_MODE_NAMES[args.mode], args.beta_max, args.refine_tol)
-
-
 def _trim(args, run: RunSeries) -> RunSeries:
     """The run with the trim set by flag or config, if either sets one."""
     if args.trim_up is None and args.trim_down is None:
@@ -558,8 +555,8 @@ def _trim(args, run: RunSeries) -> RunSeries:
 
 def _aggregate(args) -> Dataset:
     """The steady-state means of the runs in the input directory."""
-    config = _steady_config(args)
-    return aggregate_runs([_trim(args, r) for r in read_series_dir(args.input)], config)
+    runs = [_trim(args, r) for r in read_series_dir(args.input)]
+    return aggregate_runs(runs, args.steady_config)
 
 
 def _points(dataset: Dataset):
@@ -599,7 +596,7 @@ def cmd_fit(args) -> int:
     else:
         notices.append("validation skipped: no usable n = 1 baseline")
 
-    fit = fit_usl(dataset, _fit_options(args))
+    fit = fit_usl(dataset, args.fit_options)
     if fit.significance_warning:
         notices.append(
             "fewer than 6 distinct levels; coefficient estimates are weakly constrained"
@@ -607,11 +604,11 @@ def cmd_fit(args) -> int:
     if fit.mode == MODE_RAW3:
         notices.append("no n = 1 measurement: x1 was fitted, not measured")
 
-    max_n = float(dataset.ns.max())
-    domain = max(float(args.extrapolate), max_n) if args.extrapolate else max_n
+    domain = float(dataset.ns.max())
+    if args.extrapolate is not None and args.extrapolate > domain:
+        domain = args.extrapolate
+        notices.append(f"curve extrapolated to N={domain:g}")
     curve = scalability_curve(fit.params, domain_max=domain, num=50)
-    if args.extrapolate:
-        notices.append(f"curve extrapolated to N={args.extrapolate:g}")
 
     report = build_fit_report(fit, dataset, validation, curve, args.unit, notices)
     if args.plot_data:
@@ -664,9 +661,8 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
 
 
 def cmd_compare(args) -> int:
-    options = _fit_options(args)
-    name_a, fit_a = _fit_from_path(args.a, options)
-    name_b, fit_b = _fit_from_path(args.b, options)
+    name_a, fit_a = _fit_from_path(args.a, args.fit_options)
+    name_b, fit_b = _fit_from_path(args.b, args.fit_options)
     comp = compare_fits(fit_a, fit_b)
     if comp.scales_further != "tie":
         further = name_a if comp.scales_further == "a" else name_b
@@ -722,15 +718,13 @@ def cmd_simulate(args) -> int:
         if args.service is None or args.think is None:
             raise DomainError("queue mode needs both --service and --think")
         s, z, c = args.service, args.think, args.coherency
-        if not (s > 0.0) or z < 0.0 or c < 0.0:
-            raise DomainError("need service > 0, think >= 0, coherency >= 0")
+        queue = QueueParams(1, s, z, c)
         if z == 0.0:
             raise DomainError(
                 "think time 0 serializes completely (alpha would reach 1); "
                 "use a positive think time"
             )
-        alpha = s / (s + z)
-        params = UslParams(alpha, c * alpha, 1.0 / (s + z))
+        params = sync_bound_capacity(1.0, queue).params(1.0 / (s + z))
         origin = f"queue: service={s:g} think={z:g} coherency={c:g}"
     else:
         if args.alpha is None or args.beta is None:
@@ -753,9 +747,8 @@ def cmd_steady(args) -> int:
         ]
         write_points_csv(args.out, _points(dataset), comments)
         return EXIT_OK
-    config = _steady_config(args)
     run = _trim(args, read_series_csv(args.input, load=args.load))
-    w = extract_steady_state(run, config)
+    w = extract_steady_state(run, args.steady_config)
     d = {
         "load": run.load,
         "window": {
@@ -790,9 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_steady_flags(p):
         p.add_argument("--trim-up", type=float,
-                       help="seconds to drop from the start of each run (directory input)")
+                       help="seconds to drop from the start of each time-series run")
         p.add_argument("--trim-down", type=float,
-                       help="seconds to drop from the end of each run (directory input)")
+                       help="seconds to drop from the end of each time-series run")
         p.add_argument("--slope-tol", type=float)
         p.add_argument("--cv-max", type=float)
         p.add_argument("--min-fraction", type=float)
@@ -800,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("validate", cmd_validate, "check a points file for impossible rows")
     p.add_argument("input", help="points CSV (header n,x)")
     p.add_argument("--tolerance", type=float,
-                   help="slack on the efficiency-above-1 check (default 0.005)")
+                   help=f"slack on the efficiency-above-1 check (default {DEFAULT_TOLERANCE:g})")
     add_format(p)
 
     p = add_command("fit", cmd_fit, "estimate alpha/beta (and x1) from measurements")
@@ -877,6 +870,8 @@ def main(argv=None) -> int:
         for field in dataclasses.fields(cfg):
             if getattr(args, field.name, None) is None:
                 setattr(args, field.name, getattr(cfg, field.name))
+        # so a flag gets the same range checks as the config, before any input is read
+        args.fit_options, args.steady_config = _analysis_settings(args)
         return args.run(args)
     except UslError as e:
         sys.stderr.write(f"error: {e}\n")

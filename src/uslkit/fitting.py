@@ -37,22 +37,12 @@ whose trial step was rejected tries its next steps, at 4, 16, ... times
 the damping, together in one loop pass, so the passes are spent on rows
 still moving rather than on one row's rejections (see _polish_rows).  The
 bootstrap learns the fit mode from _fit_setup, without a fit of the
-original data.  On the perfbench bootstrap datasets of seed 61 a
-200-replicate call takes 2.4 ms on 8 levels (normalized) and 3.7 ms on 14
-(raw3), against 3.2 and 4.4 ms with one trial step per pass and a fit of
-the original data (best of 80 alternating calls, 2 vCPUs, Python 3.11,
-numpy 2.4).
+original data.
 
 fit_usl keeps the scalar solver, whose length-P algebra runs in numpy
 and whose two coefficients, gradient and step are Python floats.  Most of
-its cost is numpy's per-call overhead, so it computes n - 1 once a fit,
-takes the faces' capacities without their zero term, does not evaluate
-a face that is the polished point again, and builds its records with
-hand-written __init__s.  On the 1000 datasets of perfbench fit-corpus
-seed 5 it takes 153 us a fit, against 190 us before those cuts and
-588 us for a one-row batch, which also moves 744 of the fits by up to
-3.5e-7 relative (best of 63 alternating passes, 2 vCPUs, Python 3.11,
-numpy 2.4).
+a single fit's cost is numpy's per-call overhead; the batched solver pays
+it several times over on one row, and rounds differently.
 """
 
 from __future__ import annotations
@@ -172,10 +162,11 @@ class FitOptions:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_AUTO, MODE_NORMALIZED, MODE_RAW3):
             raise DomainError(f"unknown fit mode {self.mode!r}")
-        if not (self.beta_max > 0.0):
-            raise DomainError("beta_max must be positive")
-        if not (self.refine_tol > 0.0) or self.max_refine_iter < 1:
-            raise DomainError("refinement settings must be positive")
+        for name in ("beta_max", "refine_tol"):
+            if not (getattr(self, name) > 0.0):
+                raise DomainError(f"{name} must be positive")
+        if self.max_refine_iter < 1:
+            raise DomainError("max_refine_iter must be positive")
 
 
 _DEFAULTS = FitOptions()  # frozen, so the calls without options share it
@@ -560,11 +551,11 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _profile_rows(ns, xs, b0, x1_pin, alpha,
                   beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_residuals and _capacity row by row: (x - x1*c, c, x1) for (R, P) arrays at (alpha, beta), each (R,).
+    """_residuals row by row: (x - x1*c, c, x1) for (R, P) arrays at (alpha, beta), each (R,).
 
-    b0 is ns - 1, so c equals _capacity's value bit for bit.
+    b0 is ns - 1.
     """
-    c = ns / (1.0 + alpha[:, None] * b0 + beta[:, None] * ns * b0)
+    c = _capacity(ns, b0, alpha[:, None], beta[:, None])
     if x1_pin is not None:
         return xs - x1_pin * c, c, np.full(len(ns), x1_pin)
     x1 = _rowdot(xs, c) / _rowdot(c, c)

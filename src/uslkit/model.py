@@ -165,8 +165,8 @@ def practical_peak(params: UslParams) -> float:
     nc = peak_concurrency(params)
     if math.isinf(nc):
         return UNBOUNDED
-    lo = max(1.0, math.floor(nc))
-    hi = max(1.0, math.ceil(nc))
+    lo = max(1.0, float(math.floor(nc)))
+    hi = max(1.0, float(math.ceil(nc)))
     if lo == hi:
         return lo
     # usl_capacity's operations in the same order, on Python floats

@@ -127,8 +127,9 @@ class SteadyStateConfig:
     min_fraction: float = 0.3   # min window duration, as a fraction of the run's
 
     def __post_init__(self) -> None:
-        if not (self.slope_tol > 0.0 and self.cv_max > 0.0):
-            raise DomainError("slope_tol and cv_max must be positive")
+        for name in ("slope_tol", "cv_max"):
+            if not (getattr(self, name) > 0.0):
+                raise DomainError(f"{name} must be positive")
         if not (0.0 < self.min_fraction <= 1.0):
             raise DomainError("min_fraction must be in (0, 1]")
 

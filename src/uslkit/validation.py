@@ -11,9 +11,10 @@ flags and a "suspect" verdict but do not block fitting.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .errors import InsufficientDataError, MissingBaselineError, ZeroBaselineError
+from .errors import DomainError, InsufficientDataError
 from .fitting import Dataset, capacity_ratios
 from .model import _set
 
@@ -24,6 +25,8 @@ FLAG_DUPLICATE_THROUGHPUT = "duplicate-throughput"   # soft
 FLAG_ZERO_THROUGHPUT = "zero-throughput"             # soft
 
 HARD_FLAGS = frozenset({FLAG_EFFICIENCY_ABOVE_ONE})
+
+DEFAULT_TOLERANCE = 0.005  # relative slack on the efficiency bound
 
 
 class Verdict(str, enum.Enum):
@@ -71,7 +74,13 @@ class ValidationReport:
         )
 
 
-def validate_dataset(dataset: Dataset, tolerance: float = 0.005) -> ValidationReport:
+def check_tolerance(tolerance: float) -> None:
+    """DomainError unless tolerance is positive and finite; nan is neither."""
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be {'finite' if tolerance > 0.0 else 'positive'}")
+
+
+def validate_dataset(dataset: Dataset, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Flag physically impossible or suspicious rows.
 
     tolerance is the relative slack on the efficiency bound: a row is
@@ -79,6 +88,7 @@ def validate_dataset(dataset: Dataset, tolerance: float = 0.005) -> ValidationRe
     (MissingBaselineError / ZeroBaselineError otherwise).  The function
     only reads the dataset; it never modifies or drops rows.
     """
+    check_tolerance(tolerance)
     ratios = capacity_ratios(dataset)
     caps = [c for _, c in ratios]
     peak_idx = caps.index(max(caps))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -210,6 +211,15 @@ class TestFitCommand:
         d = json.loads(capsys.readouterr().out)
         assert d["curve"][-1]["n"] == 100.0
         assert any("extrapolated" in n for n in d["notices"])
+
+    @pytest.mark.parametrize("n", ["10", "-5", "0", "32"])
+    def test_extrapolate_within_the_data_changes_nothing(self, clean_csv, capsys, n):
+        # clean.csv spans levels 1 to 32
+        for fmt in ("json", "markdown"):
+            assert main(["fit", clean_csv, "--format", fmt]) == EXIT_OK
+            plain = capsys.readouterr().out
+            assert main(["fit", clean_csv, "--extrapolate", n, "--format", fmt]) == EXIT_OK
+            assert capsys.readouterr().out == plain
 
     def test_plot_data_files(self, clean_csv, data_dir, capsys):
         plot = data_dir / "plot"
@@ -447,6 +457,17 @@ class TestSimulateCommand:
         assert rc == EXIT_ERROR
         assert "think time 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--service", "0", "--think", "1"], "service time must be positive, got 0.0"),
+        (["--service", "1", "--think", "nan"], "think time must be >= 0, got nan"),
+        (["--service", "1", "--think", "-1"], "think time must be >= 0, got -1.0"),
+        (["--service", "1", "--think", "1", "--coherency", "inf"],
+         "coherency penalty must be >= 0, got inf"),
+    ], ids=["zero-service", "nan-think", "negative-think", "inf-coherency"])
+    def test_queue_values_get_the_queue_model_checks(self, capsys, flags, message):
+        assert main(["simulate", *flags, "--levels", "1,2,4"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_mixing_modes_rejected(self, capsys):
         rc = main(["simulate", "--alpha", "0.1", "--beta", "0", "--service", "1",
                    "--think", "1", "--levels", "1,2"])
@@ -650,22 +671,32 @@ def _ramped(mean=300.0):
              + ((i * 37) % 11 - 5) * 0.002 * mean) for i in range(120)]
 
 
-# AnalysisConfig field -> (command line, config value, flag that overrides it or None);
+# AnalysisConfig field -> (command line, config value, flag that overrides it or None,
+# out-of-range values with the message of the check that refuses them);
 # {name} stands for the input file of that name
 SETTINGS = {
-    "tolerance": (["validate", "{suspect}"], 0.2, ["--tolerance", "0.005"]),
-    "mode": (["fit", "{noisy}", "--format", "json"], "raw3", ["--mode", "normalized"]),
-    "beta_max": (["fit", "{clean}", "--format", "json"], 0.001, ["--beta-max", "1"]),
-    "refine_tol": (["fit", "{noisy}", "--format", "json"], 0.5, None),
-    "slope_tol": (["steady", "{drift}"], 0.05, ["--slope-tol", "0.001"]),
-    "cv_max": (["steady", "{ramped}"], 0.001, ["--cv-max", "0.5"]),
-    "min_fraction": (["steady", "{ramped}"], 0.95, ["--min-fraction", "0.5"]),
-    "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"]),
-    "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"]),
+    "tolerance": (["validate", "{suspect}"], 0.2, ["--tolerance", "0.005"],
+                  [(-1.0, "tolerance must be positive"), (math.nan, "tolerance must be positive"),
+                   (math.inf, "tolerance must be finite")]),
+    "mode": (["fit", "{noisy}", "--format", "json"], "raw3", ["--mode", "normalized"], []),
+    "beta_max": (["fit", "{clean}", "--format", "json"], 0.001, ["--beta-max", "1"],
+                 [(0.0, "beta_max must be positive")]),
+    "refine_tol": (["fit", "{noisy}", "--format", "json"], 0.5, None,
+                   [(math.nan, "refine_tol must be positive")]),
+    "slope_tol": (["steady", "{drift}"], 0.05, ["--slope-tol", "0.001"],
+                  [(-0.1, "slope_tol must be positive")]),
+    "cv_max": (["steady", "{ramped}"], 0.001, ["--cv-max", "0.5"],
+               [(0.0, "cv_max must be positive")]),
+    "min_fraction": (["steady", "{ramped}"], 0.95, ["--min-fraction", "0.5"],
+                     [(2.0, "min_fraction must be in (0, 1]")]),
+    "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"], []),
+    "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"], []),
     "seed": (["simulate", "--alpha", "0.05", "--beta", "0.001", "--levels", "1,2,4",
-              "--noise", "0.05"], 3, ["--seed", "7"]),
-    "unit": (["fit", "{clean}"], "req/s", ["--unit", "ops"]),
+              "--noise", "0.05"], 3, ["--seed", "7"], []),
+    "unit": (["fit", "{clean}"], "req/s", ["--unit", "ops"], []),
 }
+OUT_OF_RANGE = [(field, value, message) for field, (*_, bad) in sorted(SETTINGS.items())
+                for value, message in bad]
 
 
 class TestSettings:
@@ -674,7 +705,7 @@ class TestSettings:
     @pytest.mark.parametrize("field", sorted(SETTINGS))
     def test_config_sets_it_and_the_flag_overrides(self, data_dir, clean_csv, suspect_csv,
                                                    monkeypatch, capsys, field):
-        argv, value, flag = SETTINGS[field]
+        argv, value, flag, _ = SETTINGS[field]
         files = {
             "clean": clean_csv,
             "suspect": suspect_csv,
@@ -702,6 +733,27 @@ class TestSettings:
             from_flag = run(flag, False)
             assert from_flag != from_config
             assert run(flag, True) == from_flag
+
+    @pytest.mark.parametrize("field,value,message", OUT_OF_RANGE,
+                             ids=[f"{f}={v}" for f, v, _ in OUT_OF_RANGE])
+    def test_out_of_range_flag_and_config_get_the_same_check(self, data_dir, clean_csv,
+                                                             monkeypatch, capsys, field,
+                                                             value, message):
+        argv, _, flag, _ = SETTINGS[field]
+        if flag is not None:
+            # checked before the input is read: the input here does not exist
+            absent = str(data_dir / "absent_N4.csv")
+            cmd = [absent if a.startswith("{") else a for a in argv]
+            assert main(cmd + [flag[0], str(value)]) == EXIT_ERROR
+            assert capsys.readouterr().err == f"error: {message}\n"
+        cfg = data_dir / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+        ramped = write_series(data_dir / "ramped_N4.csv", _ramped())
+        for cmd in (["validate", clean_csv], ["peak", "--alpha", "0.0255", "--beta", "0.021"],
+                    ["steady", ramped]):
+            assert main(cmd) == EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
 class TestPipelines:

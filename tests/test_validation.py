@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from uslkit import (
@@ -7,6 +10,7 @@ from uslkit import (
     FLAG_EFFICIENCY_ABOVE_ONE,
     FLAG_ZERO_THROUGHPUT,
     Dataset,
+    DomainError,
     InsufficientDataError,
     MissingBaselineError,
     ProfileShape,
@@ -74,6 +78,18 @@ class TestValidateVerdicts:
         d = Dataset.from_pairs([(1, 10.0), (2, 21.0)])  # efficiency 1.05
         assert validate_dataset(d).verdict is Verdict.INVALID
         assert validate_dataset(d, tolerance=0.1).verdict is Verdict.CLEAN
+
+    @pytest.mark.parametrize("tolerance,message", [
+        (0.0, "tolerance must be positive"), (-1.0, "tolerance must be positive"),
+        (math.nan, "tolerance must be positive"), (math.inf, "tolerance must be finite"),
+    ], ids=["zero", "negative", "nan", "inf"])
+    def test_tolerance_out_of_range_raises(self, tolerance, message):
+        d = Dataset.from_pairs([(1, 10.0), (2, 21.0)])
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            validate_dataset(d, tolerance=tolerance)
+        # checked before the data: a dataset without a baseline gets the same error
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            validate_dataset(Dataset.from_pairs([(2, 10.0), (4, 18.0)]), tolerance=tolerance)
 
     def test_zero_throughput_is_soft(self):
         d = Dataset.from_pairs([(1, 10.0), (2, 0.0), (4, 30.0)])
