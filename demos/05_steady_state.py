@@ -69,7 +69,6 @@ print(f"\nfit: alpha {fit.params.alpha:.5f} (true {truth.alpha}), "
 print(f"peak at N = {fit.peak:.0f}")
 
 # explicit trims are there for runs whose shape the detector cannot see
-trimmed = RunSeries(load=16, samples=run.samples, trim=(45.0, 45.0))
-w2 = extract_steady_state(trimmed)
+w2 = extract_steady_state(run, SteadyStateConfig(trim=(45.0, 45.0)))
 print(f"\nsame run with fixed 45s trims: mean {w2.mean_throughput:.0f} ops/s "
       f"(detector said {window.mean_throughput:.0f})")

@@ -149,8 +149,11 @@ _CONFIG_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer")
 def _analysis_settings(s) -> tuple[FitOptions, SteadyStateConfig]:
     """The FitOptions and SteadyStateConfig of a config or of the merged arguments, checked."""
     check_tolerance(s.tolerance)
+    trim = None
+    if s.trim_up is not None or s.trim_down is not None:
+        trim = (s.trim_up or 0.0, s.trim_down or 0.0)
     return (FitOptions(_MODE_NAMES[s.mode], s.beta_max, s.refine_tol),
-            SteadyStateConfig(s.slope_tol, s.cv_max, s.min_fraction))
+            SteadyStateConfig(s.slope_tol, s.cv_max, s.min_fraction, trim))
 
 
 # ---------------------------------------------------------------- file formats
@@ -546,17 +549,9 @@ def _emit(args, report: dict, markdown) -> None:
     print(out, end="" if out.endswith("\n") else "\n")
 
 
-def _trim(args, run: RunSeries) -> RunSeries:
-    """The run with the trim set by flag or config, if either sets one."""
-    if args.trim_up is None and args.trim_down is None:
-        return run
-    return dataclasses.replace(run, trim=(args.trim_up or 0.0, args.trim_down or 0.0))
-
-
 def _aggregate(args) -> Dataset:
     """The steady-state means of the runs in the input directory."""
-    runs = [_trim(args, r) for r in read_series_dir(args.input)]
-    return aggregate_runs(runs, args.steady_config)
+    return aggregate_runs(read_series_dir(args.input), args.steady_config)
 
 
 def _points(dataset: Dataset):
@@ -747,7 +742,7 @@ def cmd_steady(args) -> int:
         ]
         write_points_csv(args.out, _points(dataset), comments)
         return EXIT_OK
-    run = _trim(args, read_series_csv(args.input, load=args.load))
+    run = read_series_csv(args.input, load=args.load)
     w = extract_steady_state(run, args.steady_config)
     d = {
         "load": run.load,
@@ -756,7 +751,7 @@ def cmd_steady(args) -> int:
             "mean_throughput": w.mean_throughput, "cv": w.cv,
             "samples": w.sample_count,
         },
-        "mode": "trimmed" if run.trim is not None else "detected",
+        "mode": "trimmed" if args.steady_config.trim is not None else "detected",
     }
     _emit(args, d, render_steady_markdown)
     return EXIT_OK

@@ -220,13 +220,17 @@ class ScalabilityCurve:
 
 def scalability_curve(params: UslParams, domain_max: float, num: int = 100) -> ScalabilityCurve:
     """Sample the model on [1, domain_max] at num evenly spaced levels."""
-    if not (domain_max > 1.0) or not math.isfinite(domain_max):
+    if not (domain_max > 1.0):
         raise DomainError(f"domain_max must be > 1, got {domain_max}")
+    if not math.isfinite(domain_max):
+        raise DomainError(f"domain_max must be finite, got {domain_max}")
     if num < 2:
         raise DomainError(f"need at least 2 samples, got {num}")
     top = float(domain_max)
     ns = np.linspace(1.0, top, int(num))
-    # every level is finite and >= 1, so the capacities need no check
-    caps = _capacity(ns, ns - 1.0, params.alpha, params.beta)
+    # every level is finite and >= 1, so the capacities need no check; a
+    # denominator that overflows to inf gives the right limit, capacity 0
+    with np.errstate(over="ignore"):
+        caps = _capacity(ns, ns - 1.0, params.alpha, params.beta)
     xs = params.x1 * caps if params.x1 is not None else None
     return ScalabilityCurve(params, top, ns, caps, xs)

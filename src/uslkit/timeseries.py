@@ -2,11 +2,13 @@
 
 A measurement for the capacity model must come from the flat part of a
 run: ramp-up and ramp-down samples drag the mean and corrupt the fit.
-Two modes are supported.  Explicit trimming cuts fixed lead-in and
-lead-out durations.  Automatic detection truncates both ends by MSER, the
-marginal standard error rule (White 1997; Hoad, Robinson & Davies 2010):
-a cut of d samples from the front minimizes the squared deviations of the
-kept samples about their own mean, divided by the square of their count.
+Two modes are supported, and SteadyStateConfig chooses between them for
+a whole analysis.  Explicit trimming, when its trim is set, cuts fixed
+lead-in and lead-out durations.  Otherwise automatic detection truncates
+both ends by MSER, the marginal standard error rule (White 1997; Hoad,
+Robinson & Davies 2010): a cut of d samples from the front minimizes the
+squared deviations of the kept samples about their own mean, divided by
+the square of their count.
 Detection cuts the front of the run, then the back of what remains, and
 repeats until a pass cuts nothing.  Each cut is O(k) in the number of
 samples k, from suffix sums.  Dips inside the window (GC pauses,
@@ -42,14 +44,12 @@ class RunSeries:
     samples is any sequence of (timestamp, throughput) pairs, such as a
     tuple of tuples or a (k, 2) array; it is stored as a read-only (k, 2)
     float array, whose rows unpack as (t, x).  Timestamps are seconds,
-    strictly increasing; at least 5 samples.  trim, when set, gives
-    explicit (lead_in, lead_out) seconds to drop and switches extraction
-    to the explicit mode.  Runs compare and hash by value.
+    strictly increasing; at least 5 samples.  Runs compare and hash by
+    value.
     """
 
     load: float
     samples: np.ndarray
-    trim: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         pts = np.array(self.samples, dtype=float)
@@ -70,11 +70,6 @@ class RunSeries:
             raise DomainError(f"throughput must be finite and >= 0 (at t={float(t[bad[0]]):g})")
         if not (self.load >= 1.0) or not math.isfinite(self.load):
             raise DomainError(f"load must be >= 1, got {self.load}")
-        if self.trim is not None:
-            up, down = (float(v) for v in self.trim)
-            if not all(math.isfinite(v) and v >= 0.0 for v in (up, down)):
-                raise DomainError("trim durations must be finite and >= 0")
-            object.__setattr__(self, "trim", (up, down))
         for a in (pts, t, x):
             a.flags.writeable = False
         object.__setattr__(self, "samples", pts)
@@ -92,13 +87,11 @@ class RunSeries:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.load, self.trim) == (other.load, other.trim) and bool(
-            np.array_equal(self.samples, other.samples)
-        )
+        return self.load == other.load and bool(np.array_equal(self.samples, other.samples))
 
     def __hash__(self) -> int:
         # + 0.0 turns -0.0 into 0.0, so runs that compare equal hash equal
-        return hash((self.load, self.trim, (self.samples + 0.0).tobytes()))
+        return hash((self.load, (self.samples + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -120,11 +113,12 @@ class SteadyWindow:
 
 @dataclass(frozen=True)
 class SteadyStateConfig:
-    """Acceptance checks on the window that MSER truncation keeps."""
+    """How a run's window is cut: fixed trims, or MSER truncation and its acceptance checks."""
 
     slope_tol: float = 0.01     # max |fitted drift| less 3 standard errors, relative to the mean
     cv_max: float = 0.15        # max coefficient of variation inside the window
     min_fraction: float = 0.3   # min window duration, as a fraction of the run's
+    trim: tuple[float, float] | None = None  # (lead_in, lead_out) seconds; None detects
 
     def __post_init__(self) -> None:
         for name in ("slope_tol", "cv_max"):
@@ -132,6 +126,11 @@ class SteadyStateConfig:
                 raise DomainError(f"{name} must be positive")
         if not (0.0 < self.min_fraction <= 1.0):
             raise DomainError("min_fraction must be in (0, 1]")
+        if self.trim is not None:
+            up, down = (float(v) for v in self.trim)
+            if not all(math.isfinite(v) and v >= 0.0 for v in (up, down)):
+                raise DomainError("trim durations must be finite and >= 0")
+            object.__setattr__(self, "trim", (up, down))
 
 
 def _window_stats(x: np.ndarray) -> tuple[float, float]:
@@ -141,9 +140,8 @@ def _window_stats(x: np.ndarray) -> tuple[float, float]:
     return mean, float(x.std() / mean)
 
 
-def _trimmed(run: RunSeries) -> SteadyWindow:
+def _trimmed(run: RunSeries, up: float, down: float) -> SteadyWindow:
     t, x = run.times, run.values
-    up, down = run.trim
     start = t[0] + up
     end = t[-1] - down
     if not start < end:
@@ -235,13 +233,14 @@ def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
 def extract_steady_state(run: RunSeries, config: SteadyStateConfig | None = None) -> SteadyWindow:
     """Steady-state window of one run.
 
-    Uses the run's explicit trim when present, otherwise automatic
-    detection under config (defaults apply when omitted).  The mean is
-    the plain arithmetic mean over the window.
+    Uses config's explicit trim when set, otherwise automatic detection
+    under config (defaults apply when omitted).  The mean is the plain
+    arithmetic mean over the window.
     """
-    if run.trim is not None:
-        return _trimmed(run)
-    return _detected(run, config or SteadyStateConfig())
+    config = config or SteadyStateConfig()
+    if config.trim is not None:
+        return _trimmed(run, *config.trim)
+    return _detected(run, config)
 
 
 def aggregate_runs(runs, config: SteadyStateConfig | None = None) -> Dataset:

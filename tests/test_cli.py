@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -211,6 +212,20 @@ class TestFitCommand:
         d = json.loads(capsys.readouterr().out)
         assert d["curve"][-1]["n"] == 100.0
         assert any("extrapolated" in n for n in d["notices"])
+
+    def test_infinite_extrapolate_names_finiteness(self, clean_csv, capsys):
+        assert main(["fit", clean_csv, "--extrapolate", "inf"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: domain_max must be finite, got inf\n"
+
+    def test_huge_extrapolate_writes_nothing_to_stderr(self, clean_csv, capsys):
+        # the curve's top capacities overflow to their limit, 0; a numpy
+        # warning on the way would raise here rather than reach stderr
+        argv = ["fit", clean_csv, "--extrapolate", "1e308", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["curve"][-1]["capacity"] == 0.0
 
     @pytest.mark.parametrize("n", ["10", "-5", "0", "32"])
     def test_extrapolate_within_the_data_changes_nothing(self, clean_csv, capsys, n):
@@ -671,6 +686,8 @@ def _ramped(mean=300.0):
              + ((i * 37) % 11 - 5) * 0.002 * mean) for i in range(120)]
 
 
+BAD_TRIMS = [(v, "trim durations must be finite and >= 0") for v in (-1.0, math.nan, math.inf)]
+
 # AnalysisConfig field -> (command line, config value, flag that overrides it or None,
 # out-of-range values with the message of the check that refuses them);
 # {name} stands for the input file of that name
@@ -689,8 +706,8 @@ SETTINGS = {
                [(0.0, "cv_max must be positive")]),
     "min_fraction": (["steady", "{ramped}"], 0.95, ["--min-fraction", "0.5"],
                      [(2.0, "min_fraction must be in (0, 1]")]),
-    "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"], []),
-    "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"], []),
+    "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"], BAD_TRIMS),
+    "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"], BAD_TRIMS),
     "seed": (["simulate", "--alpha", "0.05", "--beta", "0.001", "--levels", "1,2,4",
               "--noise", "0.05"], 3, ["--seed", "7"], []),
     "unit": (["fit", "{clean}"], "req/s", ["--unit", "ops"], []),

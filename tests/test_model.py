@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +243,21 @@ class TestCurve:
             scalability_curve(CACHE_V1, domain_max=1.0)
         with pytest.raises(DomainError):
             scalability_curve(CACHE_V1, domain_max=8.0, num=1)
+
+    @pytest.mark.parametrize("top, message", [
+        (1.0, "domain_max must be > 1, got 1.0"), (math.nan, "domain_max must be > 1, got nan"),
+        (-math.inf, "domain_max must be > 1, got -inf"),
+        (math.inf, "domain_max must be finite, got inf"),
+    ])
+    def test_domain_message_names_the_failed_condition(self, top, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            scalability_curve(CACHE_V1, domain_max=top)
+
+    def test_overflowing_levels_reach_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = scalability_curve(CACHE_V1, domain_max=1e308, num=5)
+        assert c.capacities[-1] == 0.0 and np.all(np.isfinite(c.capacities))
 
 
 def model_outputs():

@@ -49,8 +49,6 @@ class TestRunSeries:
             RunSeries(load=2.0, samples=((0.0, 1.0), (1.0, -1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)))
         with pytest.raises(DomainError):
             RunSeries(load=0.5, samples=good)
-        with pytest.raises(DomainError):
-            RunSeries(load=2.0, samples=good, trim=(-1.0, 0.0))
 
     def test_arrays(self):
         r = constant_run(2.0, 50.0, n=5)
@@ -77,9 +75,10 @@ class TestRunSeries:
     @pytest.mark.parametrize("trim", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
                                       (0.0, math.inf), (-1.0, 0.0)])
     def test_trims_must_be_finite_and_nonnegative(self, trim):
-        good = tuple((float(i), 10.0) for i in range(5))
+        # trims are a SteadyStateConfig setting, not part of the run
         with pytest.raises(DomainError, match=r"^trim durations must be finite and >= 0$"):
-            RunSeries(load=2.0, samples=good, trim=trim)
+            SteadyStateConfig(trim=trim)
+        assert "trim" not in {f.name for f in dataclasses.fields(RunSeries)}
 
     def test_tuple_and_array_samples_agree(self):
         tup = trapezoid_run(4.0)
@@ -110,19 +109,18 @@ class TestRunSeries:
 
     def test_replace_validates_and_keeps_the_samples(self):
         run = constant_run(2.0, 50.0)
-        trimmed = dataclasses.replace(run, trim=(5.0, 5.0))
-        assert trimmed.trim == (5.0, 5.0) and trimmed.samples.tolist() == run.samples.tolist()
+        moved = dataclasses.replace(run, load=3.0)
+        assert moved.load == 3.0 and moved.samples.tolist() == run.samples.tolist()
         with pytest.raises(DomainError):
-            dataclasses.replace(run, trim=(math.nan, 0.0))
+            dataclasses.replace(run, load=math.nan)
 
     def test_equality_and_hash_by_value(self):
         a = constant_run(2.0, 50.0)
         assert a == constant_run(2.0, 50.0)
         assert a != constant_run(2.0, 51.0)
         assert a != constant_run(3.0, 50.0)
-        assert a != dataclasses.replace(a, trim=(0.0, 0.0))
         assert a != constant_run(2.0, 50.0, n=21)
-        assert a != (a.load, a.samples, a.trim)
+        assert a != (a.load, a.samples)
         negzero = RunSeries(load=2.0, samples=((-0.0, 50.0), *a.samples[1:].tolist()))
         assert negzero == a and hash(negzero) == hash(a)
         assert len({a, constant_run(2.0, 50.0), constant_run(2.0, 51.0)}) == 2
@@ -131,12 +129,8 @@ class TestRunSeries:
 class TestExplicitTrim:
     def test_exact_mean_over_kept_samples(self):
         vals = [50.0, 80.0, 100.0, 100.0, 100.0, 100.0, 80.0]
-        run = RunSeries(
-            load=2.0,
-            samples=tuple((float(i * 10), v) for i, v in enumerate(vals)),
-            trim=(15.0, 5.0),
-        )
-        w = extract_steady_state(run)
+        run = RunSeries(load=2.0, samples=tuple((float(i * 10), v) for i, v in enumerate(vals)))
+        w = extract_steady_state(run, SteadyStateConfig(trim=(15.0, 5.0)))
         # keeps t in [15, 55]: the four samples that all read 100
         assert (w.start, w.end) == (15.0, 55.0)
         assert w.mean_throughput == 100.0
@@ -144,22 +138,14 @@ class TestExplicitTrim:
         assert w.sample_count == 4
 
     def test_trim_that_leaves_no_interval(self):
-        run = RunSeries(
-            load=2.0,
-            samples=tuple((float(i * 10), 10.0) for i in range(5)),
-            trim=(30.0, 30.0),
-        )
+        run = RunSeries(load=2.0, samples=tuple((float(i * 10), 10.0) for i in range(5)))
         with pytest.raises(TrimExceedsRunError):
-            extract_steady_state(run)
+            extract_steady_state(run, SteadyStateConfig(trim=(30.0, 30.0)))
 
     def test_trim_that_leaves_too_few_samples(self):
-        run = RunSeries(
-            load=2.0,
-            samples=tuple((float(i * 10), 10.0) for i in range(5)),
-            trim=(15.0, 15.0),
-        )
+        run = RunSeries(load=2.0, samples=tuple((float(i * 10), 10.0) for i in range(5)))
         with pytest.raises(TrimExceedsRunError):
-            extract_steady_state(run)
+            extract_steady_state(run, SteadyStateConfig(trim=(15.0, 15.0)))
 
 
 class TestDetection:
@@ -417,14 +403,15 @@ class TestAggregation:
             assert p.meta["cv"] == 0.0
             assert p.meta["samples"] == 20
 
-    def test_honours_explicit_trims_per_run(self):
-        noisy_head = ((0.0, 1.0), (10.0, 99.0), (20.0, 100.0), (30.0, 100.0), (40.0, 100.0))
-        runs = [
-            RunSeries(load=1.0, samples=noisy_head, trim=(15.0, 0.0)),
-            constant_run(2.0, 180.0),
-        ]
-        d = aggregate_runs(runs)
+    def test_config_trim_cuts_every_run(self):
+        head = ((0.0, 1.0), (10.0, 99.0), (20.0, 100.0), (30.0, 100.0), (40.0, 100.0))
+        runs = [RunSeries(load=1.0, samples=head), constant_run(2.0, 180.0, n=8, step=10.0)]
+        d = aggregate_runs(runs, SteadyStateConfig(trim=(15.0, 0.0)))
         assert list(d.xs) == [100.0, 180.0]
+        # the 15s cut keeps the samples from t=20 on in both runs
+        assert [p.meta["samples"] for p in d.points] == [3, 6]
+        # the default config detects instead, and keeps all of the constant run
+        assert [p.meta["samples"] for p in aggregate_runs(runs).points] == [3, 8]
 
     def test_duplicate_loads_rejected(self):
         with pytest.raises(DomainError):
