@@ -18,21 +18,20 @@ Exit codes:
     5  no steady-state window found
     6  missing or zero n = 1 baseline
 
-A JSON file named by the USLKIT_CONFIG environment variable supplies
-defaults; command-line flags override it.
+One table, _SETTINGS, declares every analysis setting.  A JSON file named
+by the USLKIT_CONFIG environment variable overrides its defaults, flags
+override that, and both pass the same checks before any input is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .fitting import (
     FitOptions,
     FitResult,
     Residual,
+    check_seed,
     compare_fits,
     fit_usl,
 )
@@ -81,74 +81,75 @@ _MODE_NAMES = {"auto": MODE_AUTO, "normalized": MODE_NORMALIZED, "raw3": MODE_RA
 _LOAD_SUFFIX = re.compile(r"_[nN](\d+(?:\.\d+)?)\.csv$")
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """The config file's schema; each analysis setting's default and range are its owner's."""
-
-    format: str = "markdown"
-    tolerance: float = DEFAULT_TOLERANCE
-    seed: int = 0
-    beta_max: float = FitOptions.beta_max
-    refine_tol: float = FitOptions.refine_tol
-    mode: str = FitOptions.mode  # MODE_AUTO, whose name in _MODE_NAMES is its value
-    slope_tol: float = SteadyStateConfig.slope_tol
-    cv_max: float = SteadyStateConfig.cv_max
-    min_fraction: float = SteadyStateConfig.min_fraction
-    trim_up: float | None = None
-    trim_down: float | None = None
-    unit: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.format not in ("json", "markdown"):
-            raise DomainError(f"format must be json or markdown, got {self.format!r}")
-        if self.mode not in _MODE_NAMES:
-            raise DomainError(f"mode must be one of {sorted(_MODE_NAMES)}")
-        _analysis_settings(self)
-
-    @classmethod
-    def from_env(cls) -> "AnalysisConfig":
-        path = os.environ.get("USLKIT_CONFIG")
-        if not path:
-            return cls()
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as e:
-            raise ParseError(f"cannot read config: {e}", path=path) from e
-        except json.JSONDecodeError as e:
-            raise ParseError(f"config is not valid JSON: {e}", path=path) from e
-        if not isinstance(raw, dict):
-            raise ParseError(f"config must be a JSON object, got {json.dumps(raw)}", path=path)
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(fields)
-        if unknown:
-            raise ParseError(
-                f"unknown config keys {sorted(unknown)}; known: {sorted(fields)}", path=path
-            )
-        for key, value in raw.items():
-            kind, _, optional = fields[key].partition(" | ")
-            types, wanted = _CONFIG_KINDS[kind]
-            if value is None and optional or (isinstance(value, types)
-                                              and not isinstance(value, bool)):
-                continue
-            raise ParseError(
-                f"config key {key!r} must be {wanted}{' or null' if optional else ''}, "
-                f"got {json.dumps(value)}", path=path,
-            )
-        try:
-            return cls(**raw)
-        except DomainError as e:
-            raise ParseError(str(e), path=path) from e
+# setting -> (JSON kind, default, flag help, choices); each default is its
+# owner's, and a default of None also admits null
+_SETTINGS = {
+    "format": (str, "markdown", "output format (default from config, else markdown)",
+               ("json", "markdown")),
+    "tolerance": (float, DEFAULT_TOLERANCE,
+                  f"slack on the efficiency-above-1 check (default {DEFAULT_TOLERANCE:g})", None),
+    "seed": (int, 0, None, None),
+    "beta_max": (float, FitOptions.beta_max, None, None),
+    "refine_tol": (float, FitOptions.refine_tol, None, None),
+    # MODE_AUTO, whose name in _MODE_NAMES is its value
+    "mode": (str, FitOptions.mode, "normalized (pin x1 to the n=1 point), raw3 (fit x1), or auto",
+             tuple(sorted(_MODE_NAMES))),
+    "slope_tol": (float, SteadyStateConfig.slope_tol, None, None),
+    "cv_max": (float, SteadyStateConfig.cv_max, None, None),
+    "min_fraction": (float, SteadyStateConfig.min_fraction, None, None),
+    "trim_up": (float, None, "seconds to drop from the start of each time-series run", None),
+    "trim_down": (float, None, "seconds to drop from the end of each time-series run", None),
+    "unit": (str, None, "throughput unit label for reports", None),
+}
 
 
-# JSON values each AnalysisConfig field type accepts; a bool is no number
-_CONFIG_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"),
-                 "str": (str, "a string")}
+def _config() -> dict:
+    """Each setting's default, overridden by the USLKIT_CONFIG file and checked."""
+    settings = {name: default for name, (_, default, _, _) in _SETTINGS.items()}
+    path = os.environ.get("USLKIT_CONFIG")
+    if not path:
+        return settings
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as e:
+        raise ParseError(f"cannot read config: {e}", path=path) from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"config is not valid JSON: {e}", path=path) from e
+    if not isinstance(raw, dict):
+        raise ParseError(f"config must be a JSON object, got {json.dumps(raw)}", path=path)
+    unknown = set(raw) - set(_SETTINGS)
+    if unknown:
+        raise ParseError(
+            f"unknown config keys {sorted(unknown)}; known: {sorted(_SETTINGS)}", path=path
+        )
+    for key, value in raw.items():
+        kind, default, _, _ = _SETTINGS[key]
+        optional = default is None
+        accepted = (int, float) if kind is float else (kind,)  # JSON's bool is no number
+        if value is None and optional or type(value) in accepted:
+            continue
+        wanted = {float: "a number", int: "an integer", str: "a string"}[kind]
+        raise ParseError(
+            f"config key {key!r} must be {wanted}{' or null' if optional else ''}, "
+            f"got {json.dumps(value)}", path=path,
+        )
+    settings.update(raw)
+    try:
+        _analysis_settings(argparse.Namespace(**settings))
+    except DomainError as e:
+        raise ParseError(str(e), path=path) from e
+    return settings
 
 
 def _analysis_settings(s) -> tuple[FitOptions, SteadyStateConfig]:
-    """The FitOptions and SteadyStateConfig of a config or of the merged arguments, checked."""
+    """The FitOptions and SteadyStateConfig of the config or of the merged arguments, checked."""
+    if s.format not in ("json", "markdown"):
+        raise DomainError(f"format must be json or markdown, got {s.format!r}")
+    if s.mode not in _MODE_NAMES:
+        raise DomainError(f"mode must be one of {sorted(_MODE_NAMES)}")
     check_tolerance(s.tolerance)
+    check_seed(s.seed)
     trim = None
     if s.trim_up is not None or s.trim_down is not None:
         trim = (s.trim_up or 0.0, s.trim_down or 0.0)
@@ -772,56 +773,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "markdown"],
-                       help="output format (default from config, else markdown)")
+    def add_settings(p, *names):
+        for name in names:
+            kind, _, summary, choices = _SETTINGS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=kind, choices=choices,
+                           help=summary)
 
-    def add_steady_flags(p):
-        p.add_argument("--trim-up", type=float,
-                       help="seconds to drop from the start of each time-series run")
-        p.add_argument("--trim-down", type=float,
-                       help="seconds to drop from the end of each time-series run")
-        p.add_argument("--slope-tol", type=float)
-        p.add_argument("--cv-max", type=float)
-        p.add_argument("--min-fraction", type=float)
+    steady = ("trim_up", "trim_down", "slope_tol", "cv_max", "min_fraction")
 
     p = add_command("validate", cmd_validate, "check a points file for impossible rows")
     p.add_argument("input", help="points CSV (header n,x)")
-    p.add_argument("--tolerance", type=float,
-                   help=f"slack on the efficiency-above-1 check (default {DEFAULT_TOLERANCE:g})")
-    add_format(p)
+    add_settings(p, "tolerance", "format")
 
     p = add_command("fit", cmd_fit, "estimate alpha/beta (and x1) from measurements")
     p.add_argument("input", help="points CSV, or a directory of time-series runs")
-    p.add_argument("--mode", choices=sorted(_MODE_NAMES),
-                   help="normalized (pin x1 to the n=1 point), raw3 (fit x1), or auto")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--beta-max", type=float)
+    add_settings(p, "mode", "tolerance", "beta_max")
     p.add_argument("--force", action="store_true",
                    help="fit even when validation says the data is invalid")
     p.add_argument("--extrapolate", type=float, metavar="N",
                    help="extend the reported model curve out to N")
     p.add_argument("--plot-data", metavar="DIR", help="write points.csv and curve.csv for plotting")
-    p.add_argument("--unit", help="throughput unit label for reports")
-    add_steady_flags(p)
-    add_format(p)
+    add_settings(p, "unit", *steady, "format")
 
     p = add_command("peak", cmd_peak, "peak concurrency for given coefficients")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    add_format(p)
+    add_settings(p, "format")
 
     p = add_command("predict", cmd_predict, "throughput prediction at a level")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--x1", type=float, required=True, help="single-user throughput")
     p.add_argument("--n", type=float, required=True)
-    add_format(p)
+    add_settings(p, "format")
 
     p = add_command("compare", cmd_compare, "diff two fits (saved reports or point files)")
     p.add_argument("a", help="points CSV or saved JSON fit report")
     p.add_argument("b", help="points CSV or saved JSON fit report")
-    add_format(p)
+    add_settings(p, "format")
 
     p = add_command("simulate", cmd_simulate, "generate synthetic measurements")
     p.add_argument("--alpha", type=float)
@@ -833,15 +822,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="queue mode: per-pair service inflation")
     p.add_argument("--levels", required=True, help="comma list (1,2,4) or range start:stop[:step]")
     p.add_argument("--noise", type=float, default=0.0, help="relative noise standard deviation")
-    p.add_argument("--seed", type=int)
+    add_settings(p, "seed")
     p.add_argument("--out", help="output points CSV (default stdout)")
 
     p = add_command("steady", cmd_steady, "steady-state window from time series")
     p.add_argument("input", help="series CSV (header t,x) or a directory of runs")
     p.add_argument("--load", type=float, help="load level when the filename has no _N<load> suffix")
     p.add_argument("--out", help="directory input: write aggregated points CSV here")
-    add_steady_flags(p)
-    add_format(p)
+    add_settings(p, *steady, "format")
 
     return parser
 
@@ -859,13 +847,12 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = AnalysisConfig.from_env()
         # every setting a flag leaves unset, or a command has no flag for,
-        # comes from the config field of the same name
-        for field in dataclasses.fields(cfg):
-            if getattr(args, field.name, None) is None:
-                setattr(args, field.name, getattr(cfg, field.name))
-        # so a flag gets the same range checks as the config, before any input is read
+        # comes from the config, else from its default
+        for name, value in _config().items():
+            if getattr(args, name, None) is None:
+                setattr(args, name, value)
+        # so a flag gets the same checks as the config, before any input is read
         args.fit_options, args.steady_config = _analysis_settings(args)
         return args.run(args)
     except UslError as e:

@@ -431,7 +431,7 @@ def _fit_setup(dataset: Dataset,
     base = dataset.baseline
     mode = opt.mode
     if mode == MODE_AUTO:
-        mode = MODE_RAW3 if base is None else MODE_NORMALIZED
+        mode = dataset.normalization
     if mode == MODE_NORMALIZED:
         if base is None:
             raise MissingBaselineError("normalized fit needs an n = 1 measurement")
@@ -541,6 +541,14 @@ def _whole(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed) -> int:
+    """The seed as an int; raises DomainError unless it is a whole number >= 0."""
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -746,9 +754,7 @@ def bootstrap_confidence(dataset: Dataset, options: FitOptions | None = None,
     replicates = _whole(replicates, "replicates")
     if replicates < 2:
         raise DomainError("need at least 2 replicates")
-    seed = _whole(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    seed = check_seed(seed)
     opt = options or _DEFAULTS
     ns, xs, _, x1_pin = _fit_setup(dataset, opt)
     rng = np.random.default_rng(seed)

@@ -120,7 +120,9 @@ def usl_capacity(n: ArrayLike, params: UslParams):
     returns the same shape.  C(1) is exactly 1.
     """
     levels = _as_levels(n)
-    out = _capacity(levels, levels - 1.0, params.alpha, params.beta)
+    # a denominator that overflows to inf gives the right limit, capacity 0
+    with np.errstate(over="ignore"):
+        out = _capacity(levels, levels - 1.0, params.alpha, params.beta)
     return float(out) if levels.ndim == 0 else out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fitting import Dataset
+from .fitting import Dataset, check_seed
 from .model import MeasuredPoint, UslParams, _set, usl_capacity
 
 
@@ -147,10 +147,12 @@ def generate_synthetic(params: UslParams, n_values, noise: float = 0.0,
     Throughput is x1 * C(n) (x1 taken as 1 when params carry none) times
     (1 + e) with e drawn Normal(0, noise) from a seeded generator, then
     floored at zero.  noise = 0 returns exact model values and never
-    touches the generator.  Duplicate levels are rejected by Dataset.
+    touches the generator, but the seed is checked even then.  Duplicate
+    levels are rejected by Dataset.
     """
     if noise < 0.0 or not math.isfinite(noise):
         raise DomainError(f"noise must be >= 0, got {noise}")
+    seed = check_seed(seed)
     levels = np.asarray(list(n_values), dtype=float)
     if levels.size < 2:
         raise DomainError("need at least 2 levels to build a dataset")

@@ -356,6 +356,21 @@ class TestPredictCommand:
         assert rc == EXIT_OK
         assert "throughput 301.0915" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,tail", [
+        (["predict", "--alpha", "0.05", "--beta", "1e300", "--x1", "1", "--n", "1e200"],
+         "capacity 0.0000, efficiency 0.0000, throughput 0.0000\n"),
+        (["simulate", "--alpha", "0.05", "--beta", "1e300", "--levels", "1,2,1e200"],
+         "2.0,1e-300\n1e+200,0.0\n"),
+    ], ids=["predict", "simulate"])
+    def test_overflowing_capacity_writes_nothing_to_stderr(self, capsys, argv, tail):
+        # the denominator overflows to inf, whose limit is capacity 0; a numpy
+        # warning on the way would raise here rather than reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and out.endswith(tail)
+
 
 class TestCompareCommand:
     def test_two_point_files(self, data_dir, capsys):
@@ -688,7 +703,7 @@ def _ramped(mean=300.0):
 
 BAD_TRIMS = [(v, "trim durations must be finite and >= 0") for v in (-1.0, math.nan, math.inf)]
 
-# AnalysisConfig field -> (command line, config value, flag that overrides it or None,
+# setting -> (command line, config value, flag that overrides it or None,
 # out-of-range values with the message of the check that refuses them);
 # {name} stands for the input file of that name
 SETTINGS = {
@@ -709,7 +724,7 @@ SETTINGS = {
     "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"], BAD_TRIMS),
     "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"], BAD_TRIMS),
     "seed": (["simulate", "--alpha", "0.05", "--beta", "0.001", "--levels", "1,2,4",
-              "--noise", "0.05"], 3, ["--seed", "7"], []),
+              "--noise", "0.05"], 3, ["--seed", "7"], [(-1, "seed must be >= 0, got -1")]),
     "unit": (["fit", "{clean}"], "req/s", ["--unit", "ops"], []),
 }
 OUT_OF_RANGE = [(field, value, message) for field, (*_, bad) in sorted(SETTINGS.items())
@@ -718,6 +733,10 @@ OUT_OF_RANGE = [(field, value, message) for field, (*_, bad) in sorted(SETTINGS.
 
 class TestSettings:
     """Each setting comes from its flag when one is given, else from the config."""
+
+    def test_every_setting_is_covered(self):
+        # format has no row: TestConfigFile and the golden files cover it
+        assert set(SETTINGS) | {"format"} == set(cli._SETTINGS)
 
     @pytest.mark.parametrize("field", sorted(SETTINGS))
     def test_config_sets_it_and_the_flag_overrides(self, data_dir, clean_csv, suspect_csv,

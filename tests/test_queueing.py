@@ -155,6 +155,11 @@ class TestGenerateSynthetic:
         with pytest.raises(DomainError):
             generate_synthetic(p, [2, 2])  # duplicate level
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_rejects_negative_seed_with_or_without_noise(self, noise):
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            generate_synthetic(UslParams(0.05, 0.002), [1, 2, 4], noise=noise, seed=-1)
+
     def test_returns_fittable_dataset(self):
         d = generate_synthetic(UslParams(0.1, 0.001, x1=50.0), [1, 2, 4, 8, 16])
         assert isinstance(d, Dataset)
