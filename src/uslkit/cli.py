@@ -32,6 +32,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -317,13 +318,16 @@ def _num(v):
     return v
 
 
-def _fmt(v, unbounded_label: str = "none (beta=0)") -> str:
+def _fmt(v, spec: str = ".10g", none: str = "none (beta=0)") -> str:
+    """A report value as markdown text: a float by spec, None (unbounded) as none."""
     if v is None:
-        return unbounded_label
+        return none
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, float):
-        return format(v, ".10g")
+        return format(v, spec)
+    if isinstance(v, (tuple, list)):
+        return ", ".join(v) or "-"
     return str(v)
 
 
@@ -390,10 +394,8 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
         "peak": peak_dict(params),
         "regime": fit.regime.value,
         "validation": validation,
-        "residuals": [
-            {"n": r.n, "measured": r.measured, "modeled": r.modeled, "residual": r.residual}
-            for r in fit.residuals
-        ],
+        # the record fields are the report keys, which _fit_from_path reads back
+        "residuals": [asdict(r) for r in fit.residuals],
         "curve": [
             {"n": n, "capacity": c, "throughput": x} for n, c, x in curve.samples
         ],
@@ -406,11 +408,7 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
 def validation_dict(report) -> dict:
     return {
         "verdict": report.verdict.value,
-        "rows": [
-            {"n": r.n, "capacity": r.capacity, "efficiency": r.efficiency,
-             "flags": list(r.flags)}
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
         "notes": list(report.notes),
     }
 
@@ -426,16 +424,15 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return out
 
 
+def _records(rows: list[dict], keys: tuple[str, ...]) -> list[str]:
+    """A markdown table of the rows with one column per key; a missing value reads -."""
+    return _md_table(list(keys), [[_fmt(r[k], none="-") for k in keys] for r in rows])
+
+
 def _validation_lines(v: dict) -> list[str]:
     """The verdict line and the per-level table of a validation dict."""
-    return [f"verdict: **{v['verdict']}**", ""] + _md_table(
-        ["n", "capacity", "efficiency", "flags"],
-        [
-            [_fmt(r["n"]), _fmt(r["capacity"]), _fmt(r["efficiency"]),
-             ", ".join(r["flags"]) or "-"]
-            for r in v["rows"]
-        ],
-    )
+    return [f"verdict: **{v['verdict']}**", ""] + _records(
+        v["rows"], ("n", "capacity", "efficiency", "flags"))
 
 
 def render_fit_markdown(report: dict) -> str:
@@ -463,7 +460,7 @@ def render_fit_markdown(report: dict) -> str:
         [
             ["peak N", _fmt(p["n"])],
             ["practical N", _fmt(p["practical_n"])],
-            ["peak capacity", _fmt(p["capacity"], unbounded_label="-")],
+            ["peak capacity", _fmt(p["capacity"], none="-")],
             ["regime", report["regime"]],
         ],
     )
@@ -475,21 +472,9 @@ def render_fit_markdown(report: dict) -> str:
         lines += _validation_lines(v)
         lines += [f"- {note}" for note in v["notes"]]
     lines += ["", "## Residuals", ""]
-    lines += _md_table(
-        ["n", "measured", "modeled", "residual"],
-        [
-            [_fmt(r["n"]), _fmt(r["measured"]), _fmt(r["modeled"]), _fmt(r["residual"])]
-            for r in report["residuals"]
-        ],
-    )
+    lines += _records(report["residuals"], ("n", "measured", "modeled", "residual"))
     lines += ["", "## Model curve", ""]
-    lines += _md_table(
-        ["n", "capacity", "throughput"],
-        [
-            [_fmt(s["n"]), _fmt(s["capacity"]), _fmt(s["throughput"], unbounded_label="-")]
-            for s in report["curve"]
-        ],
-    )
+    lines += _records(report["curve"], ("n", "capacity", "throughput"))
     if report["hints"]:
         lines += ["", "## Reading the numbers", ""]
         lines += [f"- {h}" for h in report["hints"]]
@@ -506,11 +491,7 @@ def render_validation_markdown(v: dict) -> str:
 
 def render_peak_markdown(d: dict) -> str:
     p = d["peak"]
-    lines = [
-        "peak N: " + ("none (beta=0)" if p["n"] is None else format(p["n"], ".4f")),
-        "practical N: " + ("none (beta=0)" if p["practical_n"] is None
-                           else format(p["practical_n"], ".0f")),
-    ]
+    lines = ["peak N: " + _fmt(p["n"], ".4f"), "practical N: " + _fmt(p["practical_n"], ".0f")]
     if p["capacity"] is not None:
         lines.append(f"peak capacity: {p['capacity']:.4f}")
     return "\n".join(lines + [f"regime: {d['regime']}"])
@@ -523,15 +504,10 @@ def render_predict_markdown(d: dict) -> str:
 
 def render_compare_markdown(d: dict) -> str:
     a, b, delta = d["a"], d["b"], d["delta"]
+    rows = [[label, _fmt(a[k]), _fmt(b[k]), _fmt(delta[k], none="-")]
+            for label, k in (("alpha", "alpha"), ("beta", "beta"), ("peak N", "peak_n"))]
     lines = ["# Fit comparison", ""] + _md_table(
-        ["quantity", a["name"], b["name"], "delta (b-a)"],
-        [
-            ["alpha", _fmt(a["alpha"]), _fmt(b["alpha"]), _fmt(delta["alpha"])],
-            ["beta", _fmt(a["beta"]), _fmt(b["beta"]), _fmt(delta["beta"])],
-            ["peak N", _fmt(a["peak_n"]), _fmt(b["peak_n"]),
-             _fmt(delta["peak_n"], unbounded_label="-")],
-        ],
-    )
+        ["quantity", a["name"], b["name"], "delta (b-a)"], rows)
     return "\n".join(lines + ["", d["verdict"]])
 
 

@@ -27,7 +27,10 @@ The solver uses the model's structure and has one path:
 The polish also stops once its damped step would move the modelled
 throughputs by less than rounding, so exact data does not spin on
 rejected steps.  The solver is deterministic: identical input yields
-bit-identical output.
+bit-identical output.  fit_usl and the bootstrap run it on the
+throughputs divided by the power of two that puts the largest in
+[0.5, 1), so that no squared sum overflows or underflows and the
+coefficients do not depend on the unit.
 
 The bootstrap fits all of its resamples in one batched pass over (R, P)
 arrays: the same start, polish, stop rules and face rule, with each row
@@ -419,15 +422,24 @@ def _minimize(ns, xs, x1_pin, opt: FitOptions):
 
 
 def _fit_setup(dataset: Dataset,
-               opt: FitOptions) -> tuple[np.ndarray, np.ndarray, str, float | None]:
-    """(ns, xs, mode, x1_pin) of a fit of the dataset; x1_pin None means raw3.
+               opt: FitOptions) -> tuple[np.ndarray, np.ndarray, str, float | None, int]:
+    """(ns, xs, mode, x1_pin, e) of a fit of the dataset; x1_pin None means raw3.
+
+    xs and x1_pin come divided by 2**e, which puts the largest throughput
+    in [0.5, 1), so that no squared sum of the solvers overflows or
+    underflows whatever the unit.  A power of two scales exactly and every
+    solver step is equivariant under it, so the fitted coefficients do not
+    depend on the unit, and x1 and the residuals scale back exactly.
 
     Raises the errors that fit_usl documents, all of which it raises
     before it fits, so the bootstrap can learn the mode without a fit.
     """
     ns, xs = dataset.ns, dataset.xs
-    if not (xs > 0.0).any():
+    top = float(xs.max())
+    if not (top > 0.0):  # throughputs are >= 0
         raise DegenerateDataError("every throughput is zero; nothing to fit")
+    e = math.frexp(top)[1]
+    xs = np.ldexp(xs, -e)
     base = dataset.baseline
     mode = opt.mode
     if mode == MODE_AUTO:
@@ -439,10 +451,18 @@ def _fit_setup(dataset: Dataset,
             raise ZeroBaselineError("n = 1 throughput is zero")
         if len(dataset) < 3:
             raise InsufficientDataError("normalized fit needs at least 3 distinct levels")
-        return ns, xs, mode, base.x
+        return ns, xs, mode, math.ldexp(base.x, -e), e
     if len(dataset) < 4:
         raise InsufficientDataError("3-parameter fit needs at least 4 distinct levels")
-    return ns, xs, mode, None
+    return ns, xs, mode, None, e
+
+
+def _unscaled(v: float, e: int) -> float:
+    """v * 2**e, infinite where that overflows."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
@@ -451,23 +471,27 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     Raises InsufficientDataError below 3 distinct levels (4 for the
     3-parameter mode), DegenerateDataError when every throughput is
     zero, and the baseline errors when a requested normalized fit has
-    no usable n = 1 point.
+    no usable n = 1 point.  The sse is in the data's units, and is
+    infinite only when it exceeds the float range.
     """
     opt = options or _DEFAULTS
-    ns, xs, mode, x1_pin = _fit_setup(dataset, opt)
+    ns, xs, mode, x1_pin, e = _fit_setup(dataset, opt)
     alpha, beta, res, c, x1, sse = _minimize(ns, xs, x1_pin, opt)
 
-    modeled = x1 * c
+    # r^2 from the scaled sums; the rest back in the data's units
     dev = xs - float(xs.sum()) / xs.size  # xs.mean(), without its wrapper
     tss = float(np.dot(dev, dev))
     if tss == 0.0:
         r2 = 1.0 if sse == 0.0 else 0.0
     else:
         r2 = 1.0 - sse / tss
-    rows = tuple(map(Residual, ns.tolist(), xs.tolist(), modeled.tolist(), res.tolist()))
+    x1 = _unscaled(x1, e)
+    measured = [p.x for p in dataset.points]
+    rows = tuple(map(Residual, ns.tolist(), measured, (x1 * c).tolist(),
+                     np.ldexp(res, e).tolist()))
     return FitResult(
         params=UslParams(alpha, beta, x1),
-        sse=sse,
+        sse=_unscaled(sse, 2 * e),
         r_squared=r2,
         residuals=rows,
         significance_warning=dataset.significance_warning,
@@ -616,10 +640,9 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
 
     A pass costs some hundred numpy calls whatever the number of live rows,
     so the live state is packed for cheap compaction, the two coefficients
-    are rows, not columns, and accepted rows are updated in place.  On the
-    perfbench bootstrap datasets of seed 61 a call takes 1.27 ms on 200
-    8-level resamples and 1.83 ms on 200 14-level ones, against 1.54 and
-    2.10 ms with one trial step per pass (best of 60 alternating calls).
+    are rows, not columns, and accepted rows are updated in place.  The
+    rungs exist for the same reason: a row's rejected steps ride along in
+    one pass instead of costing a pass each.
     """
     rows, points = ns.shape
     out = np.empty((4, rows))  # theta, sse and x1 of every row
@@ -756,7 +779,7 @@ def bootstrap_confidence(dataset: Dataset, options: FitOptions | None = None,
         raise DomainError("need at least 2 replicates")
     seed = check_seed(seed)
     opt = options or _DEFAULTS
-    ns, xs, _, x1_pin = _fit_setup(dataset, opt)
+    ns, xs, _, x1_pin, e = _fit_setup(dataset, opt)
     rng = np.random.default_rng(seed)
     # one (rows, n) draw gives the indices of rows successive size-n draws,
     # so batching leaves each seed's resamples as they were
@@ -771,7 +794,7 @@ def bootstrap_confidence(dataset: Dataset, options: FitOptions | None = None,
     return BootstrapResult(
         alpha_interval=(float(q[0, 0]), float(q[1, 0])),
         beta_interval=(float(q[0, 1]), float(q[1, 1])),
-        x1_interval=(float(q[0, 2]), float(q[1, 2])),
+        x1_interval=(_unscaled(float(q[0, 2]), e), _unscaled(float(q[1, 2]), e)),
         replicates=replicates,
         seed=seed,
         level=level,

@@ -193,6 +193,62 @@ class TestDeterminism:
                 assert perturbed >= base * (1.0 - 1e-9)
 
 
+def scaled_copy(dataset, factor):
+    return Dataset.from_pairs((p.n, p.x * factor) for p in dataset.points)
+
+
+class TestUnitOfThroughput:
+    # on this set unscaled, the solvers' squared sums underflow at 1e-170
+    # (alpha = beta = 0 with r^2 = 1) and overflow at 1e154; fit_usl and the
+    # bootstrap scale it by a power of two, so the unit must not matter
+    DATA = noisy_dataset(0.05, 0.002, 1000.0, 0.02, seed=3)
+    POWERS = [-1000, -900, -600, -300, -40, -1, 1, 40, 300, 600, 900, 1000]
+    DECIMALS = [1e-300, 1e-200, 1e-170, 1e-100, 1e-10, 1e10, 1e100, 1e154, 1e200, 1e300]
+
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_RAW3])
+    def test_power_of_two_copies_fit_bit_identical_coefficients(self, mode):
+        opt = FitOptions(mode=mode)
+        want = fit_usl(self.DATA, opt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in self.POWERS:
+                fit = fit_usl(scaled_copy(self.DATA, 2.0 ** k), opt)
+                assert (fit.params.alpha, fit.params.beta) == (want.params.alpha, want.params.beta)
+                assert fit.params.x1 == math.ldexp(want.params.x1, k)
+                assert fit.r_squared == want.r_squared
+                assert [r.residual for r in fit.residuals] == [
+                    math.ldexp(r.residual, k) for r in want.residuals]
+
+    def test_sse_is_in_the_data_units_and_infinite_only_on_overflow(self):
+        want = fit_usl(self.DATA).sse
+        for k, sse in ((-300, math.ldexp(want, -600)), (300, math.ldexp(want, 600)),
+                       (600, math.inf)):
+            assert fit_usl(scaled_copy(self.DATA, 2.0 ** k)).sse == sse
+
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_RAW3])
+    def test_decimal_copies_agree_and_warn_nothing(self, mode):
+        opt = FitOptions(mode=mode)
+        want = fit_usl(self.DATA, opt)
+        close = dict(rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for factor in self.DECIMALS:
+                fit = fit_usl(scaled_copy(self.DATA, factor), opt)
+                assert fit.params.alpha == pytest.approx(want.params.alpha, **close)
+                assert fit.params.beta == pytest.approx(want.params.beta, **close)
+                assert fit.params.x1 == pytest.approx(factor * want.params.x1, **close)
+                assert fit.r_squared == pytest.approx(want.r_squared, **close)
+
+    def test_bootstrap_of_power_of_two_copies_is_bit_identical(self):
+        want = bootstrap_confidence(self.DATA, replicates=50, seed=4)
+        for k in (-900, 900):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = bootstrap_confidence(scaled_copy(self.DATA, 2.0 ** k), replicates=50, seed=4)
+            assert (r.alpha_interval, r.beta_interval) == (want.alpha_interval, want.beta_interval)
+            assert r.x1_interval == tuple(math.ldexp(v, k) for v in want.x1_interval)
+
+
 class TestRoundingFloor:
     # exact data on which every step near the optimum used to be rejected
     # until the damped step underflowed, some 260 trial steps later
@@ -314,8 +370,9 @@ EDGE_CASES = [
     ([5000, 5000.5, 5001, 5001.5], [12.0, 12.01, 11.98, 12.02]),
     # repeated levels, as in bootstrap resamples
     ([1, 1, 2, 4, 4, 8], [100.0, 103.0, 188.0, 320.0, 331.0, 450.0]),
-    # at extreme scales the sums overflow or underflow; the two close-level
-    # cases come out as alpha = -0.0 and alpha = nan
+    # at extreme scales the solvers' sums overflow or underflow, and the two
+    # close-level cases come out of _minimize as alpha = -0.0 and alpha = nan;
+    # fit_usl scales the data first, so it fits them as at unit scale
     (LEVELS, [1e150 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
     (LEVELS, [1e-165 * v for v in (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)]),
     (CLOSE_LEVELS, [1e150 * v for v in CLOSE_XS]),
@@ -395,9 +452,10 @@ def fit_usl_outputs():
 
 class TestFitUslPinned:
     # sha256 of fit_usl_outputs() as the solver stood before its per-call
-    # overheads were cut: any change to a fitted bit, a residual row, the
-    # sse, r^2, the mode or an error message fails here
-    DIGEST = "91aa022577236aecd805ed2e31fb86177eddf0eb31aee12c7cb704543a80f269"
+    # overheads were cut, with the four extreme-scale edge cases fitted on
+    # scaled data: any change to a fitted bit, a residual row, the sse, r^2,
+    # the mode or an error message fails here
+    DIGEST = "225a1426aa91cbd2775c90b7ca56cb2fdcbe8dc62df01cae19af35afe262cacf"
 
     def test_every_output_is_pinned(self):
         out = fit_usl_outputs()
@@ -859,16 +917,22 @@ class TestBootstrapSetup:
             bootstrap_confidence(d, opt, replicates=10)
         assert str(boot_error.value) == str(fit_error.value)
 
-    def test_overflowing_data_is_resampled_without_a_base_fit(self):
-        # the scalar fit of this set overflows to alpha = nan, so fit_usl
-        # raises; the resamples overflow too and all land on the corner
+    def test_data_near_overflow_fit_and_resample_as_at_unit_scale(self):
+        # squared sums of these throughputs overflow unless the fit scales
+        # them first; the fit and the intervals are those of the unit-scale
+        # set, times 1e154 for x1
         xs = (1.0, 1.9, 3.4, 5.6, 7.1, 6.9)
+        unit = Dataset.from_pairs(zip(LEVELS, xs))
         d = Dataset.from_pairs((n, 1e154 * x) for n, x in zip(LEVELS, xs))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(DomainError):
-                fit_usl(d)
             warnings.simplefilter("error")
+            fit, want = fit_usl(d), fit_usl(unit)
             r = bootstrap_confidence(d, replicates=50, seed=0)
-        assert (r.alpha_interval, r.beta_interval, r.x1_interval) == ((0.0, 0.0), (0.0, 0.0),
-                                                                       (1e154, 1e154))
+        close = dict(rel=1e-12)
+        assert fit.params.alpha == pytest.approx(want.params.alpha, **close)
+        assert fit.params.beta == pytest.approx(want.params.beta, **close)
+        assert fit.params.x1 == pytest.approx(1e154 * want.params.x1, **close)
+        r_unit = bootstrap_confidence(unit, replicates=50, seed=0)
+        assert r.alpha_interval == pytest.approx(r_unit.alpha_interval, **close)
+        assert r.beta_interval == pytest.approx(r_unit.beta_interval, **close)
+        assert r.x1_interval == pytest.approx(tuple(1e154 * v for v in r_unit.x1_interval), **close)
