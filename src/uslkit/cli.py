@@ -312,7 +312,7 @@ def read_series_dir(dirpath: str) -> list[RunSeries]:
 # ------------------------------------------------------------------- reports
 
 def _num(v):
-    """JSON-safe number: infinities become None (rendered as unbounded)."""
+    """JSON-safe number: inf and nan become None, which json writes as null."""
     if v is None or (isinstance(v, float) and not math.isfinite(v)):
         return None
     return v
@@ -387,8 +387,8 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
             "alpha": params.alpha,
             "beta": params.beta,
             "x1": params.x1,
-            "sse": fit.sse,
-            "r_squared": fit.r_squared,
+            "sse": _num(fit.sse),
+            "r_squared": _num(fit.r_squared),
             "significance_warning": fit.significance_warning,
         },
         "peak": peak_dict(params),
@@ -448,8 +448,8 @@ def render_fit_markdown(report: dict) -> str:
             ["alpha (contention)", _fmt(f["alpha"])],
             ["beta (coherency)", _fmt(f["beta"])],
             [f"x1{unit}", _fmt(f["x1"])],
-            ["sse", _fmt(f["sse"])],
-            ["r_squared", _fmt(f["r_squared"])],
+            ["sse", _fmt(f["sse"], none="inf")],
+            ["r_squared", _fmt(f["r_squared"], none="nan")],
             ["significance warning", _fmt(f["significance_warning"])],
         ],
     )
@@ -613,7 +613,8 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
     """A saved JSON fit report, read back whole, or a points file to fit fresh.
 
     The report must hold every key build_fit_report writes for the fit and
-    its residuals; the result then equals the FitResult it was built from.
+    its residuals; the result then equals the FitResult it was built from,
+    with a null sse read as inf and a null r_squared as nan.
     """
     if not path.endswith(".json"):
         return os.path.basename(path), fit_usl(read_points_csv(path), options)
@@ -623,7 +624,8 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
         f = d["fit"]
         fit = FitResult(
             params=UslParams(f["alpha"], f["beta"], f["x1"]),
-            sse=f["sse"], r_squared=f["r_squared"],
+            sse=math.inf if f["sse"] is None else f["sse"],
+            r_squared=math.nan if f["r_squared"] is None else f["r_squared"],
             residuals=tuple(Residual(**r) for r in d["residuals"]),
             significance_warning=f["significance_warning"], mode=f["mode"],
         )

@@ -96,6 +96,8 @@ class Dataset:
     Levels must be strictly distinct; at least two points are required.
     Fewer than six points sets the significance flag, mirroring the rule
     of thumb that a meaningful fit wants half a dozen distinct loads.
+    ns and xs are the levels and throughputs as read-only float arrays,
+    built once.
     """
 
     points: tuple[MeasuredPoint, ...]
@@ -107,7 +109,12 @@ class Dataset:
         for a, b in zip(pts, pts[1:]):
             if a.n == b.n:
                 raise DomainError(f"duplicate concurrency level {a.n}")
+        ns = np.array([p.n for p in pts], dtype=float)
+        xs = np.array([p.x for p in pts], dtype=float)
+        ns.flags.writeable = xs.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "xs", xs)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Dataset":
@@ -118,14 +125,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.points)
-
-    @property
-    def ns(self) -> np.ndarray:
-        return np.array([p.n for p in self.points], dtype=float)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points], dtype=float)
 
     @property
     def baseline(self) -> MeasuredPoint | None:
@@ -182,7 +181,7 @@ class Residual:
     modeled: float
     residual: float
 
-    # stores with _set; see UslParams
+    # stores with _set; see MeasuredPoint
     def __init__(self, n: float, measured: float, modeled: float, residual: float) -> None:
         _set(self, "n", n)
         _set(self, "measured", measured)
@@ -190,7 +189,7 @@ class Residual:
         _set(self, "residual", residual)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FitResult:
     """Fitted coefficients plus goodness-of-fit bookkeeping.
 
@@ -204,16 +203,6 @@ class FitResult:
     residuals: tuple[Residual, ...]
     significance_warning: bool
     mode: str
-
-    # stores with _set; see UslParams
-    def __init__(self, params: UslParams, sse: float, r_squared: float,
-                 residuals: tuple[Residual, ...], significance_warning: bool, mode: str) -> None:
-        _set(self, "params", params)
-        _set(self, "sse", sse)
-        _set(self, "r_squared", r_squared)
-        _set(self, "residuals", residuals)
-        _set(self, "significance_warning", significance_warning)
-        _set(self, "mode", mode)
 
     @property
     def peak(self) -> float:
@@ -292,8 +281,6 @@ def _linear_start(ns, xs, x1_pin, basis: np.ndarray,
     keep = xs > 0.0
     if not keep.all():
         ns, xs, basis = ns[keep], xs[keep], basis[keep]
-        if ns.size == 0:
-            return 0.0, 0.0
     if x1_pin is None:
         low = int(ns.argmin())
         x1_pin = xs[low] / ns[low]
@@ -481,8 +468,8 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     # r^2 from the scaled sums; the rest back in the data's units
     dev = xs - float(xs.sum()) / xs.size  # xs.mean(), without its wrapper
     tss = float(np.dot(dev, dev))
-    if tss == 0.0:
-        r2 = 1.0 if sse == 0.0 else 0.0
+    if tss == 0.0:  # constant data: exact if sse is within the floor of _minimize's tie rule
+        r2 = 1.0 if sse <= 1e-16 * float(np.dot(xs, xs)) else 0.0
     else:
         r2 = 1.0 - sse / tss
     x1 = _unscaled(x1, e)
@@ -532,8 +519,8 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
         rel = abs(r) / (abs(x) if x != 0.0 else 1.0)
         if rel > max_rel:  # max(max_rel, rel), nan included
             max_rel = rel
-    if tss == 0.0:
-        r2 = 1.0 if sse == 0.0 else 0.0
+    if tss == 0.0:  # constant data, judged as fit_usl judges it
+        r2 = 1.0 if sse <= 1e-16 * sum(p.x * p.x for p in points) else 0.0
     else:
         r2 = 1.0 - sse / tss
     return FitDiagnostics(sse=sse, r_squared=r2, max_relative_residual=max_rel)

@@ -42,7 +42,7 @@ class Regime(str, enum.Enum):
     RETROGRADE = "retrograde"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class UslParams:
     """Fitted or assumed model coefficients.
 
@@ -56,23 +56,14 @@ class UslParams:
     beta: float
     x1: float | None = None
 
-    # A frozen dataclass's generated __init__ looks object.__setattr__ up
-    # for every field, then calls __post_init__.  The records built per
-    # point or per fit run their checks in a hand-written __init__ and
-    # store with _set, looked up once.  Storing through __dict__ would build
-    # faster still, but CPython 3.11 then reads the instance's fields about
-    # 2x slower and gives it a dict of its own.
-    def __init__(self, alpha: float, beta: float, x1: float | None = None) -> None:
-        if not (0.0 <= alpha < 1.0) or not math.isfinite(alpha):
-            raise DomainError(f"alpha must be in [0, 1), got {alpha}")
-        if beta < 0.0 or not math.isfinite(beta):
-            raise DomainError(f"beta must be >= 0, got {beta}")
-        if x1 is not None:
-            if not (x1 > 0.0) or not math.isfinite(x1):
-                raise DomainError(f"x1 must be positive, got {x1}")
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "x1", x1)
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.alpha < 1.0) or not math.isfinite(self.alpha):
+            raise DomainError(f"alpha must be in [0, 1), got {self.alpha}")
+        if self.beta < 0.0 or not math.isfinite(self.beta):
+            raise DomainError(f"beta must be >= 0, got {self.beta}")
+        if self.x1 is not None:
+            if not (self.x1 > 0.0) or not math.isfinite(self.x1):
+                raise DomainError(f"x1 must be positive, got {self.x1}")
 
 
 _FRESH = object()  # MeasuredPoint's default meta: a new dict for each point
@@ -90,6 +81,12 @@ class MeasuredPoint:
     x: float
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
+    # A generated frozen __init__ looks object.__setattr__ up for every
+    # field.  Records built per point or per level (this one, Residual,
+    # ValidationRow, QueueParams, QueueSolution) check in a hand-written
+    # __init__ and store with _set, looked up once; records built once per
+    # fit keep the generated one.  Storing through __dict__ would be faster
+    # still, but CPython 3.11 then reads the fields about 2x slower.
     def __init__(self, n: float, x: float, meta: dict = _FRESH) -> None:
         if not (n >= 1.0) or not math.isfinite(n):
             raise DomainError(f"concurrency must be >= 1, got {n}")

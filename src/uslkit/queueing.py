@@ -38,7 +38,7 @@ class QueueParams:
     z: float
     c: float = 0.0
 
-    # stores with _set; see UslParams
+    # stores with _set; see MeasuredPoint
     def __init__(self, n: int, s: float, z: float, c: float = 0.0) -> None:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise DomainError(f"population must be an integer >= 1, got {n!r}")
@@ -64,7 +64,7 @@ class QueueSolution:
     q: float
     w: float
 
-    # stores with _set; see UslParams
+    # stores with _set; see MeasuredPoint
     def __init__(self, x: float, r: float, q: float, w: float) -> None:
         _set(self, "x", x)
         _set(self, "r", r)

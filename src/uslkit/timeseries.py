@@ -43,7 +43,8 @@ class RunSeries:
 
     samples is any sequence of (timestamp, throughput) pairs, such as a
     tuple of tuples or a (k, 2) array; it is stored as a read-only (k, 2)
-    float array, whose rows unpack as (t, x).  Timestamps are seconds,
+    float array, whose rows unpack as (t, x); times and values are its
+    columns, as read-only arrays of their own.  Timestamps are seconds,
     strictly increasing; at least 5 samples.  Runs compare and hash by
     value.
     """
@@ -73,16 +74,8 @@ class RunSeries:
         for a in (pts, t, x):
             a.flags.writeable = False
         object.__setattr__(self, "samples", pts)
-        object.__setattr__(self, "_times", t)
-        object.__setattr__(self, "_values", x)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._times
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", x)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -49,7 +49,7 @@ class ValidationRow:
     efficiency: float
     flags: tuple[str, ...]
 
-    # stores with _set; see UslParams
+    # stores with _set; see MeasuredPoint
     def __init__(self, n: float, capacity: float, efficiency: float, flags: tuple[str, ...]) -> None:
         _set(self, "n", n)
         _set(self, "capacity", capacity)

@@ -43,6 +43,10 @@ def model_pairs(alpha, beta, x1, levels):
     return [(n, repr(x1 * usl_capacity(n, p))) for n in levels]
 
 
+def not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def plateau(level, value, seconds=300, step=5.0):
     return [(i * step, value) for i in range(int(seconds / step))]
 
@@ -441,6 +445,30 @@ class TestSavedReportRoundTrip:
             _, back = cli._fit_from_path(str(saved), FitOptions())
             fresh = fit_usl(read_points_csv(str(points)))
             assert back == fresh, seed
+
+    def test_overflowing_sse_is_null_and_reads_back_as_inf(self, data_dir, capsys):
+        noisy = [(1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0), (16, 700.0), (32, 720.0)]
+        points = write_points(data_dir / "huge.csv", [(n, repr(x * 1e154)) for n, x in noisy])
+        saved = data_dir / "fit.json"
+        assert main(["fit", points, "--format", "json"]) == EXIT_OK
+        text = capsys.readouterr().out
+        d = json.loads(text, parse_constant=not_json)
+        assert d["fit"]["sse"] is None and 0.99 < d["fit"]["r_squared"] < 1.0
+        assert main(["fit", points]) == EXIT_OK
+        assert "| sse | inf |" in capsys.readouterr().out
+        saved.write_text(text)
+        _, back = cli._fit_from_path(str(saved), FitOptions())
+        assert back == fit_usl(read_points_csv(points)) and back.sse == math.inf
+        assert main(["compare", str(saved), points]) == EXIT_OK
+
+    def test_null_r_squared_reads_back_as_nan(self, data_dir, capsys, clean_csv):
+        assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        d["fit"]["r_squared"] = None
+        assert "| r_squared | nan |" in cli.render_fit_markdown(d)
+        saved = data_dir / "fit.json"
+        saved.write_text(json.dumps(d))
+        assert math.isnan(cli._fit_from_path(str(saved), FitOptions())[1].r_squared)
 
 
 class TestSimulateCommand:

@@ -67,6 +67,14 @@ class TestDataset:
         assert list(d.xs) == [10.0, 41.0, 80.0]
         assert d.baseline.x == 10.0
         assert d.has_baseline
+        assert list(d) == list(d.points)
+
+    def test_arrays_are_built_once_and_read_only(self):
+        d = Dataset.from_pairs([(1, 10.0), (2, 18.0)])
+        assert d.ns is d.ns and d.xs is d.xs
+        for a in (d.ns, d.xs):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
     def test_rejects_duplicate_levels(self):
         with pytest.raises(DomainError):
@@ -475,6 +483,23 @@ class TestEvaluateAndCompare:
         assert diag.r_squared == pytest.approx(fit.r_squared, rel=1e-12)
         assert diag.max_relative_residual < 0.2
 
+    def test_constant_throughput_fits_exactly(self):
+        # a fully serialized system: alpha = 1 - 1e-12 leaves a residual of
+        # some 1e-12 relative, so the sse is tiny but never exactly zero
+        d = Dataset.from_pairs([(n, 100.0) for n in range(1, 7)])
+        fit = fit_usl(d)
+        assert 0.0 < fit.sse < 1e-16 * sum(p.x * p.x for p in d)
+        assert fit.r_squared == 1.0 and evaluate_fit(fit, d).r_squared == 1.0
+        # a fit that misses constant data explains none of it
+        missed = dataclasses.replace(fit, params=UslParams(0.5, 0.0, 100.0))
+        assert evaluate_fit(missed, d).r_squared == 0.0
+
+    def test_fit_without_x1_cannot_be_evaluated(self):
+        d = exact_dataset(0.05, 0.001, 100.0)
+        fit = dataclasses.replace(fit_usl(d), params=UslParams(0.05, 0.001))
+        with pytest.raises(MismatchedDatasetError, match="^fit result carries no x1"):
+            evaluate_fit(fit, d)
+
     def test_mismatched_levels_rejected(self):
         d = exact_dataset(0.05, 0.001, 100.0)
         other = exact_dataset(0.05, 0.001, 100.0, levels=[1, 2, 4])
@@ -504,6 +529,12 @@ class TestEvaluateAndCompare:
         assert cmp.peak_b == pytest.approx(6.56655291799894, rel=1e-12)
         assert cmp.peak_delta == pytest.approx(-0.2455511552490529, rel=1e-10)
         assert cmp.scales_further == "a"
+
+    def test_peaks_follow_the_params(self):
+        fit = self._result(0.0255, 0.0210)  # peak 6.81
+        assert fit.peak == pytest.approx(6.812104073247993, rel=1e-12)
+        assert fit.practical_peak == 7.0
+        assert fit.regime is Regime.RETROGRADE
 
     def test_compare_both_unbounded_is_tie(self):
         cmp = compare_fits(self._result(0.1, 0.0), self._result(0.3, 0.0))
@@ -549,6 +580,8 @@ class TestFitErrors:
             FitOptions(mode="least-squares")
         with pytest.raises(DomainError):
             FitOptions(beta_max=0.0)
+        with pytest.raises(DomainError, match="^max_refine_iter must be positive$"):
+            FitOptions(max_refine_iter=0)
 
     def test_significance_warning_propagates(self):
         fit = fit_usl(exact_dataset(0.05, 0.001, 100.0, levels=[1, 2, 4]))

@@ -50,8 +50,11 @@ def build_inputs(d: Path) -> None:
     """Every file the cases read, under d."""
     _csv(d / "clean.csv", "n,x", _pairs(0.05, 0.002, 100.0, [1, 2, 4, 8, 16, 32]))
     _csv(d / "suspect.csv", "n,x", SUSPECT_CAPACITIES)
-    _csv(d / "noisy.csv", "n,x",
-         [(1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0), (16, 700.0), (32, 720.0)])
+    noisy = [(1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0), (16, 700.0), (32, 720.0)]
+    _csv(d / "noisy.csv", "n,x", noisy)
+    # the same times 1e154, whose sse exceeds the float range
+    _csv(d / "huge.csv", "n,x", [(n, repr(x * 1e154)) for n, x in noisy])
+    _csv(d / "linear.csv", "n,x", [(n, 100.0 * n) for n in (1, 2, 4, 8, 16, 32)])
     _csv(d / "nobase.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8, 16, 32]))
     _csv(d / "nobase4.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8, 16]))
     _csv(d / "few.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8]))
@@ -140,6 +143,9 @@ CASES = {
     "fit-clean-json": ("fit {d}/clean.csv --format json", None, ()),
     "fit-noisy-md": ("fit {d}/noisy.csv", None, ()),
     "fit-noisy-json": ("fit {d}/noisy.csv --format json", None, ()),
+    "fit-huge-md": ("fit {d}/huge.csv", None, ()),
+    "fit-huge-json": ("fit {d}/huge.csv --format json", None, ()),
+    "fit-linear-md": ("fit {d}/linear.csv", None, ()),
     "fit-suspect-refused": ("fit {d}/suspect.csv", None, ()),
     "fit-suspect-force-md": ("fit {d}/suspect.csv --force", None, ()),
     "fit-suspect-force-json": ("fit {d}/suspect.csv --force --format json", None, ()),
@@ -215,6 +221,8 @@ CASES = {
     "simulate-missing-beta": ("simulate --alpha 0.1 --levels 1,2", None, ()),
     "simulate-missing-think": ("simulate --service 1 --levels 1,2", None, ()),
     "simulate-bad-levels": ("simulate --alpha 0.1 --beta 0 --levels fast,slow", None, ()),
+    "simulate-levels-four-parts": ("simulate --alpha 0.1 --beta 0 --levels 1:2:3:4", None, ()),
+    "simulate-levels-descending": ("simulate --alpha 0.1 --beta 0 --levels 5:1", None, ()),
 
     "steady-plateau-md": ("steady {d}/bench_N8.csv", None, ()),
     "steady-plateau-json": ("steady {d}/bench_N8.csv --format json", None, ()),
@@ -317,6 +325,21 @@ def inputs(tmp_path_factory):
 def test_golden(case, inputs, monkeypatch):
     expected = (GOLDEN / f"{case}.txt").read_text()
     assert transcript(case, inputs, monkeypatch) == expected
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_json_stdout_is_strict_json():
+    """NaN and Infinity are not JSON (RFC 8259), so no report may print them."""
+    for path in sorted(GOLDEN.glob("*.txt")):
+        out = path.read_text().split("\n--- stdout\n")[1].split("\n--- stderr\n")[0]
+        if out.startswith("{") or (path.stem.endswith("-json") and out):
+            try:
+                json.loads(out, parse_constant=_no_constant)
+            except ValueError as e:
+                pytest.fail(f"{path.name}: {e}")
 
 
 def test_every_golden_file_has_a_case():

@@ -231,6 +231,7 @@ class TestCurve:
         assert c.capacities[0] == 1.0
         assert np.all(np.diff(c.ns) > 0)
         assert c.throughputs is None
+        assert c.samples[0] == (1.0, 1.0, None)
 
     def test_throughput_column_present_with_x1(self):
         c = scalability_curve(UslParams(0.05, 0.001, x1=200.0), domain_max=10.0, num=10)

@@ -1,6 +1,9 @@
-"""The per-point and per-fit records: frozen dataclasses with a hand-written __init__.
+"""The per-point and per-fit records: frozen dataclasses.
 
-Each must behave as the generated frozen __init__ did: the same checks
+The records built per point or per level (MeasuredPoint, Residual,
+ValidationRow, QueueParams, QueueSolution) have a hand-written __init__;
+the records built once per fit (UslParams, FitResult) have the generated
+one.  Each must behave as a generated frozen __init__: the same checks
 and messages, no assignment, and the generated eq, hash and repr.
 """
 

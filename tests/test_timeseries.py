@@ -10,6 +10,7 @@ from uslkit import (
     NoSteadyStateError,
     RunSeries,
     SteadyStateConfig,
+    SteadyWindow,
     TrimExceedsRunError,
     aggregate_runs,
     extract_steady_state,
@@ -67,6 +68,7 @@ class TestRunSeries:
          r"throughput must be finite and >= 0 \(at t=inf\)"),
         (((0, 1), (1, 1), (2, 1), (3, -0.5), (4, math.nan)),
          r"throughput must be finite and >= 0 \(at t=3\)"),
+        (((0, 1, 9),) * 5, r"samples must be \(timestamp, throughput\) pairs"),
     ])
     def test_checks_name_the_first_offending_sample(self, samples, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
@@ -91,6 +93,7 @@ class TestRunSeries:
     def test_arrays_are_built_once_and_read_only(self):
         run = trapezoid_run(4.0)
         assert run.times is run.times and run.values is run.values
+        assert not hasattr(run, "_times") and not hasattr(run, "_values")
         for a in (run.times, run.values, run.samples):
             with pytest.raises(ValueError):
                 a[0] = 1.0
@@ -124,6 +127,16 @@ class TestRunSeries:
         negzero = RunSeries(load=2.0, samples=((-0.0, 50.0), *a.samples[1:].tolist()))
         assert negzero == a and hash(negzero) == hash(a)
         assert len({a, constant_run(2.0, 50.0), constant_run(2.0, 51.0)}) == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    ((5.0, 5.0, 10.0, 0.1, 3), "window must have positive duration"),
+    ((0.0, 5.0, 10.0, 0.1, 2), "window must contain at least 3 samples"),
+    ((0.0, 5.0, 10.0, -0.1, 3), "cv cannot be negative"),
+])
+def test_steady_window_checks(args, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        SteadyWindow(*args)
 
 
 class TestExplicitTrim:
