@@ -311,16 +311,9 @@ def read_series_dir(dirpath: str) -> list[RunSeries]:
 
 # ------------------------------------------------------------------- reports
 
-def _num(v):
-    """JSON-safe number: inf and nan become None, which json writes as null."""
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
-        return None
-    return v
-
-
 def _fmt(v, spec: str = ".10g", none: str = "none (beta=0)") -> str:
-    """A report value as markdown text: a float by spec, None (unbounded) as none."""
-    if v is None:
+    """A report value as markdown text: a float by spec; None, inf and nan as none."""
+    if v is None or isinstance(v, float) and not math.isfinite(v):
         return none
     if isinstance(v, bool):
         return "yes" if v else "no"
@@ -365,15 +358,15 @@ def interpretation_hints(params: UslParams, n_ref: float) -> list[str]:
 
 
 def peak_dict(params: UslParams) -> dict:
-    """Peak location, practical peak and peak capacity; None where unbounded.
+    """Peak location, practical peak and peak capacity; inf, with no capacity, where unbounded.
 
     Capacity is defined from N = 1, so a peak below 1 reports C(1) = 1.
     """
     nc = peak_concurrency(params)
     return {
-        "n": _num(nc),
-        "practical_n": _num(practical_peak(params)),
-        "capacity": _num(usl_capacity(max(nc, 1.0), params)) if math.isfinite(nc) else None,
+        "n": nc,
+        "practical_n": practical_peak(params),
+        "capacity": usl_capacity(max(nc, 1.0), params) if math.isfinite(nc) else None,
     }
 
 
@@ -387,8 +380,8 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
             "alpha": params.alpha,
             "beta": params.beta,
             "x1": params.x1,
-            "sse": _num(fit.sse),
-            "r_squared": _num(fit.r_squared),
+            "sse": fit.sse,
+            "r_squared": fit.r_squared,
             "significance_warning": fit.significance_warning,
         },
         "peak": peak_dict(params),
@@ -414,7 +407,14 @@ def validation_dict(report) -> dict:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """The report as JSON, every inf and nan in it written as null: JSON has neither."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(finite(report), indent=2)
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -647,11 +647,10 @@ def cmd_compare(args) -> int:
         verdict = f"tie: both peak at N={_fmt(comp.peak_a)}"
     d = {
         "a": {"name": name_a, "alpha": fit_a.params.alpha, "beta": fit_a.params.beta,
-              "peak_n": _num(comp.peak_a)},
+              "peak_n": comp.peak_a},
         "b": {"name": name_b, "alpha": fit_b.params.alpha, "beta": fit_b.params.beta,
-              "peak_n": _num(comp.peak_b)},
-        "delta": {"alpha": comp.alpha_delta, "beta": comp.beta_delta,
-                  "peak_n": _num(comp.peak_delta)},
+              "peak_n": comp.peak_b},
+        "delta": {"alpha": comp.alpha_delta, "beta": comp.beta_delta, "peak_n": comp.peak_delta},
         "scales_further": comp.scales_further,
         "verdict": verdict,
     }

@@ -87,6 +87,9 @@ _POW4 = 4.0 ** np.arange(_RUNGS)  # exact powers of 4
 # rows of _polish_rows' packed state: theta, f, x1, lam, v, scale, rho, floor, steps left
 _STATE = (slice(0, 2), 2, 3, 4, slice(5, 7), slice(7, 9), 9, 10, 11)
 _LEVEL = operator.attrgetter("n")  # the sort key of a dataset's points
+# least ratio of a positive throughput to the largest that a fit takes; the start's
+# sums grow as the inverse square of x1's ratio and overflow from about 2**-500
+_MIN_RATIO = 2.0 ** -256
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,9 @@ class Dataset:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "xs", xs)
+
+    def __reduce__(self):  # pickle and copy rebuild through __post_init__: arrays read-only
+        return type(self), (self.points,)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Dataset":
@@ -425,8 +431,6 @@ def _fit_setup(dataset: Dataset,
     top = float(xs.max())
     if not (top > 0.0):  # throughputs are >= 0
         raise DegenerateDataError("every throughput is zero; nothing to fit")
-    e = math.frexp(top)[1]
-    xs = np.ldexp(xs, -e)
     base = dataset.baseline
     mode = opt.mode
     if mode == MODE_AUTO:
@@ -438,10 +442,17 @@ def _fit_setup(dataset: Dataset,
             raise ZeroBaselineError("n = 1 throughput is zero")
         if len(dataset) < 3:
             raise InsufficientDataError("normalized fit needs at least 3 distinct levels")
-        return ns, xs, mode, math.ldexp(base.x, -e), e
-    if len(dataset) < 4:
+    elif len(dataset) < 4:
         raise InsufficientDataError("3-parameter fit needs at least 4 distinct levels")
-    return ns, xs, mode, None, e
+    e = math.frexp(top)[1]
+    xs = np.ldexp(xs, -e)
+    tiny = (xs > 0.0) & (xs < _MIN_RATIO)
+    if tiny.any():
+        p = dataset.points[int(tiny.argmax())]
+        raise DegenerateDataError(f"throughput {p.x:g} at N={p.n:g} is more than 2**256 times "
+                                  f"below the largest, {top:g}; one fit cannot weigh both")
+    x1_pin = math.ldexp(base.x, -e) if mode == MODE_NORMALIZED else None
+    return ns, xs, mode, x1_pin, e
 
 
 def _unscaled(v: float, e: int) -> float:
@@ -455,11 +466,11 @@ def _unscaled(v: float, e: int) -> float:
 def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     """Fit (alpha, beta) and, without a baseline, x1 to the dataset.
 
-    Raises InsufficientDataError below 3 distinct levels (4 for the
-    3-parameter mode), DegenerateDataError when every throughput is
-    zero, and the baseline errors when a requested normalized fit has
-    no usable n = 1 point.  The sse is in the data's units, and is
-    infinite only when it exceeds the float range.
+    Raises InsufficientDataError below 3 distinct levels (4 for the 3-parameter
+    mode), DegenerateDataError when every throughput is zero or one is more
+    than 2**256 times below the largest, and the baseline errors when a
+    requested normalized fit has no usable n = 1 point.  The sse is in the
+    data's units, and is infinite only when it exceeds the float range.
     """
     opt = options or _DEFAULTS
     ns, xs, mode, x1_pin, e = _fit_setup(dataset, opt)

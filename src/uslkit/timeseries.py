@@ -10,10 +10,11 @@ Robinson & Davies 2010): a cut of d samples from the front minimizes the
 squared deviations of the kept samples about their own mean, divided by
 the square of their count.
 Detection cuts the front of the run, then the back of what remains, and
-repeats until a pass cuts nothing.  Each cut is O(k) in the number of
-samples k, from suffix sums.  Dips inside the window (GC pauses,
-compaction stalls) are part of steady state and are deliberately not
-outlier-rejected; they belong in the mean.
+repeats until a pass cuts nothing; no cut leaves fewer than ceil(k/2) of
+the run's k samples, or the cuts of successive passes compound on short
+noisy runs.  Each cut is O(k), from suffix sums.  Dips inside the window
+(GC pauses, compaction stalls) are part of steady state and are
+deliberately not outlier-rejected; they belong in the mean.
 
 The window MSER keeps is then checked, not searched for: it needs at
 least 3 samples, a positive mean, a duration of at least min_fraction of
@@ -21,8 +22,11 @@ the run, a coefficient of variation of at most cv_max, and a fitted drift
 (|slope| x duration / mean) of at most slope_tol once 3 standard errors of
 the fit are allowed for.  Without that allowance the drift of pure noise
 on a 61-sample plateau with 3% noise exceeds the default slope_tol about
-half the time.  A window that fails any check raises NoSteadyStateError
-naming the window, the check and its measured value, then the limits.
+half the time.  The same bound holds the curvature of a window of 4 or
+more samples, the rise of a fitted quadratic from its middle to its ends:
+ramps at both ends cancel in the drift.  A window that fails any check
+raises NoSteadyStateError naming the window, the check and its measured
+value, then the limits.
 """
 
 from __future__ import annotations
@@ -77,6 +81,9 @@ class RunSeries:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", x)
 
+    def __reduce__(self):  # pickle and copy rebuild through __post_init__: arrays read-only
+        return type(self), (self.load, self.samples)
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -108,7 +115,7 @@ class SteadyWindow:
 class SteadyStateConfig:
     """How a run's window is cut: fixed trims, or MSER truncation and its acceptance checks."""
 
-    slope_tol: float = 0.01     # max |fitted drift| less 3 standard errors, relative to the mean
+    slope_tol: float = 0.01     # max fitted |drift| and |curvature|, less 3 standard errors
     cv_max: float = 0.15        # max coefficient of variation inside the window
     min_fraction: float = 0.3   # min window duration, as a fraction of the run's
     trim: tuple[float, float] | None = None  # (lead_in, lead_out) seconds; None detects
@@ -151,9 +158,10 @@ def _trimmed(run: RunSeries, up: float, down: float) -> SteadyWindow:
     return SteadyWindow(float(start), float(end), mean, cv, int(mask.sum()))
 
 
-def _mser_cut(x: np.ndarray) -> int:
-    """MSER truncation point of x: the d in 0 .. len(x) // 2 minimizing
-    sum((x[d:] - mean(x[d:]))**2) / (len(x) - d)**2.
+def _mser_cut(x: np.ndarray, most: int) -> int:
+    """MSER truncation point of x: the d in 0 .. most minimizing
+    sum((x[d:] - mean(x[d:]))**2) / (len(x) - d)**2.  _detected passes the
+    most that leaves half of the run, which is never over len(x) // 2.
 
     The suffix sums run over x centred on its mean, so they do not cancel.
     Scores within rounding of the minimum tie, and the smallest d wins: a
@@ -161,7 +169,7 @@ def _mser_cut(x: np.ndarray) -> int:
     """
     n = len(x)
     y = x - x.mean()
-    h = n // 2 + 1
+    h = most + 1
     s1 = np.cumsum(y[::-1])[::-1][:h]
     s2 = np.cumsum((y * y)[::-1])[::-1][:h]
     m = np.arange(n, n - h, -1, dtype=float)
@@ -174,9 +182,6 @@ def _mser_cut(x: np.ndarray) -> int:
 
 def _rejection(t: np.ndarray, x: np.ndarray, total: float, cfg: SteadyStateConfig) -> str | None:
     """Why the window t, x fails the acceptance checks, or None when it passes."""
-    k = len(x)
-    if k < 3:
-        return f"has {k} sample{'s' if k != 1 else ''}, fewer than 3"
     mean, cv = _window_stats(x)
     if not mean > 0.0:
         return f"has mean throughput {mean:.4g}"
@@ -192,10 +197,23 @@ def _rejection(t: np.ndarray, x: np.ndarray, total: float, cfg: SteadyStateConfi
     stt = float(np.dot(tc, tc))
     slope = float(np.dot(tc, x - mean)) / stt
     r = x - mean - slope * tc
-    se = math.sqrt(float(np.dot(r, r)) / (k - 2) / stt) * duration / mean
+    se = math.sqrt(float(np.dot(r, r)) / (len(x) - 2) / stt) * duration / mean
     drift = abs(slope) * duration / mean
     if not drift - 3.0 * se <= cfg.slope_tol:
         return f"has drift {drift:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
+    if len(x) == 3:  # a parabola through 3 samples leaves no error to judge it by
+        return None
+    # ramps at both ends cancel in the drift but bend the window: the fitted
+    # quadratic's rise from its middle to its ends counts the same way
+    v = tc / (duration / 2.0)  # 0 at the mean time, 1 half a window away
+    u = v * v
+    u -= u.mean() + float(np.dot(u, v)) / float(np.dot(v, v)) * v  # orthogonal to 1 and v
+    suu = float(np.dot(u, u))
+    c = float(np.dot(u, r)) / suu
+    r -= c * u
+    se = math.sqrt(float(np.dot(r, r)) / (len(x) - 3) / suu) / mean
+    if not abs(c) / mean - 3.0 * se <= cfg.slope_tol:
+        return f"has curvature {abs(c) / mean:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
     return None
 
 
@@ -205,10 +223,11 @@ def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
     # remains, until a pass cuts nothing.  A pass that cuts shrinks the
     # window, so the loop ends; each pass is O(k).
     i, j = 0, len(x)
+    keep = (len(x) + 1) // 2  # no cut leaves fewer than half of the run's samples
     while True:
-        front = _mser_cut(x[i:j])
+        front = _mser_cut(x[i:j], j - i - keep)
         i += front
-        back = _mser_cut(x[i:j][::-1])
+        back = _mser_cut(x[i:j][::-1], j - i - keep)
         j -= back
         if front == back == 0:
             break

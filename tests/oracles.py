@@ -401,7 +401,7 @@ def kkt_residual(points, alpha: float, beta: float, x1_pin) -> float:
     return worst
 
 
-def _mser_cut_direct(x) -> int:
+def _mser_cut_direct(x, most) -> int:
     """MSER cut of x with fresh sums for every d, no prefix or suffix sums.
 
     Each score sums the squared deviations of x[d:] about its own mean.
@@ -415,7 +415,7 @@ def _mser_cut_direct(x) -> int:
     n = len(x)
     xbar = x.sum() / n
     scores, tols = [], []
-    for d in range(n // 2 + 1):
+    for d in range(min(n // 2, most) + 1):
         tail = x[d:]
         m = n - d
         mean = tail.sum() / m
@@ -431,9 +431,11 @@ def steady_window_mser(times, values, cfg):
     """Steady-state window by two-sided MSER truncation, from direct sums.
 
     Cuts the front, then the back of what remains, until a pass cuts
-    nothing.  Then applies the acceptance checks in the library's order
+    nothing, and no cut leaves fewer than ceil(k/2) of the run's k
+    samples.  Then applies the acceptance checks in the library's order
     with plain-loop statistics, where the drift less 3 standard errors of
-    the least-squares slope must be at most slope_tol, and raises
+    the least-squares slope must be at most slope_tol, as must the
+    curvature of a least-squares quadratic on 4 samples or more, and raises
     ``NoSteadyStateError`` with the library's message when one fails.
     Returns a ``SteadyWindow`` whose mean and cv come from correctly
     rounded sums (``math.fsum``).
@@ -443,10 +445,11 @@ def steady_window_mser(times, values, cfg):
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
     i, j = 0, len(x)
+    keep = math.ceil(j / 2)
     while True:
-        front = _mser_cut_direct(x[i:j])
+        front = _mser_cut_direct(x[i:j], j - i - keep)
         i += front
-        back = _mser_cut_direct(x[i:j][::-1])
+        back = _mser_cut_direct(x[i:j][::-1], j - i - keep)
         j -= back
         if front == 0 and back == 0:
             break
@@ -457,9 +460,7 @@ def steady_window_mser(times, values, cfg):
     total = t[-1] - t[0]
     duration = wt[-1] - wt[0]
     reason = None
-    if k < 3:
-        reason = f"has {k} sample{'s' if k != 1 else ''}, fewer than 3"
-    elif not mean > 0.0:
+    if not mean > 0.0:
         reason = f"has mean throughput {mean:.4g}"
     elif not duration >= cfg.min_fraction * total:
         reason = f"lasts {duration:.4g}s, under {cfg.min_fraction:.0%} of the {total:.4g}s run"
@@ -476,6 +477,21 @@ def steady_window_mser(times, values, cfg):
         se = math.sqrt(sse / (k - 2) / sxx) * duration / mean
         if not drift - 3.0 * se <= cfg.slope_tol:
             reason = f"has drift {drift:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
+        elif k > 3:
+            # the t**2 column, made orthogonal to 1 and t, and its coefficient
+            sq = [(a - tbar) ** 2 for a in tc]
+            qbar = math.fsum(sq) / k
+            b = math.fsum((q - qbar) * (a - tbar) for q, a in zip(sq, tc)) / sxx
+            qc = [q - qbar - b * (a - tbar) for q, a in zip(sq, tc)]
+            sqq = math.fsum(q * q for q in qc)
+            c = math.fsum(q * v for q, v in zip(qc, wx)) / sqq
+            sse = math.fsum((v - mean - slope * (a - tbar) - c * q) ** 2
+                            for a, v, q in zip(tc, wx, qc))
+            scale = (duration / 2.0) ** 2 / mean
+            bow = abs(c) * scale
+            se = math.sqrt(sse / (k - 3) / sqq) * scale
+            if not bow - 3.0 * se <= cfg.slope_tol:
+                reason = f"has curvature {bow:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
     if reason is not None:
         raise NoSteadyStateError(
             f"the MSER window [{wt[0]:g}s, {wt[-1]:g}s] {reason}; a steady window needs "

@@ -471,6 +471,13 @@ class TestSavedReportRoundTrip:
         assert math.isnan(cli._fit_from_path(str(saved), FitOptions())[1].r_squared)
 
 
+def test_render_json_writes_every_inf_and_nan_as_null():
+    report = {"a": math.inf, "b": [-math.inf, (math.nan, 1.5)],
+              "c": {"d": (math.inf,), "e": None, "f": 2, "g": "inf"}}
+    assert json.loads(cli.render_json(report), parse_constant=not_json) == {
+        "a": None, "b": [None, [None, 1.5]], "c": {"d": [None], "e": None, "f": 2, "g": "inf"}}
+
+
 class TestSimulateCommand:
     def test_model_mode_exact_values(self, data_dir, capsys):
         out = data_dir / "sim.csv"

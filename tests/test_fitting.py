@@ -913,6 +913,9 @@ PINNED_INTERVALS = {
 }
 
 
+TINY_BASE_REST = [(2, 1e10), (4, 2e10), (8, 3e10), (16, 3.5e10), (32, 3.6e10)]
+
+
 class TestBootstrapSetup:
     @pytest.mark.parametrize("kind,seed", sorted(PINNED_INTERVALS))
     def test_intervals_are_pinned(self, kind, seed):
@@ -940,8 +943,19 @@ class TestBootstrapSetup:
         ([(2, 18.0), (4, 30.0), (8, 44.0), (16, 50.0)], MODE_NORMALIZED, MissingBaselineError),
         ([(1, 0.0), (2, 18.0), (4, 30.0)], MODE_NORMALIZED, ZeroBaselineError),
         ([(1, 0.0), (2, 18.0), (4, 30.0)], MODE_AUTO, ZeroBaselineError),
+        # a baseline this far below the rest overflows the start's weights
+        ([(1, 1e-300), *TINY_BASE_REST], MODE_AUTO, DegenerateDataError),
+        ([(2, 1e-300), *TINY_BASE_REST[1:]], MODE_AUTO, DegenerateDataError),
+        # ... and this one their sums of squares
+        ([(1, 1e-150), *TINY_BASE_REST], MODE_AUTO, DegenerateDataError),
+        # the level-count and baseline errors come first
+        ([(1, 1e-300), *TINY_BASE_REST[:1]], MODE_AUTO, InsufficientDataError),
+        ([(2, 1e-300), *TINY_BASE_REST[1:3]], MODE_AUTO, InsufficientDataError),
+        ([(2, 1e-300), *TINY_BASE_REST[1:]], MODE_NORMALIZED, MissingBaselineError),
     ], ids=["all-zero", "all-zero-raw3", "normalized-2", "raw3-3", "forced-raw3-3",
-            "no-baseline", "zero-baseline", "zero-baseline-auto"])
+            "no-baseline", "zero-baseline", "zero-baseline-auto", "tiny-baseline",
+            "tiny-baseline-raw3", "small-baseline", "tiny-normalized-2", "tiny-raw3-3",
+            "tiny-no-baseline"])
     def test_bootstrap_raises_what_fit_usl_raises(self, pairs, mode, error):
         d, opt = Dataset.from_pairs(pairs), FitOptions(mode=mode)
         with pytest.raises(error) as fit_error:

@@ -59,6 +59,10 @@ def build_inputs(d: Path) -> None:
     _csv(d / "nobase4.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8, 16]))
     _csv(d / "few.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8]))
     _csv(d / "zerobase.csv", "n,x", [(1, 0.0), (2, 10.0), (4, 18.0), (8, 30.0)])
+    # baselines so far below the rest that their capacities overflow, or the fit's sums
+    _csv(d / "tinybase.csv", "n,x", [(1, 5e-324), (2, 1.0), (4, 2.0)])
+    _csv(d / "tinyfit.csv", "n,x",
+         [(1, 1e-300), (2, 1e10), (4, 2e10), (8, 3e10), (16, 3.5e10), (32, 3.6e10)])
     _csv(d / "below1.csv", "n,x", [(1, 100), (2, 40), (3, 20), (4, 12), (6, 6), (8, 3)])
     _csv(d / "before.csv", "n,x", _pairs(0.05, 0.004, 100.0, [1, 2, 4, 8, 16]))
     _csv(d / "after.csv", "n,x", _pairs(0.05, 0.002, 100.0, [1, 2, 4, 8, 16]))
@@ -138,6 +142,8 @@ CASES = {
     "validate-one-row": ("validate {d}/one_row.csv", None, ()),
     "validate-empty": ("validate {d}/empty.csv", None, ()),
     "validate-missing": ("validate {d}/absent.csv", None, ()),
+    "validate-tiny-base-md": ("validate {d}/tinybase.csv", None, ()),
+    "validate-tiny-base-json": ("validate {d}/tinybase.csv --format json", None, ()),
 
     "fit-clean-md": ("fit {d}/clean.csv", None, ()),
     "fit-clean-json": ("fit {d}/clean.csv --format json", None, ()),
@@ -161,6 +167,7 @@ CASES = {
                       ("out/plot/points.csv", "out/plot/curve.csv")),
     "fit-normalized-no-baseline": ("fit {d}/nobase4.csv --mode normalized", None, ()),
     "fit-zero-baseline": ("fit {d}/zerobase.csv --mode normalized", None, ()),
+    "fit-tiny-base-force": ("fit {d}/tinyfit.csv --force", None, ()),
     "fit-too-few": ("fit {d}/few.csv", None, ()),
     "fit-below-one-md": ("fit {d}/below1.csv", None, ()),
     "fit-below-one-force-json": ("fit {d}/below1.csv --force --format json", None, ()),
@@ -189,6 +196,8 @@ CASES = {
     "predict-json": ("predict --alpha 0.0255 --beta 0.021 --x1 100 --n 4 --format json",
                      None, ()),
     "predict-bad-n": ("predict --alpha 0.0255 --beta 0.021 --x1 100 --n 0.5", None, ()),
+    "predict-overflow-json": ("predict --alpha 0 --beta 0 --x1 1e300 --n 1e300 --format json",
+                              None, ()),
 
     "compare-points-md": ("compare {d}/before.csv {d}/after.csv", None, ()),
     "compare-points-json": ("compare {d}/before.csv {d}/after.csv --format json", None, ()),

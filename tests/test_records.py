@@ -7,19 +7,23 @@ one.  Each must behave as a generated frozen __init__: the same checks
 and messages, no assignment, and the generated eq, hash and repr.
 """
 
+import copy
 import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from uslkit import (
+    Dataset,
     DomainError,
     FitResult,
     MeasuredPoint,
     QueueParams,
     QueueSolution,
     Residual,
+    RunSeries,
     UslParams,
 )
 from uslkit.validation import ValidationRow
@@ -141,3 +145,18 @@ def test_checks_and_messages(cls, args, message):
     with pytest.raises(DomainError) as err:
         cls(*args)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("record", [
+    Dataset.from_pairs([(1, 10.0), (2, 18.0), (4, 30.0)]),
+    RunSeries(load=2.0, samples=[(float(i), 10.0 + i) for i in range(5)]),
+], ids=["Dataset", "RunSeries"])
+@pytest.mark.parametrize("duplicate", [
+    lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_copies_keep_arrays_read_only(record, duplicate):
+    # the arrays built once in __post_init__ must come back read-only
+    back = duplicate(record)
+    assert back == record
+    arrays = [v for v in vars(back).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 2 and not any(a.flags.writeable for a in arrays)

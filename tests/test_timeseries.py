@@ -215,15 +215,18 @@ class TestDetection:
             extract_steady_state(constant_run(2.0, 0.0, n=10))
 
     @pytest.mark.parametrize("values, cfg, reason", [
-        # a ramp is cut in half, pass after pass, down to one sample
-        ([1.0, 2.0, 3.0, 4.0, 5.0], SteadyStateConfig(), r"\[15s, 15s\] has 1 sample, fewer than 3"),
+        # a 5-sample ramp keeps its last 3, the fewest a window may hold
+        ([1.0, 2.0, 3.0, 4.0, 5.0], SteadyStateConfig(), r"\[10s, 20s\] has cv 0\.2041 > 0\.15"),
         ([0.0] * 10, SteadyStateConfig(), r"\[0s, 45s\] has mean throughput 0"),
         ([0.0] * 5 + [100.0] * 15, SteadyStateConfig(min_fraction=0.8),
          r"\[25s, 95s\] lasts 70s, under 80% of the 95s run"),
         ([50.0, 150.0] * 20, SteadyStateConfig(), r"\[0s, 195s\] has cv 0\.5 > 0\.15"),
         (100.0 + 0.05 * np.arange(200) + np.random.default_rng(1).normal(0.0, 5.0, 200),
          SteadyStateConfig(), r"\[0s, \d+s\] has drift 0\.\d+ \(standard error 0\.\d+\) > 0\.01"),
-    ], ids=["samples", "mean", "duration", "cv", "drift"])
+        # ramps over 35% at each end: the window keeps half the run and bends down at both ends
+        (np.minimum(1.0, np.minimum(np.arange(200), np.arange(199, -1, -1)) / 70.0) * 100.0,
+         SteadyStateConfig(), r"\[\d+s, \d+s\] has curvature 0\.\d+ \(standard error 0\.\d+\) > 0\.01"),
+    ], ids=["samples", "mean", "duration", "cv", "drift", "curvature"])
     def test_rejection_names_the_binding_check(self, values, cfg, reason):
         run = RunSeries(load=2.0, samples=tuple((i * 5.0, v) for i, v in enumerate(values)))
         with pytest.raises(NoSteadyStateError) as err:
@@ -243,6 +246,17 @@ class TestDetection:
         w = extract_steady_state(RunSeries(load=2.0, samples=np.column_stack([t, x])))
         assert w.sample_count == 61
         assert abs(np.polyfit(t, x, 1)[0]) * (w.end - w.start) / w.mean_throughput > 0.01
+
+    def test_noise_runs_keep_at_least_half(self):
+        # pure 3% noise: unbounded passes compounded their cuts until 64 of
+        # these 1000 30-sample runs, and 4 of the 61-sample ones, fell
+        # under min_fraction
+        for k in (30, 61):
+            t = 5.0 * np.arange(k)
+            for seed in range(1000):
+                x = 100.0 * (1.0 + 0.03 * np.random.default_rng(seed).normal(size=k))
+                w = extract_steady_state(RunSeries(load=2.0, samples=np.column_stack([t, x])))
+                assert w.sample_count >= (k + 1) // 2
 
     def test_long_linear_ramp_has_no_steady_state(self):
         run = RunSeries(load=2.0, samples=np.column_stack([np.arange(20000.0),
@@ -400,6 +414,25 @@ class TestBias:
             x = ramped_values(rng, 2000, up, down)
             w = extract_steady_state(RunSeries(load=2.0, samples=np.column_stack([np.arange(2000.0), x])))
             assert abs(w.mean_throughput - 100.0) < 0.5
+
+
+    @pytest.mark.parametrize("k, up, down", [
+        (40, 0.7, 0.0), (200, 0.7, 0.0), (2000, 0.7, 0.0),
+        (40, 0.35, 0.35), (200, 0.35, 0.35), (2000, 0.35, 0.35),
+        (200, 0.3, 0.3), (2000, 0.3, 0.3),
+    ])
+    def test_ramps_over_half_the_run_are_rejected(self, k, up, down):
+        # the window keeps half of the run, so ramps over more than half of
+        # it stay in the window in part: one ramp shows as drift, a ramp at
+        # each end as curvature.  40-sample runs with 30% ramps at each end
+        # are left out: their 20-sample window passes in 30 of 200 seeds,
+        # reading 1-3.6% low (CHANGES.md)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = ramped_values(rng, k, up, down)
+            run = RunSeries(load=2.0, samples=np.column_stack([5.0 * np.arange(k), x]))
+            with pytest.raises(NoSteadyStateError, match=r"\] has (cv|drift|curvature) "):
+                extract_steady_state(run)
 
 
 class TestAggregation:
