@@ -11,7 +11,7 @@ Subcommands: validate, fit, peak, predict, compare, simulate, steady.
 
 Exit codes:
     0  success (validation verdicts clean and suspect included)
-    1  domain or usage error
+    1  domain or usage error, or an output that cannot be written
     2  unparseable input file
     3  validation verdict invalid (fit refuses it without --force)
     4  too few distinct levels for the requested computation
@@ -67,7 +67,8 @@ from .model import (
     usl_capacity,
 )
 from .queueing import QueueParams, generate_synthetic, sync_bound_capacity
-from .timeseries import RunSeries, SteadyStateConfig, aggregate_runs, extract_steady_state
+from .timeseries import (RunSeries, SteadyStateConfig, aggregate_runs, check_load,
+                         extract_steady_state)
 from .validation import DEFAULT_TOLERANCE, Verdict, check_tolerance, validate_dataset
 
 EXIT_OK = 0
@@ -113,7 +114,7 @@ def _config() -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read config: {e}", path=path) from e
     except json.JSONDecodeError as e:
         raise ParseError(f"config is not valid JSON: {e}", path=path) from e
@@ -160,85 +161,76 @@ def _analysis_settings(s) -> tuple[FitOptions, SteadyStateConfig]:
 
 # ---------------------------------------------------------------- file formats
 
-def _table(path: str, header: tuple[str, str], empty_message: str):
-    """(line number, cells) of each row of a two-column CSV file.
+def _skipped(line: str) -> bool:
+    """Whether a line is blank space or a comment, which every reader skips."""
+    s = line.strip()
+    return not s or s[0] == "#"
 
-    Blank lines and comment lines are skipped.  The first other line must
-    be the header, and every line after it must have two cells.
+
+def _table(path: str, header: tuple[str, str], empty: str | None = None):
+    """(lines, index of the header line) of a two-column CSV file, read once.
+
+    ParseError unless the file can be read and the first line _skipped keeps is the header.
     """
     try:
-        fh = open(path, newline="")
-    except OSError as e:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(str(e), path=path) from e
-    saw_header = False
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    for i, line in enumerate(lines):
+        if not _skipped(line):
             cells = [c.strip() for c in line.split(",")]
-            if saw_header:
-                if len(cells) != 2:
-                    raise ParseError(f"expected 2 columns, got {len(cells)}",
-                                     path=path, line=lineno)
-                yield lineno, cells
-            elif [c.lower() for c in cells] == list(header):
-                saw_header = True
-            else:
-                raise ParseError(
-                    f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
-                    path=path, line=lineno,
-                )
-    if not saw_header:
-        raise ParseError(empty_message, path=path)
+            if [c.lower() for c in cells] == list(header):
+                return lines, i
+            raise ParseError(f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
+                             path=path, line=i + 1)
+    raise ParseError(empty or f"empty file; expected header {','.join(header)!r}", path=path)
 
 
-def _float(cell: str, path: str, lineno: int) -> float:
+def _rows(path: str, lines: list[str], h: int):
+    """(line number, cells) of each line after header line h that _skipped keeps; two cells each."""
+    for i in range(h + 1, len(lines)):
+        if not _skipped(lines[i]):
+            cells = [c.strip() for c in lines[i].split(",")]
+            if len(cells) != 2:
+                raise ParseError(f"expected 2 columns, got {len(cells)}", path=path, line=i + 1)
+            yield i + 1, cells
+
+
+def _float(cell: str, path: str, lineno: int, check=float) -> float:
     try:
-        return float(cell)
-    except ValueError as e:
+        return check(float(cell))
+    except ValueError as e:  # a DomainError from check is one too
         raise ParseError(str(e), path=path, line=lineno) from e
 
 
 def _read_two_column(path: str, header: tuple[str, str]) -> list[tuple[float, float]]:
-    empty = f"empty file; expected header {','.join(header)!r}"
-    return [(_float(a, path, i), _float(b, path, i)) for i, (a, b) in _table(path, header, empty)]
+    return [(_float(a, path, i), _float(b, path, i))
+            for i, (a, b) in _rows(path, *_table(path, header))]
+
+
+def _loadtxt(body: list[str]) -> np.ndarray:  # comments=None: "#" reads "2,3 # note" as a row
+    return (np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if any(body)
+            else np.empty((0, 2)))  # numpy warns on a body with no data
 
 
 def _read_pairs(path: str, header: tuple[str, str]) -> np.ndarray:
-    """The rows of a two-column CSV file as a (k, 2) float array.
+    """The rows of a two-column CSV file as a (k, 2) float array, from one numpy call.
 
-    The body is parsed in one numpy call.  A file that call rejects is
-    re-read line by line by _read_two_column, which raises the ParseError
-    naming its path and line, or returns the rows float() accepts but
-    numpy does not, such as ``1_000``.
+    numpy skips empty lines but no other line _skipped skips, so a body it
+    rejects is parsed once more without them.  One it still rejects goes to
+    _read_two_column, which raises the ParseError naming its path and line,
+    or returns the rows float() accepts but numpy does not, such as ``1_000``.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        lines = text.split("\n")
-        if "#" in text:
-            # drop whole-line comments here: numpy's comments option would
-            # also cut "2,3 # note" down to a valid row
-            lines = [s for s in lines if not s.strip().startswith("#")]
-        h = next((i for i, s in enumerate(lines) if s.strip()), None)
-        if h is not None and [c.strip().lower() for c in lines[h].split(",")] == list(header):
-            body = lines[h + 1:]
-            if not any(body):
-                return np.empty((0, 2))
-            try:
-                rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                # numpy skips empty lines but not lines of blanks; without
-                # those, only a bad value raises
-                body = [s for s in body if s.strip()]
-                if not body:
-                    return np.empty((0, 2))
-                rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] == 2:
-                return rows
-    except (OSError, ValueError):
-        pass
+    lines, h = _table(path, header)
+    body = lines[h + 1:]
+    with contextlib.suppress(ValueError):
+        try:
+            rows = _loadtxt(body)
+        except ValueError:
+            rows = _loadtxt([s for s in body if not _skipped(s)])
+        if rows.shape[1] == 2:
+            return rows
     return np.array(_read_two_column(path, header), dtype=float).reshape(-1, 2)
 
 
@@ -292,8 +284,9 @@ def read_series_dir(dirpath: str) -> list[RunSeries]:
     manifest = os.path.join(dirpath, "manifest.csv")
     runs = []
     if os.path.exists(manifest):
-        for lineno, (name, n) in _table(manifest, ("file", "n"), "empty manifest"):
-            load = _float(n, manifest, lineno)
+        lines, h = _table(manifest, ("file", "n"), "empty manifest")
+        for lineno, (name, n) in _rows(manifest, lines, h):
+            load = _float(n, manifest, lineno, check_load)
             runs.append(read_series_csv(os.path.join(dirpath, name), load=load))
     else:
         for name in sorted(n for n in os.listdir(dirpath) if n.endswith(".csv")):
@@ -629,7 +622,7 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
             residuals=tuple(Residual(**r) for r in d["residuals"]),
             significance_warning=f["significance_warning"], mode=f["mode"],
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise ParseError(f"not a saved fit report: {e}", path=path) from e
     return os.path.basename(path), fit
 
@@ -713,6 +706,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_steady(args) -> int:
     if os.path.isdir(args.input):
+        if args.load is not None:
+            raise DomainError("--load applies to one run file, not to a directory of runs")
         dataset = _aggregate(args)
         comments = ["steady-state means per load level"] + [
             f"N={p.n:g}: cv={p.meta['cv']:.4f} samples={p.meta['samples']}"
@@ -720,6 +715,8 @@ def cmd_steady(args) -> int:
         ]
         write_points_csv(args.out, _points(dataset), comments)
         return EXIT_OK
+    if args.load is not None:
+        check_load(args.load)
     run = read_series_csv(args.input, load=args.load)
     w = extract_steady_state(run, args.steady_config)
     d = {
@@ -817,7 +814,7 @@ _EXIT_CODES = (
     ((MissingBaselineError, ZeroBaselineError), EXIT_NO_BASELINE),
     (InsufficientDataError, EXIT_INSUFFICIENT),
     (NoSteadyStateError, EXIT_NO_STEADY),
-    (UslError, EXIT_ERROR),
+    ((UslError, OSError), EXIT_ERROR),  # an OSError that reaches main is from a write
 )
 
 
@@ -832,7 +829,7 @@ def main(argv=None) -> int:
         # so a flag gets the same checks as the config, before any input is read
         args.fit_options, args.steady_config = _analysis_settings(args)
         return args.run(args)
-    except UslError as e:
+    except (UslError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
 

@@ -41,6 +41,13 @@ from .fitting import Dataset
 from .model import MeasuredPoint
 
 
+def check_load(load: float) -> float:
+    """The load level; raises DomainError unless it is finite and >= 1, which nan is not."""
+    if not 1.0 <= load < math.inf:
+        raise DomainError(f"load must be >= 1, got {load}")
+    return load
+
+
 @dataclass(frozen=True, eq=False)
 class RunSeries:
     """One run: (timestamp, throughput) samples at a fixed load level.
@@ -73,8 +80,7 @@ class RunSeries:
         (bad,) = np.nonzero(~(np.isfinite(t) & np.isfinite(x) & (x >= 0.0)))
         if len(bad):
             raise DomainError(f"throughput must be finite and >= 0 (at t={float(t[bad[0]]):g})")
-        if not (self.load >= 1.0) or not math.isfinite(self.load):
-            raise DomainError(f"load must be >= 1, got {self.load}")
+        check_load(self.load)
         for a in (pts, t, x):
             a.flags.writeable = False
         object.__setattr__(self, "samples", pts)

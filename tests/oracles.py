@@ -110,7 +110,10 @@ def bootstrap_per_replicate(dataset, options=None, replicates: int = 200, seed: 
     indices with its own ``rng.integers(0, n, size=n)`` call and fits them
     with ``fit_usl``'s scalar solver, ``uslkit.fitting._minimize``, with
     which the batched kernel shares only the capacity formula.  ``draws``
-    holds the (alpha, beta, x1) of each replicate, in order.
+    holds the (alpha, beta, x1) of each replicate, in order.  The intervals
+    leave out, and ``dropped`` counts, the replicates whose levels cannot
+    identify (alpha, beta): fewer than two distinct levels above n = 1 with
+    x1 pinned, fewer than three with x1 fitted.
     """
     from uslkit import BootstrapResult, FitOptions, fit_usl
     from uslkit.fitting import MODE_NORMALIZED, _minimize
@@ -120,12 +123,17 @@ def bootstrap_per_replicate(dataset, options=None, replicates: int = 200, seed: 
     ns, xs = dataset.ns, dataset.xs
     rng = np.random.default_rng(seed)
     draws = np.empty((replicates, 3))
+    identified = []
     for i in range(replicates):
         idx = rng.integers(0, len(ns), size=len(ns))
         alpha, beta, _, _, x1, _ = _minimize(ns[idx], xs[idx], x1_pin, opt)
         draws[i] = alpha, beta, x1
+        if x1_pin is None:
+            identified.append(len(set(ns[idx].tolist())) >= 3)
+        else:
+            identified.append(len({n for n in ns[idx].tolist() if n > 1.0}) >= 2)
     lo = (1.0 - level) / 2.0
-    q = np.quantile(draws, [lo, 1.0 - lo], axis=0)
+    q = np.quantile(draws[identified], [lo, 1.0 - lo], axis=0)
     result = BootstrapResult(
         alpha_interval=(float(q[0, 0]), float(q[1, 0])),
         beta_interval=(float(q[0, 1]), float(q[1, 1])),
@@ -133,6 +141,7 @@ def bootstrap_per_replicate(dataset, options=None, replicates: int = 200, seed: 
         replicates=replicates,
         seed=seed,
         level=level,
+        dropped=identified.count(False),
     )
     return result, draws
 

@@ -645,7 +645,8 @@ def assert_matches_oracle(dataset, replicates, seed, options=None):
     for name in ("alpha_interval", "beta_interval", "x1_interval"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-6, atol=0.0,
                                    err_msg=f"seed {seed}: {name}")
-    assert (got.replicates, got.seed, got.level) == (want.replicates, want.seed, want.level)
+    assert (got.replicates, got.seed, got.level, got.dropped) == (
+        want.replicates, want.seed, want.level, want.dropped)
     return draws
 
 
@@ -698,6 +699,32 @@ class TestBootstrap:
     def test_matches_per_replicate_oracle(self, kind, replicates):
         for seed in range(30):
             assert_matches_oracle(boot_dataset(kind, seed), replicates, seed)
+
+    # a raw3 resample needs three distinct levels, 88 of the 256 resamples of 4
+    # levels lack them; a normalized one needs two above the baseline, index 0
+    @pytest.mark.parametrize("mode,levels,identifies", [
+        (MODE_RAW3, (2, 4, 8, 16), lambda row: len(set(row)) >= 3),
+        (MODE_NORMALIZED, (1, 2, 4, 8), lambda row: len(set(row) - {0}) >= 2),
+    ], ids=["raw3-4", "normalized-4"])
+    def test_drops_and_counts_resamples_that_cannot_identify(self, mode, levels, identifies):
+        opt = FitOptions(mode=mode)
+        for seed in range(5):
+            d = noisy_dataset(0.05, 0.002, 100.0, 0.02, seed, levels)
+            idx = np.random.default_rng(seed).integers(0, 4, size=(200, 4))
+            dropped = sum(not identifies(row) for row in idx.tolist())
+            assert bootstrap_confidence(d, opt, replicates=200, seed=seed).dropped == dropped > 0
+            assert_matches_oracle(d, 200, seed, opt)
+
+    def test_fewer_than_two_identifying_resamples_raise(self):
+        # of 3 levels with x1 pinned, a resample must draw both levels above n = 1
+        d = exact_dataset(0.05, 0.002, 100.0, [1, 2, 4])
+        for seed in range(20):
+            idx = np.random.default_rng(seed).integers(0, 3, size=(2, 3))
+            if sum({1, 2} <= set(row) for row in idx.tolist()) < 2:
+                with pytest.raises(InsufficientDataError, match="fewer than 2 remain"):
+                    bootstrap_confidence(d, replicates=2, seed=seed)
+            else:
+                assert bootstrap_confidence(d, replicates=2, seed=seed).dropped == 0
 
     @pytest.mark.parametrize("kind", ["normalized-8", "raw3-14"])
     def test_noiseless_data_matches_oracle(self, kind):

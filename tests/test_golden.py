@@ -73,6 +73,7 @@ def build_inputs(d: Path) -> None:
     (d / "three_columns.csv").write_text("n,x\n1,10,99\n")
     (d / "one_row.csv").write_text("n,x\n1,10\n")
     (d / "empty.csv").write_text("")
+    (d / "undecodable.csv").write_bytes(b"n,x\n1,100\n2,19\xff0\n")
     (d / "comments.csv").write_bytes(
         b"# a comment\r\n\r\nn,x\r\n 1 , 10\r\n# mid comment\r\n2,18\r\n\t\r\n4,30\r\n")
 
@@ -98,6 +99,7 @@ def build_inputs(d: Path) -> None:
         "manifest_number": "file,n\none.csv,one\n",
         "manifest_columns": "file,n\none.csv,1,2\n",
         "manifest_missing_run": "file,n\nnone.csv,1\n",
+        "manifest_zero_load": "file,n\none.csv,0\n",
     }
     for name, body in manifests.items():
         _csv(d / name / "one.csv", "t,x", _plateau(100.0))
@@ -125,6 +127,7 @@ def build_inputs(d: Path) -> None:
         "trim_up": None, "trim_down": None, "refine_tol": 1e-12,
     }))
     (d / "cfg_unknown.json").write_text(json.dumps({"tollerance": 0.2}))
+    (d / "cfg_undecodable.json").write_bytes(b'{"unit": "\xff"}')
 
 
 # case name -> (argv with {d} for the input directory, USLKIT_CONFIG file or None,
@@ -142,6 +145,7 @@ CASES = {
     "validate-one-row": ("validate {d}/one_row.csv", None, ()),
     "validate-empty": ("validate {d}/empty.csv", None, ()),
     "validate-missing": ("validate {d}/absent.csv", None, ()),
+    "validate-undecodable": ("validate {d}/undecodable.csv", None, ()),
     "validate-tiny-base-md": ("validate {d}/tinybase.csv", None, ()),
     "validate-tiny-base-json": ("validate {d}/tinybase.csv --format json", None, ()),
 
@@ -165,6 +169,7 @@ CASES = {
     "fit-tolerance-json": ("fit {d}/suspect.csv --tolerance 0.2 --format json", None, ()),
     "fit-plot-data": ("fit {d}/clean.csv --plot-data {d}/out/plot", None,
                       ("out/plot/points.csv", "out/plot/curve.csv")),
+    "fit-plot-data-on-a-file": ("fit {d}/clean.csv --plot-data {d}/clean.csv", None, ()),
     "fit-normalized-no-baseline": ("fit {d}/nobase4.csv --mode normalized", None, ()),
     "fit-zero-baseline": ("fit {d}/zerobase.csv --mode normalized", None, ()),
     "fit-tiny-base-force": ("fit {d}/tinyfit.csv --force", None, ()),
@@ -223,6 +228,8 @@ CASES = {
                             "--noise 0.05 --seed 7", None, ()),
     "simulate-noise-default-seed": ("simulate --alpha 0.05 --beta 0.001 --x1 50 "
                                     "--levels 1,2,4,8 --noise 0.05", None, ()),
+    "simulate-out-missing-dir": ("simulate --alpha 0.1 --beta 0.01 --levels 1,2,4 "
+                                 "--out {d}/missing/x.csv", None, ()),
     "simulate-range-step": ("simulate --alpha 0 --beta 0 --levels 1:7:2", None, ()),
     "simulate-zero-think": ("simulate --service 1 --think 0 --levels 1,2,4", None, ()),
     "simulate-mixed-modes": ("simulate --alpha 0.1 --beta 0 --service 1 --think 1 "
@@ -239,6 +246,8 @@ CASES = {
     "steady-ramped-json": ("steady {d}/ramped_N4.csv --format json", None, ()),
     "steady-load-flag": ("steady {d}/run.csv --load 4", None, ()),
     "steady-no-load": ("steady {d}/run.csv", None, ()),
+    "steady-load-zero": ("steady {d}/run.csv --load 0", None, ()),
+    "steady-runs-load": ("steady {d}/runs --load 7", None, ()),
     "steady-trim-md": ("steady {d}/warm_N2.csv --trim-up 15", None, ()),
     "steady-trim-json": ("steady {d}/warm_N2.csv --trim-up 15 --format json", None, ()),
     "steady-trim-down-json": ("steady {d}/ramped_N4.csv --trim-down 10 --format json",
@@ -264,6 +273,7 @@ CASES = {
     "steady-manifest-number": ("steady {d}/manifest_number", None, ()),
     "steady-manifest-columns": ("steady {d}/manifest_columns", None, ()),
     "steady-manifest-missing-run": ("steady {d}/manifest_missing_run", None, ()),
+    "steady-manifest-zero-load": ("steady {d}/manifest_zero_load", None, ()),
     "steady-unsuffixed": ("steady {d}/unsuffixed", None, ()),
     "steady-no-runs": ("steady {d}/no_runs", None, ()),
     "steady-runs-no-steady": ("steady {d}/runs_ramp", None, ()),
@@ -282,6 +292,7 @@ CASES = {
     "config-unknown-key": ("validate {d}/clean.csv", "cfg_unknown.json", ()),
     "config-unknown-key-peak": ("peak --alpha 0.0255 --beta 0.021", "cfg_unknown.json", ()),
     "config-missing": ("validate {d}/clean.csv", "absent.json", ()),
+    "config-undecodable": ("validate {d}/clean.csv", "cfg_undecodable.json", ()),
 
     "help": ("--help", None, ()),
     "help-validate": ("validate --help", None, ()),

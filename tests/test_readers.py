@@ -79,6 +79,8 @@ class TestFastReader:
     @example(text="t,x\n0,1,2\n1,2,3\n")
     @example(text="t,x\n5\n6\n")
     @example(text="x,t\n0,1\n")
+    @example(text="t,x\n  \n\t\n\n")
+    @example(text="# run\nt,x\n# warm\n  # done\n")
     def test_matches_the_line_by_line_reader(self, scratch, text):
         scratch.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
