@@ -5,7 +5,7 @@ header ``t,x``, one file per load level, the level taken from a
 ``_N<load>.csv`` filename suffix or a ``manifest.csv`` mapping.  Blank
 lines and whole lines whose first non-blank character is ``#`` are
 ignored in both; a ``#`` after a value is not a comment, and makes the
-line unparseable.
+line unparseable.  Every file read is UTF-8, a byte-order mark allowed.
 
 Subcommands: validate, fit, peak, predict, compare, simulate, steady.
 
@@ -81,6 +81,7 @@ EXIT_NO_BASELINE = 6
 
 _MODE_NAMES = {"auto": MODE_AUTO, "normalized": MODE_NORMALIZED, "raw3": MODE_RAW3}
 _LOAD_SUFFIX = re.compile(r"_[nN](\d+(?:\.\d+)?)\.csv$")
+_MAX_LEVELS = 100_000  # of a --levels range: 1:100000 simulates in 0.5 s and fits in 5 s
 
 
 # setting -> (JSON kind, default, flag help, choices); each default is its
@@ -112,10 +113,7 @@ def _config() -> dict:
     if not path:
         return settings
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ParseError(f"cannot read config: {e}", path=path) from e
+        raw = json.loads(_text(path, "cannot read config: "))
     except json.JSONDecodeError as e:
         raise ParseError(f"config is not valid JSON: {e}", path=path) from e
     if not isinstance(raw, dict):
@@ -167,16 +165,24 @@ def _skipped(line: str) -> bool:
     return not s or s[0] == "#"
 
 
+def _text(path: str, what: str = "") -> str:
+    """The file at path as UTF-8 text, a leading byte-order mark dropped, whatever the locale.
+
+    ParseError, its message led by what, unless the file can be opened and decoded.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{what}{e}", path=path) from e
+
+
 def _table(path: str, header: tuple[str, str], empty: str | None = None):
     """(lines, index of the header line) of a two-column CSV file, read once.
 
-    ParseError unless the file can be read and the first line _skipped keeps is the header.
+    ParseError unless _text reads the file and the first line _skipped keeps is the header.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ParseError(str(e), path=path) from e
+    lines = _text(path).split("\n")
     for i, line in enumerate(lines):
         if not _skipped(line):
             cells = [c.strip() for c in line.split(",")]
@@ -612,8 +618,7 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
     if not path.endswith(".json"):
         return os.path.basename(path), fit_usl(read_points_csv(path), options)
     try:
-        with open(path) as fh:
-            d = json.load(fh)
+        d = json.loads(_text(path, "not a saved fit report: "))
         f = d["fit"]
         fit = FitResult(
             params=UslParams(f["alpha"], f["beta"], f["x1"]),
@@ -622,7 +627,7 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
             residuals=tuple(Residual(**r) for r in d["residuals"]),
             significance_warning=f["significance_warning"], mode=f["mode"],
         )
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ParseError(f"not a saved fit report: {e}", path=path) from e
     return os.path.basename(path), fit
 
@@ -652,25 +657,20 @@ def cmd_compare(args) -> int:
 
 
 def _parse_levels(spec: str) -> list[float]:
-    """Comma list (1,2,4,8) or inclusive range start:stop[:step]."""
+    """Comma list (1,2,4,8) or inclusive range start:stop[:step] of at most _MAX_LEVELS."""
     try:
-        if ":" in spec:
-            parts = [float(p) for p in spec.split(":")]
-            if len(parts) == 2:
-                start, stop, step = parts[0], parts[1], 1.0
-            elif len(parts) == 3:
-                start, stop, step = parts
-            else:
-                raise ValueError("use start:stop or start:stop:step")
-            if step <= 0 or stop < start:
-                raise ValueError("need stop >= start and step > 0")
-            levels = []
-            v = start
-            while v <= stop + 1e-9:
-                levels.append(round(v, 9))
-                v += step
-            return levels
-        return [float(p) for p in spec.split(",") if p.strip()]
+        if ":" not in spec:
+            return [float(p) for p in spec.split(",") if p.strip()]
+        parts = [float(p) for p in spec.split(":")]
+        if len(parts) not in (2, 3):
+            raise ValueError("use start:stop or start:stop:step")
+        start, stop, step = parts if len(parts) == 3 else (*parts, 1.0)
+        if step <= 0 or stop < start:
+            raise ValueError("need stop >= start and step > 0")
+        last = (stop + 1e-9 - start) / step  # the last level's index, nan or inf if unbounded
+        if not last < _MAX_LEVELS:
+            raise ValueError(f"a range holds at most {_MAX_LEVELS} levels")
+        return [round(start + i * step, 9) for i in range(int(last) + 1)]
     except ValueError as e:
         raise DomainError(f"bad level list {spec!r}: {e}") from e
 
@@ -814,7 +814,7 @@ _EXIT_CODES = (
     ((MissingBaselineError, ZeroBaselineError), EXIT_NO_BASELINE),
     (InsufficientDataError, EXIT_INSUFFICIENT),
     (NoSteadyStateError, EXIT_NO_STEADY),
-    ((UslError, OSError), EXIT_ERROR),  # an OSError that reaches main is from a write
+    ((UslError, OSError, UnicodeEncodeError), EXIT_ERROR),  # the last two reach main from a write
 )
 
 
@@ -829,7 +829,7 @@ def main(argv=None) -> int:
         # so a flag gets the same checks as the config, before any input is read
         args.fit_options, args.steady_config = _analysis_settings(args)
         return args.run(args)
-    except (UslError, OSError) as e:
+    except (UslError, OSError, UnicodeEncodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
 

@@ -90,6 +90,9 @@ _LEVEL = operator.attrgetter("n")  # the sort key of a dataset's points
 # least ratio of a positive throughput to the largest that a fit takes; the start's
 # sums grow as the inverse square of x1's ratio and overflow from about 2**-500
 _MIN_RATIO = 2.0 ** -256
+# largest level a fit takes; the start's sums grow as the square of the level over
+# x1's ratio, and overflow from about 2**256 at _MIN_RATIO; no load test nears 2**64
+_MAX_LEVEL = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -444,6 +447,8 @@ def _fit_setup(dataset: Dataset,
             raise InsufficientDataError("normalized fit needs at least 3 distinct levels")
     elif len(dataset) < 4:
         raise InsufficientDataError("3-parameter fit needs at least 4 distinct levels")
+    if ns[-1] > _MAX_LEVEL:
+        raise DegenerateDataError(f"level N={ns[-1]:g} is above 2**64, the largest a fit takes")
     e = math.frexp(top)[1]
     xs = np.ldexp(xs, -e)
     tiny = (xs > 0.0) & (xs < _MIN_RATIO)
@@ -467,10 +472,11 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     """Fit (alpha, beta) and, without a baseline, x1 to the dataset.
 
     Raises InsufficientDataError below 3 distinct levels (4 for the 3-parameter
-    mode), DegenerateDataError when every throughput is zero or one is more
-    than 2**256 times below the largest, and the baseline errors when a
-    requested normalized fit has no usable n = 1 point.  The sse is in the
-    data's units, and is infinite only when it exceeds the float range.
+    mode), DegenerateDataError when every throughput is zero, one is more
+    than 2**256 times below the largest or a level is above 2**64, and the
+    baseline errors when a requested normalized fit has no usable n = 1
+    point.  The sse is in the data's units, and is infinite only when it
+    exceeds the float range.
     """
     opt = options or _DEFAULTS
     ns, xs, mode, x1_pin, e = _fit_setup(dataset, opt)
@@ -485,8 +491,9 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
         r2 = 1.0 - sse / tss
     x1 = _unscaled(x1, e)
     measured = [p.x for p in dataset.points]
-    rows = tuple(map(Residual, ns.tolist(), measured, (x1 * c).tolist(),
-                     np.ldexp(res, e).tolist()))
+    with np.errstate(over="ignore"):  # a modelled throughput beyond the float range is inf
+        modeled = (x1 * c).tolist()
+    rows = tuple(map(Residual, ns.tolist(), measured, modeled, np.ldexp(res, e).tolist()))
     return FitResult(
         params=UslParams(alpha, beta, x1),
         sse=_unscaled(sse, 2 * e),

@@ -228,8 +228,9 @@ def scalability_curve(params: UslParams, domain_max: float, num: int = 100) -> S
     top = float(domain_max)
     ns = np.linspace(1.0, top, int(num))
     # every level is finite and >= 1, so the capacities need no check; a
-    # denominator that overflows to inf gives the right limit, capacity 0
+    # denominator that overflows to inf gives the right limit, capacity 0, and
+    # a throughput beyond the float range is inf, which reports write as null
     with np.errstate(over="ignore"):
         caps = _capacity(ns, ns - 1.0, params.alpha, params.beta)
-    xs = params.x1 * caps if params.x1 is not None else None
+        xs = params.x1 * caps if params.x1 is not None else None
     return ScalabilityCurve(params, top, ns, caps, xs)

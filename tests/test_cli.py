@@ -1,9 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uslkit.cli as cli
 from uslkit import FitOptions, UslParams, fit_usl, generate_synthetic, usl_capacity
@@ -291,6 +297,22 @@ class TestFitCommand:
         assert "| practical N | 1 |" in out
         assert "| peak capacity | 1 |" in out
 
+    def test_throughputs_near_the_float_maximum_write_null(self, data_dir, capsys):
+        path = write_points(data_dir / "max.csv",
+                            [(1, 1e308), (2, 1.7e308), (4, 1.79e308), (8, 1.79e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", path, "--format", "json"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        report = json.loads(out, parse_constant=not_json)
+        assert err == "" and None in [r["modeled"] for r in report["residuals"]]
+
+    def test_a_level_above_2_to_the_64_exits_one(self, data_dir, capsys):
+        path = write_points(data_dir / "far.csv", [(1, 100), (2, 190), (4, 300), (1.35e154, 300)])
+        assert main(["fit", path]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: level N=1.35e+154 is above 2**64, the largest a fit takes\n")
+
     def test_directory_of_runs(self, data_dir, capsys):
         runs = data_dir / "runs"
         runs.mkdir()
@@ -543,6 +565,98 @@ class TestSimulateCommand:
         rc = main(["simulate", "--alpha", "0.1", "--beta", "0", "--levels", "fast,slow"])
         assert rc == EXIT_ERROR
         capsys.readouterr()
+
+
+def looped_range(start, stop, step):
+    """The reference for ranges: add step to start until the sum passes stop."""
+    levels = []
+    v = start
+    while v <= stop + 1e-9:
+        levels.append(round(v, 9))
+        v += step
+    return levels
+
+
+@st.composite
+def level_ranges(draw):
+    """The texts of start, stop and step, or of start and stop, of a range of at most
+    1000 levels: whole numbers up to 10**6, or decimals up to 1000, where the sums of
+    looped_range stay well within its 1e-9 slack."""
+    places = draw(st.sampled_from([0, 1, 2, 3]))
+    top = 10**6 if places == 0 else 1000 * 10**places  # in units of 10**-places
+    step = draw(st.integers(1, top // 10))
+    count = draw(st.integers(0, min(999, top // step - 1)))
+    extra = draw(st.integers(0, step - 1))
+    start = draw(st.integers(0, top - count * step - extra))
+    texts = [str(Decimal(u).scaleb(-places)) for u in (start, start + count * step + extra, step)]
+    if step == 10**places and draw(st.booleans()):
+        texts.pop()
+    return texts
+
+
+class TestLevelRanges:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=level_ranges())
+    def test_closed_form_matches_the_stepping_loop(self, texts):
+        start, stop, step = [*map(float, texts), 1.0][:3]
+        assert cli._parse_levels(":".join(texts)) == looped_range(start, stop, step)
+
+    def test_long_decimal_ranges_end_on_their_decimal_stop(self):
+        # the loop's sums drift by more than its slack here: it ends the first
+        # range short of 30811.2 and leaves 65274.2 out of the second
+        assert cli._parse_levels("0:30811.2:33.6")[-1] == 30811.2
+        assert looped_range(0.0, 30811.2, 33.6)[-1] == 30811.199999999
+        levels = cli._parse_levels("0:65274.2:77.8")
+        assert (len(levels), levels[-1]) == (840, 65274.2)
+        assert len(looped_range(0.0, 65274.2, 77.8)) == 839
+
+    def test_bound_and_levels_the_loop_could_not_step(self):
+        assert len(cli._parse_levels("1:100000")) == 100_000
+        assert cli._parse_levels("1e20:1e20") == [1e20]  # 1e20 + 1 == 1e20
+
+    @pytest.mark.parametrize("spec", ["1:1e12", "1:100001", "1:2:1e-300", "1:inf", "-inf:1",
+                                      "nan:1", "1:nan", "1:2:nan"])
+    def test_ranges_past_the_bound_exit_one(self, capsys, spec):
+        argv = ["simulate", "--alpha", "0.1", "--beta", "0.01", f"--levels={spec}"]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: bad level list {spec!r}: a range holds at most 100000 levels\n")
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_in_c_locale(*argv, config=None):
+    """uslkit in a fresh process whose locale encoding is ASCII: the C locale with
+    locale coercion and UTF-8 mode off."""
+    env = {k: v for k, v in os.environ.items() if k != "USLKIT_CONFIG"}
+    env.update(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    if config:
+        env["USLKIT_CONFIG"] = config
+    return subprocess.run([sys.executable, "-m", "uslkit", *argv], capture_output=True,
+                          env=env, timeout=60)
+
+
+class TestFileEncoding:
+    def test_a_utf8_comment_reads_under_the_c_locale(self, data_dir):
+        path = data_dir / "points.csv"
+        path.write_bytes("# latency in µs\nn,x\n1,100\n2,190\n4,300\n".encode("utf-8"))
+        proc = run_in_c_locale("validate", str(path))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"verdict: **clean**" in proc.stdout
+
+    def test_a_utf8_config_reads_under_the_c_locale(self, data_dir, clean_csv):
+        config = data_dir / "cfg.json"
+        config.write_bytes('{"unit": "µs"}'.encode("utf-8"))
+        proc = run_in_c_locale("fit", clean_csv, "--format", "json", config=str(config))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["unit"] == "µs"
+        # a markdown report that ASCII cannot hold is an output that cannot be written
+        proc = run_in_c_locale("fit", clean_csv, config=str(config))
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, b"")
+        assert proc.stderr.startswith(b"error: 'ascii' codec can't encode character '\\xb5'")
+        assert proc.stderr.count(b"\n") == 1
 
 
 class TestSteadyCommand:

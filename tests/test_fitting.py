@@ -583,6 +583,29 @@ class TestFitErrors:
         with pytest.raises(DomainError, match="^max_refine_iter must be positive$"):
             FitOptions(max_refine_iter=0)
 
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_RAW3])
+    def test_levels_up_to_2_to_the_64_fit_without_a_warning(self, mode):
+        opt = FitOptions(mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for top in (1e10, 1e19, 2.0 ** 64):
+                fit = fit_usl(Dataset.from_pairs([*HUGE_LEVEL_REST, (top, 300.0)]), opt)
+                assert 0.0 < fit.params.alpha < 0.2 and fit.params.beta > 0.0
+            beyond = math.nextafter(2.0 ** 64, math.inf)
+            with pytest.raises(DegenerateDataError, match=r"^level N=1\.84467e\+19 is above 2\*\*64"):
+                fit_usl(Dataset.from_pairs([*HUGE_LEVEL_REST, (beyond, 300.0)]), opt)
+
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_RAW3])
+    def test_throughputs_near_the_float_maximum_fit_without_a_warning(self, mode):
+        d = Dataset.from_pairs([(1, 1e308), (2, 1.7e308), (4, 1.79e308), (8, 1.79e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_usl(d, FitOptions(mode=mode))
+            bootstrap_confidence(d, FitOptions(mode=mode), replicates=20, seed=1)
+        # a modelled throughput beyond the float range is inf; the rest are finite
+        modeled = [r.modeled for r in fit.residuals]
+        assert math.inf in modeled and math.isfinite(fit.params.x1)
+
     def test_significance_warning_propagates(self):
         fit = fit_usl(exact_dataset(0.05, 0.001, 100.0, levels=[1, 2, 4]))
         assert fit.significance_warning
@@ -941,6 +964,7 @@ PINNED_INTERVALS = {
 
 
 TINY_BASE_REST = [(2, 1e10), (4, 2e10), (8, 3e10), (16, 3.5e10), (32, 3.6e10)]
+HUGE_LEVEL_REST = [(1, 100.0), (2, 190.0), (4, 300.0)]
 
 
 class TestBootstrapSetup:
@@ -979,10 +1003,13 @@ class TestBootstrapSetup:
         ([(1, 1e-300), *TINY_BASE_REST[:1]], MODE_AUTO, InsufficientDataError),
         ([(2, 1e-300), *TINY_BASE_REST[1:3]], MODE_AUTO, InsufficientDataError),
         ([(2, 1e-300), *TINY_BASE_REST[1:]], MODE_NORMALIZED, MissingBaselineError),
+        # a level this far out overflows the start's sums and the model's n * (n - 1)
+        ([*HUGE_LEVEL_REST, (1.35e154, 300.0)], MODE_AUTO, DegenerateDataError),
+        ([*HUGE_LEVEL_REST, (1.35e154, 300.0)], MODE_RAW3, DegenerateDataError),
     ], ids=["all-zero", "all-zero-raw3", "normalized-2", "raw3-3", "forced-raw3-3",
             "no-baseline", "zero-baseline", "zero-baseline-auto", "tiny-baseline",
             "tiny-baseline-raw3", "small-baseline", "tiny-normalized-2", "tiny-raw3-3",
-            "tiny-no-baseline"])
+            "tiny-no-baseline", "huge-level", "huge-level-raw3"])
     def test_bootstrap_raises_what_fit_usl_raises(self, pairs, mode, error):
         d, opt = Dataset.from_pairs(pairs), FitOptions(mode=mode)
         with pytest.raises(error) as fit_error:

@@ -42,6 +42,12 @@ def _csv(path, header, rows):
     path.write_text(header + "\n" + "".join(f"{a},{b}\n" for a, b in rows))
 
 
+def _bom(path, text):
+    """text as UTF-8 after a byte-order mark, as spreadsheet exports write it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+
+
 def _plateau(value, seconds=300):
     return [(i * 5.0, value) for i in range(seconds // 5)]
 
@@ -76,6 +82,8 @@ def build_inputs(d: Path) -> None:
     (d / "undecodable.csv").write_bytes(b"n,x\n1,100\n2,19\xff0\n")
     (d / "comments.csv").write_bytes(
         b"# a comment\r\n\r\nn,x\r\n 1 , 10\r\n# mid comment\r\n2,18\r\n\t\r\n4,30\r\n")
+    # a spreadsheet export: a UTF-8 byte-order mark, then CRLF line ends
+    _bom(d / "bom.csv", "n,x\r\n1,100\r\n2,190\r\n4,300\r\n")
 
     _csv(d / "bench_N8.csv", "t,x", _plateau(120.0))
     _csv(d / "run.csv", "t,x", _plateau(80.0))
@@ -111,9 +119,16 @@ def build_inputs(d: Path) -> None:
     _csv(d / "runs_bad" / "a_N1.csv", "t,x", _plateau(100.0))
     (d / "runs_bad" / "b_N2.csv").write_text("t,x\n0,100\n5,101,7\n")
 
+    # a manifest and runs that each start with a byte-order mark
+    for name, mean in (("one", 100.0), ("two", 180.0), ("four", 300.0)):
+        _bom(d / "bom_runs" / f"{name}.csv",
+             "t,x\n" + "".join(f"{t},{x}\n" for t, x in _plateau(mean)))
+    _bom(d / "bom_runs" / "manifest.csv", "file,n\none.csv,1\ntwo.csv,2\nfour.csv,4\n")
+
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["fit", str(d / "clean.csv"), "--format", "json"]) == 0
     (d / "saved.json").write_text(out.getvalue())
+    _bom(d / "saved_bom.json", out.getvalue())
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["fit", str(d / "nobase.csv"), "--format", "json"]) == 0
     (d / "saved_raw3.json").write_text(out.getvalue())
@@ -128,6 +143,7 @@ def build_inputs(d: Path) -> None:
     }))
     (d / "cfg_unknown.json").write_text(json.dumps({"tollerance": 0.2}))
     (d / "cfg_undecodable.json").write_bytes(b'{"unit": "\xff"}')
+    _bom(d / "cfg_bom.json", json.dumps({"format": "json", "unit": "req/s"}))
 
 
 # case name -> (argv with {d} for the input directory, USLKIT_CONFIG file or None,
@@ -146,6 +162,7 @@ CASES = {
     "validate-empty": ("validate {d}/empty.csv", None, ()),
     "validate-missing": ("validate {d}/absent.csv", None, ()),
     "validate-undecodable": ("validate {d}/undecodable.csv", None, ()),
+    "validate-bom-crlf": ("validate {d}/bom.csv", None, ()),
     "validate-tiny-base-md": ("validate {d}/tinybase.csv", None, ()),
     "validate-tiny-base-json": ("validate {d}/tinybase.csv --format json", None, ()),
 
@@ -188,6 +205,7 @@ CASES = {
     "fit-runs-no-steady": ("fit {d}/runs_ramp", None, ()),
     "fit-runs-bad-series": ("fit {d}/runs_bad", None, ()),
     "fit-runs-unsuffixed": ("fit {d}/unsuffixed", None, ()),
+    "fit-bom-manifest-json": ("fit {d}/bom_runs --format json", None, ()),
 
     "peak-md": ("peak --alpha 0.0255 --beta 0.021", None, ()),
     "peak-json": ("peak --alpha 0.0255 --beta 0.021 --format json", None, ()),
@@ -217,6 +235,7 @@ CASES = {
     "compare-partial": ("compare {d}/partial.json {d}/clean.csv", None, ()),
     "compare-missing-report": ("compare {d}/absent.json {d}/clean.csv", None, ()),
     "compare-bad-points": ("compare {d}/clean.csv {d}/bad_number.csv", None, ()),
+    "compare-saved-bom-md": ("compare {d}/saved_bom.json {d}/noisy.csv", None, ()),
 
     "simulate-model": ("simulate --alpha 0.1 --beta 0.004 --x1 100 --levels 1,2,4,8",
                        None, ()),
@@ -293,6 +312,7 @@ CASES = {
     "config-unknown-key-peak": ("peak --alpha 0.0255 --beta 0.021", "cfg_unknown.json", ()),
     "config-missing": ("validate {d}/clean.csv", "absent.json", ()),
     "config-undecodable": ("validate {d}/clean.csv", "cfg_undecodable.json", ()),
+    "config-bom": ("peak --alpha 0.0255 --beta 0.021", "cfg_bom.json", ()),
 
     "help": ("--help", None, ()),
     "help-validate": ("validate --help", None, ()),

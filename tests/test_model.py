@@ -260,6 +260,12 @@ class TestCurve:
             c = scalability_curve(CACHE_V1, domain_max=1e308, num=5)
         assert c.capacities[-1] == 0.0 and np.all(np.isfinite(c.capacities))
 
+    def test_throughputs_beyond_the_float_range_are_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = scalability_curve(UslParams(0.0, 0.0, 1e308), domain_max=4.0, num=4)
+        assert c.throughputs.tolist() == [1e308, math.inf, math.inf, math.inf]
+
 
 def model_outputs():
     """repr of both peaks and the curve's bytes over seeded and special params.
