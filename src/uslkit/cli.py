@@ -59,6 +59,7 @@ from .fitting import (
 )
 from .model import (
     UslParams,
+    check_level,
     classify_regime,
     peak_concurrency,
     practical_peak,
@@ -67,8 +68,7 @@ from .model import (
     usl_capacity,
 )
 from .queueing import QueueParams, generate_synthetic, sync_bound_capacity
-from .timeseries import (RunSeries, SteadyStateConfig, aggregate_runs, check_load,
-                         extract_steady_state)
+from .timeseries import RunSeries, SteadyStateConfig, aggregate_runs, extract_steady_state
 from .validation import DEFAULT_TOLERANCE, Verdict, check_tolerance, validate_dataset
 
 EXIT_OK = 0
@@ -292,7 +292,7 @@ def read_series_dir(dirpath: str) -> list[RunSeries]:
     if os.path.exists(manifest):
         lines, h = _table(manifest, ("file", "n"), "empty manifest")
         for lineno, (name, n) in _rows(manifest, lines, h):
-            load = _float(n, manifest, lineno, check_load)
+            load = _float(n, manifest, lineno, check_level)
             runs.append(read_series_csv(os.path.join(dirpath, name), load=load))
     else:
         for name in sorted(n for n in os.listdir(dirpath) if n.endswith(".csv")):
@@ -716,7 +716,7 @@ def cmd_steady(args) -> int:
         write_points_csv(args.out, _points(dataset), comments)
         return EXIT_OK
     if args.load is not None:
-        check_load(args.load)
+        check_level(args.load)
     run = read_series_csv(args.input, load=args.load)
     w = extract_steady_state(run, args.steady_config)
     d = {

@@ -33,6 +33,18 @@ UNBOUNDED = math.inf
 
 _set = object.__setattr__  # stores a field of a frozen record
 
+# largest level a measurement may have; the fit's start sums grow as the square of the
+# level over x1's ratio, and overflow from about 2**256 at fitting._MIN_RATIO; no load
+# test nears 2**64
+_MAX_LEVEL = 2.0 ** 64
+
+
+def check_level(n: float) -> float:
+    """n, a measured level; raises DomainError unless 1 <= n <= 2**64, which nan is not."""
+    if not 1.0 <= n <= _MAX_LEVEL:
+        raise DomainError(f"concurrency must be in [1, 2**64], got {n}")
+    return n
+
 
 class Regime(str, enum.Enum):
     """Qualitative scaling behaviour implied by the coefficients."""
@@ -73,8 +85,9 @@ _FRESH = object()  # MeasuredPoint's default meta: a new dict for each point
 class MeasuredPoint:
     """One throughput measurement at a concurrency level.
 
-    meta carries auxiliary per-run facts (for example the steady-window
-    coefficient of variation) and never affects computation or equality.
+    n is a level in [1, 2**64] and x is finite and >= 0.  meta carries
+    auxiliary per-run facts (for example the steady-window coefficient of
+    variation) and never affects computation or equality.
     """
 
     n: float
@@ -88,9 +101,8 @@ class MeasuredPoint:
     # fit keep the generated one.  Storing through __dict__ would be faster
     # still, but CPython 3.11 then reads the fields about 2x slower.
     def __init__(self, n: float, x: float, meta: dict = _FRESH) -> None:
-        if not (n >= 1.0) or not math.isfinite(n):
-            raise DomainError(f"concurrency must be >= 1, got {n}")
-        if x < 0.0 or not math.isfinite(x):
+        check_level(n)
+        if not 0.0 <= x < math.inf:
             raise DomainError(f"throughput must be >= 0 and finite, got {x}")
         _set(self, "n", n)
         _set(self, "x", x)

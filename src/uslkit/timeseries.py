@@ -38,19 +38,12 @@ import numpy as np
 
 from .errors import DomainError, NoSteadyStateError, TrimExceedsRunError, UslError
 from .fitting import Dataset
-from .model import MeasuredPoint
-
-
-def check_load(load: float) -> float:
-    """The load level; raises DomainError unless it is finite and >= 1, which nan is not."""
-    if not 1.0 <= load < math.inf:
-        raise DomainError(f"load must be >= 1, got {load}")
-    return load
+from .model import MeasuredPoint, check_level
 
 
 @dataclass(frozen=True, eq=False)
 class RunSeries:
-    """One run: (timestamp, throughput) samples at a fixed load level.
+    """One run: (timestamp, throughput) samples at a fixed load level in [1, 2**64].
 
     samples is any sequence of (timestamp, throughput) pairs, such as a
     tuple of tuples or a (k, 2) array; it is stored as a read-only (k, 2)
@@ -80,7 +73,7 @@ class RunSeries:
         (bad,) = np.nonzero(~(np.isfinite(t) & np.isfinite(x) & (x >= 0.0)))
         if len(bad):
             raise DomainError(f"throughput must be finite and >= 0 (at t={float(t[bad[0]]):g})")
-        check_load(self.load)
+        check_level(self.load)
         for a in (pts, t, x):
             a.flags.writeable = False
         object.__setattr__(self, "samples", pts)

@@ -307,11 +307,11 @@ class TestFitCommand:
         report = json.loads(out, parse_constant=not_json)
         assert err == "" and None in [r["modeled"] for r in report["residuals"]]
 
-    def test_a_level_above_2_to_the_64_exits_one(self, data_dir, capsys):
+    def test_a_level_above_2_to_the_64_exits_two(self, data_dir, capsys):
         path = write_points(data_dir / "far.csv", [(1, 100), (2, 190), (4, 300), (1.35e154, 300)])
-        assert main(["fit", path]) == EXIT_ERROR
+        assert main(["fit", path]) == EXIT_PARSE
         assert capsys.readouterr().err == (
-            "error: level N=1.35e+154 is above 2**64, the largest a fit takes\n")
+            f"error: {path}: concurrency must be in [1, 2**64], got 1.35e+154\n")
 
     def test_directory_of_runs(self, data_dir, capsys):
         runs = data_dir / "runs"
@@ -385,8 +385,8 @@ class TestPredictCommand:
     @pytest.mark.parametrize("argv,tail", [
         (["predict", "--alpha", "0.05", "--beta", "1e300", "--x1", "1", "--n", "1e200"],
          "capacity 0.0000, efficiency 0.0000, throughput 0.0000\n"),
-        (["simulate", "--alpha", "0.05", "--beta", "1e300", "--levels", "1,2,1e200"],
-         "2.0,1e-300\n1e+200,0.0\n"),
+        (["simulate", "--alpha", "0.05", "--beta", "1e300", "--levels", "1,2,1e19"],
+         "2.0,1e-300\n1e+19,0.0\n"),
     ], ids=["predict", "simulate"])
     def test_overflowing_capacity_writes_nothing_to_stderr(self, capsys, argv, tail):
         # the denominator overflows to inf, whose limit is capacity 0; a numpy

@@ -592,8 +592,9 @@ class TestFitErrors:
                 fit = fit_usl(Dataset.from_pairs([*HUGE_LEVEL_REST, (top, 300.0)]), opt)
                 assert 0.0 < fit.params.alpha < 0.2 and fit.params.beta > 0.0
             beyond = math.nextafter(2.0 ** 64, math.inf)
-            with pytest.raises(DegenerateDataError, match=r"^level N=1\.84467e\+19 is above 2\*\*64"):
-                fit_usl(Dataset.from_pairs([*HUGE_LEVEL_REST, (beyond, 300.0)]), opt)
+            with pytest.raises(DomainError, match=r"^concurrency must be in \[1, 2\*\*64\], got "
+                                                  r"1\.8446744073709556e\+19$"):
+                Dataset.from_pairs([*HUGE_LEVEL_REST, (beyond, 300.0)])
 
     @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_RAW3])
     def test_throughputs_near_the_float_maximum_fit_without_a_warning(self, mode):
@@ -1003,19 +1004,20 @@ class TestBootstrapSetup:
         ([(1, 1e-300), *TINY_BASE_REST[:1]], MODE_AUTO, InsufficientDataError),
         ([(2, 1e-300), *TINY_BASE_REST[1:3]], MODE_AUTO, InsufficientDataError),
         ([(2, 1e-300), *TINY_BASE_REST[1:]], MODE_NORMALIZED, MissingBaselineError),
-        # a level this far out overflows the start's sums and the model's n * (n - 1)
-        ([*HUGE_LEVEL_REST, (1.35e154, 300.0)], MODE_AUTO, DegenerateDataError),
-        ([*HUGE_LEVEL_REST, (1.35e154, 300.0)], MODE_RAW3, DegenerateDataError),
+        # a level this far out would overflow the start's sums and the model's
+        # n * (n - 1), so no dataset holds one, for fit_usl or the bootstrap
+        ([*HUGE_LEVEL_REST, (1.35e154, 300.0)], MODE_AUTO, DomainError),
+        ([*HUGE_LEVEL_REST, (1.35e154, 300.0)], MODE_RAW3, DomainError),
     ], ids=["all-zero", "all-zero-raw3", "normalized-2", "raw3-3", "forced-raw3-3",
             "no-baseline", "zero-baseline", "zero-baseline-auto", "tiny-baseline",
             "tiny-baseline-raw3", "small-baseline", "tiny-normalized-2", "tiny-raw3-3",
             "tiny-no-baseline", "huge-level", "huge-level-raw3"])
     def test_bootstrap_raises_what_fit_usl_raises(self, pairs, mode, error):
-        d, opt = Dataset.from_pairs(pairs), FitOptions(mode=mode)
+        opt = FitOptions(mode=mode)
         with pytest.raises(error) as fit_error:
-            fit_usl(d, opt)
+            fit_usl(Dataset.from_pairs(pairs), opt)
         with pytest.raises(error) as boot_error:
-            bootstrap_confidence(d, opt, replicates=10)
+            bootstrap_confidence(Dataset.from_pairs(pairs), opt, replicates=10)
         assert str(boot_error.value) == str(fit_error.value)
 
     def test_data_near_overflow_fit_and_resample_as_at_unit_scale(self):

@@ -69,6 +69,7 @@ def build_inputs(d: Path) -> None:
     _csv(d / "tinybase.csv", "n,x", [(1, 5e-324), (2, 1.0), (4, 2.0)])
     _csv(d / "tinyfit.csv", "n,x",
          [(1, 1e-300), (2, 1e10), (4, 2e10), (8, 3e10), (16, 3.5e10), (32, 3.6e10)])
+    _csv(d / "far.csv", "n,x", [(1, 100.0), (2, 190.0), (4, 300.0), ("1e20", 300.0)])
     _csv(d / "below1.csv", "n,x", [(1, 100), (2, 40), (3, 20), (4, 12), (6, 6), (8, 3)])
     _csv(d / "before.csv", "n,x", _pairs(0.05, 0.004, 100.0, [1, 2, 4, 8, 16]))
     _csv(d / "after.csv", "n,x", _pairs(0.05, 0.002, 100.0, [1, 2, 4, 8, 16]))
@@ -116,6 +117,8 @@ def build_inputs(d: Path) -> None:
     (d / "no_runs").mkdir()
     _csv(d / "runs_ramp" / "a_N1.csv", "t,x", _plateau(100.0))
     _csv(d / "runs_ramp" / "b_N2.csv", "t,x", [(i * 5.0, 10.0 + 2.0 * i) for i in range(40)])
+    for n in (1, 2, 10 ** 20):
+        _csv(d / "runs_far" / f"run_N{n}.csv", "t,x", _plateau(100.0))
     _csv(d / "runs_bad" / "a_N1.csv", "t,x", _plateau(100.0))
     (d / "runs_bad" / "b_N2.csv").write_text("t,x\n0,100\n5,101,7\n")
 
@@ -165,6 +168,7 @@ CASES = {
     "validate-bom-crlf": ("validate {d}/bom.csv", None, ()),
     "validate-tiny-base-md": ("validate {d}/tinybase.csv", None, ()),
     "validate-tiny-base-json": ("validate {d}/tinybase.csv --format json", None, ()),
+    "validate-level-above-2-64": ("validate {d}/far.csv", None, ()),
 
     "fit-clean-md": ("fit {d}/clean.csv", None, ()),
     "fit-clean-json": ("fit {d}/clean.csv --format json", None, ()),
@@ -205,6 +209,7 @@ CASES = {
     "fit-runs-no-steady": ("fit {d}/runs_ramp", None, ()),
     "fit-runs-bad-series": ("fit {d}/runs_bad", None, ()),
     "fit-runs-unsuffixed": ("fit {d}/unsuffixed", None, ()),
+    "fit-runs-load-above-2-64": ("fit {d}/runs_far", None, ()),
     "fit-bom-manifest-json": ("fit {d}/bom_runs --format json", None, ()),
 
     "peak-md": ("peak --alpha 0.0255 --beta 0.021", None, ()),
@@ -258,6 +263,8 @@ CASES = {
     "simulate-bad-levels": ("simulate --alpha 0.1 --beta 0 --levels fast,slow", None, ()),
     "simulate-levels-four-parts": ("simulate --alpha 0.1 --beta 0 --levels 1:2:3:4", None, ()),
     "simulate-levels-descending": ("simulate --alpha 0.1 --beta 0 --levels 5:1", None, ()),
+    "simulate-level-above-2-64": ("simulate --alpha 0.1 --beta 0.01 --levels 1,2,4,1e20",
+                                  None, ()),
 
     "steady-plateau-md": ("steady {d}/bench_N8.csv", None, ()),
     "steady-plateau-json": ("steady {d}/bench_N8.csv --format json", None, ()),

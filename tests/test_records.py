@@ -101,7 +101,7 @@ class TestMeasuredPointMeta:
         meta = {"cv": 0.1}
         p = dataclasses.replace(MeasuredPoint(2.0, 10.0, meta=meta), x=12.0)
         assert p == MeasuredPoint(2.0, 12.0) and p.meta is meta
-        with pytest.raises(DomainError, match=r"^concurrency must be >= 1, got 0\.5$"):
+        with pytest.raises(DomainError, match=r"^concurrency must be in \[1, 2\*\*64\], got 0\.5$"):
             dataclasses.replace(p, n=0.5)
         with pytest.raises(DomainError, match=r"^alpha must be in \[0, 1\), got 1\.0$"):
             dataclasses.replace(PARAMS, alpha=1.0)
@@ -116,10 +116,16 @@ class TestMeasuredPointMeta:
 # (constructor, arguments, message): the checks run in order, so the first
 # failing one names the error
 MESSAGES = [
-    (MeasuredPoint, (math.nan, 10.0), "concurrency must be >= 1, got nan"),
-    (MeasuredPoint, (math.inf, 10.0), "concurrency must be >= 1, got inf"),
-    (MeasuredPoint, (0.5, 10.0), "concurrency must be >= 1, got 0.5"),
-    (MeasuredPoint, (0.5, -1.0), "concurrency must be >= 1, got 0.5"),
+    # the first four rows keep the ids they had when the message read
+    # "concurrency must be >= 1", so renaming the message renames no test
+    pytest.param(MeasuredPoint, (math.nan, 10.0), "concurrency must be in [1, 2**64], got nan",
+                 id="MeasuredPoint-args0-concurrency must be >= 1, got nan"),
+    pytest.param(MeasuredPoint, (math.inf, 10.0), "concurrency must be in [1, 2**64], got inf",
+                 id="MeasuredPoint-args1-concurrency must be >= 1, got inf"),
+    pytest.param(MeasuredPoint, (0.5, 10.0), "concurrency must be in [1, 2**64], got 0.5",
+                 id="MeasuredPoint-args2-concurrency must be >= 1, got 0.5"),
+    pytest.param(MeasuredPoint, (0.5, -1.0), "concurrency must be in [1, 2**64], got 0.5",
+                 id="MeasuredPoint-args3-concurrency must be >= 1, got 0.5"),
     (MeasuredPoint, (2.0, -1.0), "throughput must be >= 0 and finite, got -1.0"),
     (MeasuredPoint, (2.0, math.nan), "throughput must be >= 0 and finite, got nan"),
     (MeasuredPoint, (2.0, math.inf), "throughput must be >= 0 and finite, got inf"),
@@ -134,6 +140,11 @@ MESSAGES = [
     (QueueParams, (4, 0.0, -1.0), "service time must be positive, got 0.0"),
     (QueueParams, (4, 0.5, -1.0, -1.0), "think time must be >= 0, got -1.0"),
     (QueueParams, (4, 0.5, 1.0, math.nan), "coherency penalty must be >= 0, got nan"),
+    (MeasuredPoint, (-math.inf, 10.0), "concurrency must be in [1, 2**64], got -inf"),
+    (MeasuredPoint, (math.nextafter(1.0, 0.0), 10.0),
+     "concurrency must be in [1, 2**64], got 0.9999999999999999"),
+    (MeasuredPoint, (math.nextafter(2.0 ** 64, math.inf), 10.0),
+     "concurrency must be in [1, 2**64], got 1.8446744073709556e+19"),
 ]
 
 
@@ -145,6 +156,13 @@ def test_checks_and_messages(cls, args, message):
     with pytest.raises(DomainError) as err:
         cls(*args)
     assert str(err.value) == message
+
+
+def test_levels_at_the_ends_of_the_range_are_taken():
+    samples = [(float(i), 10.0) for i in range(5)]
+    for n in (1.0, 2.0 ** 64):
+        assert MeasuredPoint(n, 10.0).n == n
+        assert RunSeries(load=n, samples=samples).load == n
 
 
 @pytest.mark.parametrize("record", [
