@@ -323,39 +323,6 @@ def _fmt(v, spec: str = ".10g", none: str = "none (beta=0)") -> str:
     return str(v)
 
 
-def interpretation_hints(params: UslParams, n_ref: float) -> list[str]:
-    """Heuristic pointers keyed on which loss term dominates at n_ref.
-
-    These are hints for where to look, not diagnoses.
-    """
-    contention = params.alpha * (n_ref - 1.0)
-    coherency = params.beta * n_ref * (n_ref - 1.0)
-    hints = []
-    if contention < 0.05 and coherency < 0.05:
-        hints.append(
-            "hint: losses are negligible over the measured range; the system is "
-            "effectively linear here and extrapolation far beyond the data is unreliable"
-        )
-    elif coherency > contention:
-        hints.append(
-            f"hint: the pairwise-exchange term dominates at N={n_ref:g}; typical causes "
-            "are shared writable state: cache-line ping-pong, replicated updates, "
-            "consistency chatter"
-        )
-    else:
-        hints.append(
-            f"hint: the serialization term dominates at N={n_ref:g}; typical causes "
-            "are locks, single-threaded stages, serialized resources"
-        )
-    nc = peak_concurrency(params)
-    if math.isfinite(nc) and nc < n_ref:
-        hints.append(
-            f"hint: the measured range extends past the capacity peak (N ~ {nc:.4f}); "
-            "extra concurrency there costs throughput"
-        )
-    return hints
-
-
 def peak_dict(params: UslParams) -> dict:
     """Peak location, practical peak and peak capacity; inf, with no capacity, where unbounded.
 
@@ -371,8 +338,32 @@ def peak_dict(params: UslParams) -> dict:
 
 def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
                      unit: str | None, notices: list[str]) -> dict:
-    """Single source for both renderings of a fit."""
+    """Single source for both renderings of a fit; the notices gain the fit's advice.
+
+    peak.reach = top level / peak N, 0 when beta = 0; below 1 the peak is beyond the data.
+    """
     params = fit.params
+    top = float(dataset.ns.max())
+    peak = peak_dict(params)
+    peak["reach"] = top / peak["n"]
+    contention, coherency = params.alpha * (top - 1.0), params.beta * top * (top - 1.0)
+    advice = []
+    if coherency > contention:
+        advice.append(f"the pairwise-exchange term dominates at N={top:g}; typical causes "
+                      "are shared writable state: cache-line ping-pong, replicated updates, "
+                      "consistency chatter")
+    elif contention > 0.0:
+        advice.append(f"the serialization term dominates at N={top:g}; typical causes "
+                      "are locks, single-threaded stages, serialized resources")
+    if peak["reach"] == 0.0:
+        advice.append("no capacity peak was found (beta=0); one beyond the highest level "
+                      f"measured (N={top:g}) is not ruled out")
+    elif peak["reach"] < 1.0:
+        advice.append(f"the peak (N ~ {peak['n']:.4f}) is an extrapolation, "
+                      f"{peak['n'] / top:.3g}x the highest level measured (N={top:g})")
+    elif peak["reach"] > 1.0:
+        advice.append(f"the measured range extends past the capacity peak "
+                      f"(N ~ {peak['n']:.4f}); extra concurrency there costs throughput")
     return {
         "fit": {
             "mode": fit.mode,
@@ -383,7 +374,7 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
             "r_squared": fit.r_squared,
             "significance_warning": fit.significance_warning,
         },
-        "peak": peak_dict(params),
+        "peak": peak,
         "regime": fit.regime.value,
         "validation": validation,
         # the record fields are the report keys, which _fit_from_path reads back
@@ -391,9 +382,8 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
         "curve": [
             {"n": n, "capacity": c, "throughput": x} for n, c, x in curve.samples
         ],
-        "hints": interpretation_hints(params, float(dataset.ns.max())),
         "unit": unit,
-        "notices": list(notices),
+        "notices": list(notices) + advice,
     }
 
 
@@ -460,6 +450,7 @@ def render_fit_markdown(report: dict) -> str:
             ["peak N", _fmt(p["n"])],
             ["practical N", _fmt(p["practical_n"])],
             ["peak capacity", _fmt(p["capacity"], none="-")],
+            ["reach", _fmt(p["reach"])],
             ["regime", report["regime"]],
         ],
     )
@@ -474,9 +465,6 @@ def render_fit_markdown(report: dict) -> str:
     lines += _records(report["residuals"], ("n", "measured", "modeled", "residual"))
     lines += ["", "## Model curve", ""]
     lines += _records(report["curve"], ("n", "capacity", "throughput"))
-    if report["hints"]:
-        lines += ["", "## Reading the numbers", ""]
-        lines += [f"- {h}" for h in report["hints"]]
     return "\n".join(lines) + "\n"
 
 
@@ -541,6 +529,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.extrapolate is not None and not args.extrapolate >= 1.0:
+        raise DomainError(f"--extrapolate must be >= 1, got {args.extrapolate:g}")
     notices: list[str] = []
     if os.path.isdir(args.input):
         dataset = _aggregate(args)

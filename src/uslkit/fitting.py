@@ -152,13 +152,20 @@ class Dataset:
         return MODE_NORMALIZED if self.has_baseline else MODE_RAW3
 
 
+def _whole(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Settings of fit_usl.
 
     refine_tol: the polish stops once an accepted step lowers the sse by
         at most this fraction of it; a face point within this fraction of
-        the polished sse is preferred to it.
+        the polished sse is preferred to it.  It lies in (0, 1).
     max_refine_iter: cap on the polish's trial steps, accepted or not.
     """
 
@@ -173,7 +180,9 @@ class FitOptions:
         for name in ("beta_max", "refine_tol"):
             if not (getattr(self, name) > 0.0):
                 raise DomainError(f"{name} must be positive")
-        if self.max_refine_iter < 1:
+        if self.refine_tol >= 1.0:  # at 1 or more, a face at twice the sse wins the tie
+            raise DomainError(f"refine_tol must be below 1, got {self.refine_tol}")
+        if _whole(self.max_refine_iter, "max_refine_iter") < 1:
             raise DomainError("max_refine_iter must be positive")
 
 
@@ -557,13 +566,6 @@ def compare_fits(a: FitResult, b: FitResult) -> FitComparison:
         peak_delta=delta,
         scales_further=further,
     )
-
-
-def _whole(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_seed(seed) -> int:

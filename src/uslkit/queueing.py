@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fitting import Dataset, check_seed
-from .model import MeasuredPoint, UslParams, _set, usl_capacity
+from .model import MeasuredPoint, UslParams, _set, check_level, usl_capacity
 
 
 @dataclass(frozen=True, init=False)
@@ -147,13 +147,13 @@ def generate_synthetic(params: UslParams, n_values, noise: float = 0.0,
     Throughput is x1 * C(n) (x1 taken as 1 when params carry none) times
     (1 + e) with e drawn Normal(0, noise) from a seeded generator, then
     floored at zero.  noise = 0 returns exact model values and never
-    touches the generator, but the seed is checked even then.  Dataset
-    rejects fewer than 2 levels and duplicates.
+    touches the generator, but the seed is checked even then.  Each level
+    must pass check_level; Dataset rejects fewer than 2 and duplicates.
     """
     if noise < 0.0 or not math.isfinite(noise):
         raise DomainError(f"noise must be >= 0, got {noise}")
     seed = check_seed(seed)
-    levels = np.asarray(list(n_values), dtype=float)
+    levels = np.array([check_level(float(n)) for n in n_values])
     x1 = params.x1 if params.x1 is not None else 1.0
     xs = x1 * usl_capacity(levels, params)
     if noise > 0.0:

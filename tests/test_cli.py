@@ -8,11 +8,14 @@ import warnings
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import uslkit.cli as cli
-from uslkit import FitOptions, UslParams, fit_usl, generate_synthetic, usl_capacity
+from uslkit import (
+    FitOptions, UslParams, fit_usl, generate_synthetic, scalability_curve, usl_capacity,
+)
 from uslkit.cli import (
     EXIT_ERROR,
     EXIT_INSUFFICIENT,
@@ -237,7 +240,7 @@ class TestFitCommand:
         out, err = capsys.readouterr()
         assert err == "" and json.loads(out)["curve"][-1]["capacity"] == 0.0
 
-    @pytest.mark.parametrize("n", ["10", "-5", "0", "32"])
+    @pytest.mark.parametrize("n", ["1", "10", "32"])
     def test_extrapolate_within_the_data_changes_nothing(self, clean_csv, capsys, n):
         # clean.csv spans levels 1 to 32
         for fmt in ("json", "markdown"):
@@ -245,6 +248,14 @@ class TestFitCommand:
             plain = capsys.readouterr().out
             assert main(["fit", clean_csv, "--extrapolate", n, "--format", fmt]) == EXIT_OK
             assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("n", ["-5", "0", "0.5", "nan"])
+    def test_extrapolate_below_one_exits_one(self, data_dir, capsys, n):
+        # refused before the input is read: the input here does not exist
+        argv = ["fit", str(data_dir / "absent.csv"), "--extrapolate", n]
+        assert main(argv) == EXIT_ERROR
+        message = f"--extrapolate must be >= 1, got {float(n):g}"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_plot_data_files(self, clean_csv, data_dir, capsys):
         plot = data_dir / "plot"
@@ -324,6 +335,56 @@ class TestFitCommand:
         assert d["fit"]["alpha"] == pytest.approx(0.1, abs=1e-8)
         assert d["fit"]["beta"] == pytest.approx(0.004, abs=1e-8)
         assert any("aggregated 4 time-series runs" in n for n in d["notices"])
+
+
+def _report(alpha, beta, levels, seed):
+    """The fit report of law data with 2 % noise at levels, x1 = 1000."""
+    data = generate_synthetic(UslParams(alpha, beta, 1000.0), levels, noise=0.02, seed=seed)
+    fit = fit_usl(data)
+    curve = scalability_curve(fit.params, domain_max=float(levels[-1]), num=2)
+    return cli.build_fit_report(fit, data, None, curve, None, [])
+
+
+def _beyond_the_data(report):
+    return any("is an extrapolation" in n or "is not ruled out" in n for n in report["notices"])
+
+
+class TestRangeNotice:
+    """peak.reach chooses the notice on where the peak lies; 300 seeds per design."""
+
+    SEEDS = range(300)
+
+    @pytest.mark.parametrize("top,least,most", [(4, 0.95, 1.0), (8, 0.95, 1.0),
+                                                (32, 0.0, 0.05), (48, 0.0, 0.05)])
+    def test_short_ranges_get_the_notice_and_long_ones_do_not(self, top, least, most):
+        # alpha = 0.05, beta = 0.002 peaks at N = 21.8; up to 8 geometric levels from 1
+        levels = np.unique(np.round(np.geomspace(1.0, top, 8)))
+        share = np.mean([_beyond_the_data(_report(0.05, 0.002, levels, s)) for s in self.SEEDS])
+        assert least <= share <= most
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.05])
+    def test_every_finite_peak_fitted_to_amdahl_data_is_flagged(self, alpha):
+        reports = [_report(alpha, 0.0, [1, 2, 4, 8, 16, 24, 32, 48], s) for s in self.SEEDS]
+        finite = [r for r in reports if r["peak"]["reach"] > 0.0]
+        assert len(finite) > 30 and all(r["peak"]["reach"] < 1.0 for r in finite)
+        assert all(_beyond_the_data(r) for r in reports)
+
+    @pytest.mark.parametrize("reach,notice", [
+        (0.5, "the peak (N ~ 64.0000) is an extrapolation, "
+              "2x the highest level measured (N=32)"),
+        (2.0, "the measured range extends past the capacity peak (N ~ 16.0000); "
+              "extra concurrency there costs throughput"),
+        (1.0, None),
+    ])
+    def test_reach_chooses_the_range_notice(self, reach, notice):
+        # alpha = 0 puts the peak at 1 / sqrt(beta)
+        params = UslParams(0.0, (reach / 32.0) ** 2, 100.0)
+        levels = [1, 2, 4, 8, 16, 32]
+        data = generate_synthetic(params, levels)
+        report = cli.build_fit_report(
+            fit_usl(data), data, None, scalability_curve(params, 32.0, 2), None, [])
+        assert report["peak"]["reach"] == pytest.approx(reach, rel=1e-9)
+        assert report["notices"][1:] == ([notice] if notice else [])
 
 
 class TestPeakCommand:
@@ -863,7 +924,9 @@ SETTINGS = {
     "beta_max": (["fit", "{clean}", "--format", "json"], 0.001, ["--beta-max", "1"],
                  [(0.0, "beta_max must be positive")]),
     "refine_tol": (["fit", "{noisy}", "--format", "json"], 0.5, None,
-                   [(math.nan, "refine_tol must be positive")]),
+                   [(math.nan, "refine_tol must be positive"),
+                    (1.0, "refine_tol must be below 1, got 1.0"),
+                    (math.inf, "refine_tol must be below 1, got inf")]),
     "slope_tol": (["steady", "{drift}"], 0.05, ["--slope-tol", "0.001"],
                   [(-0.1, "slope_tol must be positive")]),
     "cv_max": (["steady", "{ramped}"], 0.001, ["--cv-max", "0.5"],

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -582,6 +583,18 @@ class TestFitErrors:
             FitOptions(beta_max=0.0)
         with pytest.raises(DomainError, match="^max_refine_iter must be positive$"):
             FitOptions(max_refine_iter=0)
+
+    @pytest.mark.parametrize("options,message", [
+        ({"refine_tol": 1.0}, "refine_tol must be below 1, got 1.0"),
+        ({"refine_tol": math.inf}, "refine_tol must be below 1, got inf"),
+        ({"max_refine_iter": 2.5}, "max_refine_iter must be an integer, got 2.5"),
+        ({"max_refine_iter": "600"}, "max_refine_iter must be an integer, got '600'"),
+    ], ids=["tol-one", "tol-inf", "iter-fraction", "iter-text"])
+    def test_options_that_would_break_the_fit_are_refused(self, options, message):
+        # unchecked, a tolerance of 1 or more lets a face with a far larger sse win the
+        # tie, and a fractional cap breaks the polish loop
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            FitOptions(**options)
 
     @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_RAW3])
     def test_levels_up_to_2_to_the_64_fit_without_a_warning(self, mode):

@@ -145,6 +145,7 @@ def build_inputs(d: Path) -> None:
         "trim_up": None, "trim_down": None, "refine_tol": 1e-12,
     }))
     (d / "cfg_unknown.json").write_text(json.dumps({"tollerance": 0.2}))
+    (d / "cfg_tol_inf.json").write_text('{"refine_tol": Infinity}')
     (d / "cfg_undecodable.json").write_bytes(b'{"unit": "\xff"}')
     _bom(d / "cfg_bom.json", json.dumps({"format": "json", "unit": "req/s"}))
 
@@ -188,6 +189,7 @@ CASES = {
     "fit-mode-raw3-json": ("fit {d}/noisy.csv --mode raw3 --format json", None, ()),
     "fit-beta-max-json": ("fit {d}/clean.csv --beta-max 0.001 --format json", None, ()),
     "fit-tolerance-json": ("fit {d}/suspect.csv --tolerance 0.2 --format json", None, ()),
+    "fit-extrapolate-nan": ("fit {d}/clean.csv --extrapolate nan", None, ()),
     "fit-plot-data": ("fit {d}/clean.csv --plot-data {d}/out/plot", None,
                       ("out/plot/points.csv", "out/plot/curve.csv")),
     "fit-plot-data-on-a-file": ("fit {d}/clean.csv --plot-data {d}/clean.csv", None, ()),
@@ -263,6 +265,7 @@ CASES = {
     "simulate-bad-levels": ("simulate --alpha 0.1 --beta 0 --levels fast,slow", None, ()),
     "simulate-levels-four-parts": ("simulate --alpha 0.1 --beta 0 --levels 1:2:3:4", None, ()),
     "simulate-levels-descending": ("simulate --alpha 0.1 --beta 0 --levels 5:1", None, ()),
+    "simulate-level-below-one": ("simulate --alpha 0.1 --beta 0.01 --levels 0.5,1,2", None, ()),
     "simulate-level-above-2-64": ("simulate --alpha 0.1 --beta 0.01 --levels 1,2,4,1e20",
                                   None, ()),
 
@@ -315,6 +318,7 @@ CASES = {
     "config-simulate": ("simulate --alpha 0.05 --beta 0.001 --x1 50 --levels 1,2,4,8 "
                         "--noise 0.05", "cfg.json", ()),
     "config-steady": ("steady {d}/ramped_N4.csv", "cfg.json", ()),
+    "config-refine-tol-inf": ("fit {d}/noisy.csv", "cfg_tol_inf.json", ()),
     "config-unknown-key": ("validate {d}/clean.csv", "cfg_unknown.json", ()),
     "config-unknown-key-peak": ("peak --alpha 0.0255 --beta 0.021", "cfg_unknown.json", ()),
     "config-missing": ("validate {d}/clean.csv", "absent.json", ()),

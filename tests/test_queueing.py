@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,12 @@ class TestGenerateSynthetic:
             generate_synthetic(p, [4])
         with pytest.raises(DomainError):
             generate_synthetic(p, [2, 2])  # duplicate level
+
+    @pytest.mark.parametrize("level", [0.5, math.nan, -math.inf, 2.0 ** 65])
+    def test_each_level_gets_the_level_rule(self, level):
+        message = f"concurrency must be in [1, 2**64], got {level}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(UslParams(0.1, 0.01), [1, level, 2])
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_rejects_negative_seed_with_or_without_noise(self, noise):
