@@ -310,17 +310,18 @@ def read_series_dir(dirpath: str) -> list[RunSeries]:
 
 # ------------------------------------------------------------------- reports
 
-def _fmt(v, spec: str = ".10g", none: str = "none (beta=0)") -> str:
-    """A report value as markdown text: a float by spec; None, inf and nan as none."""
-    if v is None or isinstance(v, float) and not math.isfinite(v):
-        return none
+def _fmt(v, spec: str = ".10g") -> str:
+    """A report value as markdown table text: None as -, a float by spec (so inf and nan by
+    name), and text with each | escaped, which would otherwise end the cell."""
+    if v is None:
+        return "-"
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, float):
         return format(v, spec)
     if isinstance(v, (tuple, list)):
-        return ", ".join(v) or "-"
-    return str(v)
+        v = ", ".join(v) or "-"
+    return str(v).replace("|", "\\|")
 
 
 def peak_dict(params: UslParams) -> dict:
@@ -414,62 +415,36 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _records(rows: list[dict], keys: tuple[str, ...]) -> list[str]:
-    """A markdown table of the rows with one column per key; a missing value reads -."""
-    return _md_table(list(keys), [[_fmt(r[k], none="-") for k in keys] for r in rows])
+    """A markdown table of the rows with one column per key."""
+    return _md_table(list(keys), [[_fmt(r[k]) for k in keys] for r in rows])
 
 
-def _validation_lines(v: dict) -> list[str]:
-    """The verdict line and the per-level table of a validation dict."""
-    return [f"verdict: **{v['verdict']}**", ""] + _records(
-        v["rows"], ("n", "capacity", "efficiency", "flags"))
+def _md_section(d: dict, depth: int) -> list[str]:
+    """d's scalars as one quantity/value table, then each non-empty dict or list in it
+    under a heading of its key: a dict recursively, a list of dicts as _records, else bullets."""
+    scalars = [[k, _fmt(v)] for k, v in d.items() if not isinstance(v, (dict, list))]
+    lines = _md_table(["quantity", "value"], scalars) if scalars else []
+    for k, v in d.items():
+        if isinstance(v, (dict, list)) and v:
+            lines += ["", f"{'#' * depth} {k}", ""] + (
+                _md_section(v, depth + 1) if isinstance(v, dict)
+                else _records(v, tuple(v[0])) if isinstance(v[0], dict)
+                else [f"- {_fmt(x)}" for x in v])
+    return lines
 
 
 def render_fit_markdown(report: dict) -> str:
-    f = report["fit"]
-    notices = [f"> {n}" for n in report["notices"]]
-    lines = ["# Scalability fit", ""] + (notices + [""] if notices else [])
-    lines += ["## Coefficients", ""]
-    unit = f" ({report['unit']})" if report.get("unit") else ""
-    lines += _md_table(
-        ["quantity", "value"],
-        [
-            ["mode", f["mode"]],
-            ["alpha (contention)", _fmt(f["alpha"])],
-            ["beta (coherency)", _fmt(f["beta"])],
-            [f"x1{unit}", _fmt(f["x1"])],
-            ["sse", _fmt(f["sse"], none="inf")],
-            ["r_squared", _fmt(f["r_squared"], none="nan")],
-            ["significance warning", _fmt(f["significance_warning"])],
-        ],
-    )
-    lines += ["", "## Peak", ""]
-    p = report["peak"]
-    lines += _md_table(
-        ["quantity", "value"],
-        [
-            ["peak N", _fmt(p["n"])],
-            ["practical N", _fmt(p["practical_n"])],
-            ["peak capacity", _fmt(p["capacity"], none="-")],
-            ["reach", _fmt(p["reach"])],
-            ["regime", report["regime"]],
-        ],
-    )
-    v = report["validation"]
-    lines += ["", "## Validation", ""]
-    if v is None:
-        lines.append("not performed (no n = 1 baseline)")
-    else:
-        lines += _validation_lines(v)
-        lines += [f"- {note}" for note in v["notes"]]
-    lines += ["", "## Residuals", ""]
-    lines += _records(report["residuals"], ("n", "measured", "modeled", "residual"))
-    lines += ["", "## Model curve", ""]
-    lines += _records(report["curve"], ("n", "capacity", "throughput"))
+    """Each notice as its own blockquote, then every other key of the report by _md_section."""
+    lines = ["# Scalability fit", ""]
+    for notice in report["notices"]:
+        lines += [f"> {notice}", ""]
+    lines += _md_section({k: v for k, v in report.items() if k != "notices"}, 2)
     return "\n".join(lines) + "\n"
 
 
 def render_validation_markdown(v: dict) -> str:
-    lines = ["# Data validation", ""] + _validation_lines(v)
+    lines = ["# Data validation", "", f"verdict: **{v['verdict']}**", ""]
+    lines += _records(v["rows"], ("n", "capacity", "efficiency", "flags"))
     if v["notes"]:
         lines.append("")
         lines += [f"- {n}" for n in v["notes"]]
@@ -491,7 +466,7 @@ def render_predict_markdown(d: dict) -> str:
 
 def render_compare_markdown(d: dict) -> str:
     a, b, delta = d["a"], d["b"], d["delta"]
-    rows = [[label, _fmt(a[k]), _fmt(b[k]), _fmt(delta[k], none="-")]
+    rows = [[label, _fmt(a[k]), _fmt(b[k]), _fmt(delta[k])]
             for label, k in (("alpha", "alpha"), ("beta", "beta"), ("peak N", "peak_n"))]
     lines = ["# Fit comparison", ""] + _md_table(
         ["quantity", a["name"], b["name"], "delta (b-a)"], rows)
@@ -529,8 +504,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.extrapolate is not None and not args.extrapolate >= 1.0:
-        raise DomainError(f"--extrapolate must be >= 1, got {args.extrapolate:g}")
+    if args.extrapolate is not None and not 1.0 <= args.extrapolate < math.inf:
+        rule = "finite" if args.extrapolate >= 1.0 else ">= 1"
+        raise DomainError(f"--extrapolate must be {rule}, got {args.extrapolate:g}")
     notices: list[str] = []
     if os.path.isdir(args.input):
         dataset = _aggregate(args)

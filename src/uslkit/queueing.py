@@ -148,16 +148,21 @@ def generate_synthetic(params: UslParams, n_values, noise: float = 0.0,
     (1 + e) with e drawn Normal(0, noise) from a seeded generator, then
     floored at zero.  noise = 0 returns exact model values and never
     touches the generator, but the seed is checked even then.  Each level
-    must pass check_level; Dataset rejects fewer than 2 and duplicates.
+    must pass check_level, and a throughput that is not finite is a
+    DomainError naming its level; Dataset rejects fewer than 2 and duplicates.
     """
     if noise < 0.0 or not math.isfinite(noise):
         raise DomainError(f"noise must be >= 0, got {noise}")
     seed = check_seed(seed)
     levels = np.array([check_level(float(n)) for n in n_values])
     x1 = params.x1 if params.x1 is not None else 1.0
-    xs = x1 * usl_capacity(levels, params)
-    if noise > 0.0:
-        rng = np.random.default_rng(seed)
-        xs = xs * (1.0 + rng.normal(0.0, noise, size=levels.size))
-        xs = np.maximum(xs, 0.0)
+    with np.errstate(over="ignore"):  # an overflow is refused below, naming its level
+        xs = x1 * usl_capacity(levels, params)
+        if noise > 0.0:
+            rng = np.random.default_rng(seed)
+            xs = xs * (1.0 + rng.normal(0.0, noise, size=levels.size))
+            xs = np.maximum(xs, 0.0)
+    for n, x in zip(levels, xs):
+        if not math.isfinite(x):
+            raise DomainError(f"simulated throughput at N={n:g} is not finite, got {x}")
     return Dataset(tuple(MeasuredPoint(float(n), float(x)) for n, x in zip(levels, xs)))

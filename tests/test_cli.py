@@ -180,6 +180,53 @@ class TestSeriesParseErrors:
         assert read_series_csv(str(path)).samples.tolist() == [list(p) for p in samples]
 
 
+def _sections(md):
+    """The lines of a report under each heading, keyed by the path of headings below the title."""
+    sections, path = {(): []}, ()
+    for line in md.splitlines():
+        m = re.match(r"(#+) (.*)", line)
+        if m:
+            depth = len(m.group(1)) - 1
+            path = path[:depth - 1] + (m.group(2),) if depth else ()
+            sections[path] = []
+        elif line:
+            sections[path].append(line)
+    return sections
+
+
+def _shows(cell, value):
+    """Whether a markdown cell shows a JSON value: null as -, inf or nan, a number to 10 digits."""
+    if value is None:
+        return cell in ("-", "inf", "-inf", "nan")
+    if type(value) in (int, float):
+        return float(cell) == pytest.approx(value, rel=1e-9, abs=0.0)
+    return cell == cli._fmt(value)
+
+
+def _assert_shown(sections, d, path):
+    """Every key of d is shown in the section at path: a scalar as its table row, a dict as
+    a section of its own, a list of dicts as a table headed by their keys, a list as bullets."""
+    for key, value in d.items():
+        where = path + (key,)
+        if isinstance(value, dict):
+            _assert_shown(sections, value, where)
+        elif not value and isinstance(value, list):
+            assert where not in sections, where
+        elif isinstance(value, list) and isinstance(value[0], dict):
+            header, _, *rows = sections[where]
+            assert header == "| " + " | ".join(value[0]) + " |", where
+            assert len(rows) == len(value), where
+            for row, line in zip(value, rows):
+                cells = re.split(r"(?<!\\) \| ", line[2:-2])
+                assert all(_shows(c, v) for c, v in zip(cells, row.values(), strict=True))
+        elif isinstance(value, list):
+            assert sections[where] == [f"- {cli._fmt(v)}" for v in value], where
+        else:
+            cells = [line[len(key) + 5:-2] for line in sections[path]
+                     if line.startswith(f"| {key} | ")]
+            assert len(cells) == 1 and _shows(cells[0], value), where
+
+
 class TestFitCommand:
     def test_recovers_coefficients_json(self, clean_csv, capsys):
         assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK
@@ -193,20 +240,32 @@ class TestFitCommand:
         assert len(d["residuals"]) == 6
         assert d["peak"]["n"] == pytest.approx(21.79449472, rel=1e-6)
 
-    def test_markdown_and_json_numbers_agree(self, clean_csv, capsys):
-        assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK
-        d = json.loads(capsys.readouterr().out)
-        assert main(["fit", clean_csv, "--format", "markdown"]) == EXIT_OK
-        md = capsys.readouterr().out
-        for label, key in [("alpha \\(contention\\)", "alpha"),
-                           ("beta \\(coherency\\)", "beta"),
-                           ("x1", "x1"),
-                           ("r_squared", "r_squared")]:
-            m = re.search(rf"\| {label} \| ([^|]+) \|", md)
-            assert m, label
-            assert float(m.group(1)) == pytest.approx(d["fit"][key], rel=1e-9)
-        m = re.search(r"\| peak N \| ([^|]+) \|", md)
-        assert float(m.group(1)) == pytest.approx(d["peak"]["n"], rel=1e-9)
+    def test_markdown_and_json_numbers_agree(self, data_dir, clean_csv, capsys):
+        noisy = [(1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0), (16, 700.0), (32, 720.0)]
+        runs = data_dir / "runs"
+        runs.mkdir()
+        for n in (1, 2, 4, 8):
+            write_series(runs / f"bench_N{n}.csv",
+                         plateau(n, 100.0 * usl_capacity(n, UslParams(0.1, 0.004))))
+        cases = [
+            [clean_csv],
+            [write_points(data_dir / "noisy.csv", noisy)],
+            [write_points(data_dir / "nobase.csv",
+                          model_pairs(0.05, 0.002, 100.0, [2, 4, 8, 16, 32]))],
+            [write_points(data_dir / "huge.csv", [(n, repr(x * 1e154)) for n, x in noisy])],
+            [write_points(data_dir / "linear.csv", [(n, 100.0 * n) for n in (1, 2, 4, 8, 16)])],
+            [write_points(data_dir / "below.csv", self.BELOW_ONE), "--force"],
+            [str(runs)],
+            [clean_csv, "--unit", "req/s"],
+        ]
+        for argv in cases:
+            assert main(["fit", *argv, "--format", "json"]) == EXIT_OK
+            d = json.loads(capsys.readouterr().out)
+            assert main(["fit", *argv]) == EXIT_OK
+            md = capsys.readouterr().out
+            assert md.startswith("# Scalability fit\n\n" + "".join(
+                f"> {n}\n\n" for n in d.pop("notices")) + "| quantity | value |\n"), argv
+            _assert_shown(_sections(md), d, ())
 
     def test_refuses_invalid_data(self, suspect_csv, capsys):
         assert main(["fit", suspect_csv]) == EXIT_INVALID
@@ -226,9 +285,10 @@ class TestFitCommand:
         assert d["curve"][-1]["n"] == 100.0
         assert any("extrapolated" in n for n in d["notices"])
 
-    def test_infinite_extrapolate_names_finiteness(self, clean_csv, capsys):
-        assert main(["fit", clean_csv, "--extrapolate", "inf"]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: domain_max must be finite, got inf\n"
+    def test_infinite_extrapolate_names_finiteness(self, data_dir, capsys):
+        # refused before the input is read: the input here does not exist
+        assert main(["fit", str(data_dir / "absent.csv"), "--extrapolate", "inf"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --extrapolate must be finite, got inf\n"
 
     def test_huge_extrapolate_writes_nothing_to_stderr(self, clean_csv, capsys):
         # the curve's top capacities overflow to their limit, 0; a numpy
@@ -270,7 +330,11 @@ class TestFitCommand:
 
     def test_unit_label_appears(self, clean_csv, capsys):
         assert main(["fit", clean_csv, "--unit", "req/s"]) == EXIT_OK
-        assert "x1 (req/s)" in capsys.readouterr().out
+        assert "| unit | req/s |" in capsys.readouterr().out
+
+    def test_a_pipe_in_a_cell_is_escaped(self, clean_csv, capsys):
+        assert main(["fit", clean_csv, "--unit", "req|s"]) == EXIT_OK
+        assert "| unit | req\\|s |" in capsys.readouterr().out.splitlines()
 
     def test_mode_normalized_without_baseline_exits_six(self, data_dir, capsys):
         p = write_points(data_dir / "nob.csv", model_pairs(0.05, 0.002, 100.0, [2, 4, 8, 16]))
@@ -305,8 +369,9 @@ class TestFitCommand:
         p = write_points(data_dir / "below.csv", self.BELOW_ONE)
         assert main(["fit", p, "--force"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "| practical N | 1 |" in out
-        assert "| peak capacity | 1 |" in out
+        peak = _sections(out)[("peak",)]
+        assert "| practical_n | 1 |" in peak
+        assert "| capacity | 1 |" in peak
 
     def test_throughputs_near_the_float_maximum_write_null(self, data_dir, capsys):
         path = write_points(data_dir / "max.csv",
@@ -398,7 +463,7 @@ class TestPeakCommand:
     def test_unbounded_when_beta_zero(self, capsys):
         assert main(["peak", "--alpha", "0.25", "--beta", "0"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "peak N: none (beta=0)" in out
+        assert "peak N: inf" in out
 
     def test_json_full_precision(self, capsys):
         assert main(["peak", "--alpha", "0.0255", "--beta", "0.0210", "--format", "json"]) == EXIT_OK
@@ -548,7 +613,7 @@ class TestSavedReportRoundTrip:
         assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK
         d = json.loads(capsys.readouterr().out)
         d["fit"]["r_squared"] = None
-        assert "| r_squared | nan |" in cli.render_fit_markdown(d)
+        assert "| r_squared | - |" in cli.render_fit_markdown(d)
         saved = data_dir / "fit.json"
         saved.write_text(json.dumps(d))
         assert math.isnan(cli._fit_from_path(str(saved), FitOptions())[1].r_squared)

@@ -190,6 +190,8 @@ CASES = {
     "fit-beta-max-json": ("fit {d}/clean.csv --beta-max 0.001 --format json", None, ()),
     "fit-tolerance-json": ("fit {d}/suspect.csv --tolerance 0.2 --format json", None, ()),
     "fit-extrapolate-nan": ("fit {d}/clean.csv --extrapolate nan", None, ()),
+    # refused before the input is read, or this undecodable file would exit 2
+    "fit-extrapolate-inf": ("fit {d}/undecodable.csv --extrapolate inf", None, ()),
     "fit-plot-data": ("fit {d}/clean.csv --plot-data {d}/out/plot", None,
                       ("out/plot/points.csv", "out/plot/curve.csv")),
     "fit-plot-data-on-a-file": ("fit {d}/clean.csv --plot-data {d}/clean.csv", None, ()),
@@ -268,6 +270,8 @@ CASES = {
     "simulate-level-below-one": ("simulate --alpha 0.1 --beta 0.01 --levels 0.5,1,2", None, ()),
     "simulate-level-above-2-64": ("simulate --alpha 0.1 --beta 0.01 --levels 1,2,4,1e20",
                                   None, ()),
+    "simulate-overflow": ("simulate --alpha 0.05 --beta 0.002 --x1 1e308 --levels 1,2,4",
+                          None, ()),
 
     "steady-plateau-md": ("steady {d}/bench_N8.csv", None, ()),
     "steady-plateau-json": ("steady {d}/bench_N8.csv --format json", None, ()),

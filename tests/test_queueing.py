@@ -162,6 +162,13 @@ class TestGenerateSynthetic:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             generate_synthetic(UslParams(0.1, 0.01), [1, level, 2])
 
+    @pytest.mark.parametrize("x1,noise,level", [(1e308, 0.0, 2), (1.0, 1e308, 4)])
+    def test_an_overflowing_throughput_names_its_level(self, x1, noise, level):
+        # the product overflows inside numpy, which must not warn on the way
+        message = f"simulated throughput at N={level} is not finite, got inf"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(UslParams(0.05, 0.002, x1), [1, 2, 4], noise=noise)
+
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_rejects_negative_seed_with_or_without_noise(self, noise):
         with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
