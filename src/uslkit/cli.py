@@ -53,13 +53,14 @@ from .fitting import (
     FitOptions,
     FitResult,
     Residual,
-    check_seed,
     compare_fits,
     fit_usl,
 )
 from .model import (
     UslParams,
+    check_count,
     check_level,
+    check_range,
     classify_regime,
     peak_concurrency,
     practical_peak,
@@ -69,7 +70,7 @@ from .model import (
 )
 from .queueing import QueueParams, generate_synthetic, sync_bound_capacity
 from .timeseries import RunSeries, SteadyStateConfig, aggregate_runs, extract_steady_state
-from .validation import DEFAULT_TOLERANCE, Verdict, check_tolerance, validate_dataset
+from .validation import DEFAULT_TOLERANCE, Verdict, validate_dataset
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -148,8 +149,8 @@ def _analysis_settings(s) -> tuple[FitOptions, SteadyStateConfig]:
         raise DomainError(f"format must be json or markdown, got {s.format!r}")
     if s.mode not in _MODE_NAMES:
         raise DomainError(f"mode must be one of {sorted(_MODE_NAMES)}")
-    check_tolerance(s.tolerance)
-    check_seed(s.seed)
+    check_range("tolerance", s.tolerance, 0.0, math.inf, "()")
+    check_count("seed", s.seed, 0)
     trim = None
     if s.trim_up is not None or s.trim_down is not None:
         trim = (s.trim_up or 0.0, s.trim_down or 0.0)
@@ -469,7 +470,7 @@ def render_compare_markdown(d: dict) -> str:
     rows = [[label, _fmt(a[k]), _fmt(b[k]), _fmt(delta[k])]
             for label, k in (("alpha", "alpha"), ("beta", "beta"), ("peak N", "peak_n"))]
     lines = ["# Fit comparison", ""] + _md_table(
-        ["quantity", a["name"], b["name"], "delta (b-a)"], rows)
+        ["quantity", _fmt(a["name"]), _fmt(b["name"]), "delta (b-a)"], rows)
     return "\n".join(lines + ["", d["verdict"]])
 
 
@@ -504,9 +505,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.extrapolate is not None and not 1.0 <= args.extrapolate < math.inf:
-        rule = "finite" if args.extrapolate >= 1.0 else ">= 1"
-        raise DomainError(f"--extrapolate must be {rule}, got {args.extrapolate:g}")
+    if args.extrapolate is not None:
+        check_range("--extrapolate", args.extrapolate, 1.0)
     notices: list[str] = []
     if os.path.isdir(args.input):
         dataset = _aggregate(args)
@@ -681,6 +681,8 @@ def cmd_steady(args) -> int:
         ]
         write_points_csv(args.out, _points(dataset), comments)
         return EXIT_OK
+    if args.out is not None:
+        raise DomainError("--out applies to a directory of runs, not to one run file")
     if args.load is not None:
         check_level(args.load)
     run = read_series_csv(args.input, load=args.load)

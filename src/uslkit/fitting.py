@@ -70,6 +70,8 @@ from .model import (
     UslParams,
     _capacity,
     _set,
+    check_count,
+    check_range,
     classify_regime,
     peak_concurrency,
     practical_peak,
@@ -152,13 +154,6 @@ class Dataset:
         return MODE_NORMALIZED if self.has_baseline else MODE_RAW3
 
 
-def _whole(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class FitOptions:
     """Settings of fit_usl.
@@ -177,13 +172,10 @@ class FitOptions:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_AUTO, MODE_NORMALIZED, MODE_RAW3):
             raise DomainError(f"unknown fit mode {self.mode!r}")
-        for name in ("beta_max", "refine_tol"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be positive")
-        if self.refine_tol >= 1.0:  # at 1 or more, a face at twice the sse wins the tie
-            raise DomainError(f"refine_tol must be below 1, got {self.refine_tol}")
-        if _whole(self.max_refine_iter, "max_refine_iter") < 1:
-            raise DomainError("max_refine_iter must be positive")
+        check_range("beta_max", self.beta_max, 0.0, math.inf, "(]")
+        # at 1 or more, a face at twice the sse would win the tie
+        check_range("refine_tol", self.refine_tol, 0.0, 1.0, "()")
+        check_count("max_refine_iter", self.max_refine_iter, 1)
 
 
 _DEFAULTS = FitOptions()  # frozen, so the calls without options share it
@@ -568,14 +560,6 @@ def compare_fits(a: FitResult, b: FitResult) -> FitComparison:
     )
 
 
-def check_seed(seed) -> int:
-    """The seed as an int; raises DomainError unless it is a whole number >= 0."""
-    seed = _whole(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # reduce along the last, contiguous axis only, so that a row's result
     # does not depend on how many rows share the batch
@@ -811,12 +795,9 @@ def bootstrap_confidence(dataset: Dataset, options: FitOptions | None = None,
     for the dataset; and InsufficientDataError when fewer than 2 resamples
     remain.
     """
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"confidence level must be in (0, 1), got {level}")
-    replicates = _whole(replicates, "replicates")
-    if replicates < 2:
-        raise DomainError("need at least 2 replicates")
-    seed = check_seed(seed)
+    check_range("confidence level", level, 0.0, 1.0, "()")
+    replicates = check_count("replicates", replicates, 2)
+    seed = check_count("seed", seed, 0)
     opt = options or _DEFAULTS
     ns, xs, _, x1_pin, e = _fit_setup(dataset, opt)
     rng = np.random.default_rng(seed)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -46,6 +47,36 @@ def check_level(n: float) -> float:
     return n
 
 
+def check_range(name: str, v: float, lo: float, hi: float = math.inf, ends: str = "[)") -> float:
+    """v, when it lies between lo and hi, each end closed or open as ends' brackets say.
+
+    Otherwise DomainError "{name} must be {rule}, got {v}"; nan lies in no interval.  The
+    rule is the interval when hi is finite, else finite for an excluded +inf, positive for
+    an open 0, and >= lo or > lo.
+    """
+    if (lo < v or lo == v and ends[0] == "[") and (v < hi or v == hi and ends[1] == "]"):
+        return v
+    if hi < math.inf:
+        rule = f"in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    elif v == math.inf and ends[1] == ")":
+        rule = "finite"
+    elif lo == 0.0 and ends[0] == "(":
+        rule = "positive"
+    else:
+        rule = f"{'>=' if ends[0] == '[' else '>'} {lo:g}"
+    raise DomainError(f"{name} must be {rule}, got {v}")
+
+
+def check_count(name: str, v, lo: int) -> int:
+    """operator.index(v), when v is no bool and that is >= lo; otherwise DomainError."""
+    try:
+        if v is not True and v is not False and operator.index(v) >= lo:
+            return operator.index(v)
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer >= {lo}, got {v!r}")
+
+
 class Regime(str, enum.Enum):
     """Qualitative scaling behaviour implied by the coefficients."""
 
@@ -69,13 +100,10 @@ class UslParams:
     x1: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha < 1.0) or not math.isfinite(self.alpha):
-            raise DomainError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.beta < 0.0 or not math.isfinite(self.beta):
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
+        check_range("alpha", self.alpha, 0.0, 1.0)
+        check_range("beta", self.beta, 0.0)
         if self.x1 is not None:
-            if not (self.x1 > 0.0) or not math.isfinite(self.x1):
-                raise DomainError(f"x1 must be positive, got {self.x1}")
+            check_range("x1", self.x1, 0.0, math.inf, "()")
 
 
 _FRESH = object()  # MeasuredPoint's default meta: a new dict for each point
@@ -102,8 +130,7 @@ class MeasuredPoint:
     # still, but CPython 3.11 then reads the fields about 2x slower.
     def __init__(self, n: float, x: float, meta: dict = _FRESH) -> None:
         check_level(n)
-        if not 0.0 <= x < math.inf:
-            raise DomainError(f"throughput must be >= 0 and finite, got {x}")
+        check_range("throughput", x, 0.0)
         _set(self, "n", n)
         _set(self, "x", x)
         _set(self, "meta", {} if meta is _FRESH else meta)
@@ -111,9 +138,10 @@ class MeasuredPoint:
 
 def _as_levels(n: ArrayLike) -> np.ndarray:
     arr = np.asarray(n, dtype=float)
-    # one pass; nan fails both comparisons
+    # one pass; nan fails both comparisons, and check_range names the first bad level
     if not ((arr >= 1.0) & (arr < math.inf)).all():
-        raise DomainError("concurrency levels must be finite and >= 1")
+        for v in arr.flat:
+            check_range("concurrency", float(v), 1.0)
     return arr
 
 
@@ -231,14 +259,8 @@ class ScalabilityCurve:
 
 def scalability_curve(params: UslParams, domain_max: float, num: int = 100) -> ScalabilityCurve:
     """Sample the model on [1, domain_max] at num evenly spaced levels."""
-    if not (domain_max > 1.0):
-        raise DomainError(f"domain_max must be > 1, got {domain_max}")
-    if not math.isfinite(domain_max):
-        raise DomainError(f"domain_max must be finite, got {domain_max}")
-    if num < 2:
-        raise DomainError(f"need at least 2 samples, got {num}")
-    top = float(domain_max)
-    ns = np.linspace(1.0, top, int(num))
+    top = float(check_range("domain_max", domain_max, 1.0, math.inf, "()"))
+    ns = np.linspace(1.0, top, check_count("num", num, 2))
     # every level is finite and >= 1, so the capacities need no check; a
     # denominator that overflows to inf gives the right limit, capacity 0, and
     # a throughput beyond the float range is inf, which reports write as null

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fitting import Dataset, check_seed
-from .model import MeasuredPoint, UslParams, _set, check_level, usl_capacity
+from .fitting import Dataset
+from .model import (MeasuredPoint, UslParams, _set, check_count, check_level, check_range,
+                    usl_capacity)
 
 
 @dataclass(frozen=True, init=False)
@@ -40,18 +41,10 @@ class QueueParams:
 
     # stores with _set; see MeasuredPoint
     def __init__(self, n: int, s: float, z: float, c: float = 0.0) -> None:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError(f"population must be an integer >= 1, got {n!r}")
-        if not (s > 0.0) or not math.isfinite(s):
-            raise DomainError(f"service time must be positive, got {s}")
-        if z < 0.0 or not math.isfinite(z):
-            raise DomainError(f"think time must be >= 0, got {z}")
-        if c < 0.0 or not math.isfinite(c):
-            raise DomainError(f"coherency penalty must be >= 0, got {c}")
-        _set(self, "n", n)
-        _set(self, "s", s)
-        _set(self, "z", z)
-        _set(self, "c", c)
+        _set(self, "n", check_count("population", n, 1))
+        _set(self, "s", check_range("service time", s, 0.0, math.inf, "()"))
+        _set(self, "z", check_range("think time", z, 0.0))
+        _set(self, "c", check_range("coherency penalty", c, 0.0))
 
 
 @dataclass(frozen=True, init=False)
@@ -131,8 +124,7 @@ def sync_bound_capacity(n, params: QueueParams) -> SyncBoundCapacity:
 
         alpha = s / (s + z),    beta = c * s / (s + z)
     """
-    if not (n >= 1) or not math.isfinite(n):
-        raise DomainError(f"evaluation level must be >= 1, got {n}")
+    check_range("evaluation level", n, 1.0)
     s, z, c = params.s, params.z, params.c
     x_at = lambda k: k / (k * s + c * k * (k - 1.0) * s + z)
     capacity = x_at(float(n)) / x_at(1.0)
@@ -151,9 +143,8 @@ def generate_synthetic(params: UslParams, n_values, noise: float = 0.0,
     must pass check_level, and a throughput that is not finite is a
     DomainError naming its level; Dataset rejects fewer than 2 and duplicates.
     """
-    if noise < 0.0 or not math.isfinite(noise):
-        raise DomainError(f"noise must be >= 0, got {noise}")
-    seed = check_seed(seed)
+    check_range("noise", noise, 0.0)
+    seed = check_count("seed", seed, 0)
     levels = np.array([check_level(float(n)) for n in n_values])
     x1 = params.x1 if params.x1 is not None else 1.0
     with np.errstate(over="ignore"):  # an overflow is refused below, naming its level

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, NoSteadyStateError, TrimExceedsRunError, UslError
 from .fitting import Dataset
-from .model import MeasuredPoint, check_level
+from .model import MeasuredPoint, check_count, check_level, check_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +104,8 @@ class SteadyWindow:
     def __post_init__(self) -> None:
         if not self.start < self.end:
             raise DomainError("window must have positive duration")
-        if self.sample_count < 3:
-            raise DomainError("window must contain at least 3 samples")
-        if self.cv < 0.0:
-            raise DomainError("cv cannot be negative")
+        check_count("sample_count", self.sample_count, 3)
+        check_range("cv", self.cv, 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,19 +115,16 @@ class SteadyStateConfig:
     slope_tol: float = 0.01     # max fitted |drift| and |curvature|, less 3 standard errors
     cv_max: float = 0.15        # max coefficient of variation inside the window
     min_fraction: float = 0.3   # min window duration, as a fraction of the run's
-    trim: tuple[float, float] | None = None  # (lead_in, lead_out) seconds; None detects
+    trim: tuple[float, float] | None = None  # (trim_up, trim_down) seconds; None detects
 
     def __post_init__(self) -> None:
-        for name in ("slope_tol", "cv_max"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be positive")
-        if not (0.0 < self.min_fraction <= 1.0):
-            raise DomainError("min_fraction must be in (0, 1]")
+        check_range("slope_tol", self.slope_tol, 0.0, math.inf, "(]")
+        check_range("cv_max", self.cv_max, 0.0, math.inf, "(]")
+        check_range("min_fraction", self.min_fraction, 0.0, 1.0, "(]")
         if self.trim is not None:
             up, down = (float(v) for v in self.trim)
-            if not all(math.isfinite(v) and v >= 0.0 for v in (up, down)):
-                raise DomainError("trim durations must be finite and >= 0")
-            object.__setattr__(self, "trim", (up, down))
+            object.__setattr__(self, "trim", (check_range("trim_up", up, 0.0),
+                                              check_range("trim_down", down, 0.0)))
 
 
 def _window_stats(x: np.ndarray) -> tuple[float, float]:

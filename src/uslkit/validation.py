@@ -14,9 +14,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InsufficientDataError
+from .errors import InsufficientDataError
 from .fitting import Dataset, capacity_ratios
-from .model import _set
+from .model import _set, check_range
 
 FLAG_EFFICIENCY_ABOVE_ONE = "efficiency-above-one"   # hard
 FLAG_DECREASE_BEFORE_PEAK = "decrease-before-peak"   # soft
@@ -74,12 +74,6 @@ class ValidationReport:
         )
 
 
-def check_tolerance(tolerance: float) -> None:
-    """DomainError unless tolerance is positive and finite; nan is neither."""
-    if not 0.0 < tolerance < math.inf:
-        raise DomainError(f"tolerance must be {'finite' if tolerance > 0.0 else 'positive'}")
-
-
 def validate_dataset(dataset: Dataset, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
     """Flag physically impossible or suspicious rows.
 
@@ -88,7 +82,7 @@ def validate_dataset(dataset: Dataset, tolerance: float = DEFAULT_TOLERANCE) -> 
     (MissingBaselineError / ZeroBaselineError otherwise).  The function
     only reads the dataset; it never modifies or drops rows.
     """
-    check_tolerance(tolerance)
+    check_range("tolerance", tolerance, 0.0, math.inf, "()")
     ratios = capacity_ratios(dataset)
     caps = [c for _, c in ratios]
     peak_idx = caps.index(max(caps))

@@ -314,7 +314,7 @@ class TestFitCommand:
         # refused before the input is read: the input here does not exist
         argv = ["fit", str(data_dir / "absent.csv"), "--extrapolate", n]
         assert main(argv) == EXIT_ERROR
-        message = f"--extrapolate must be >= 1, got {float(n):g}"
+        message = f"--extrapolate must be >= 1, got {float(n)}"
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_plot_data_files(self, clean_csv, data_dir, capsys):
@@ -549,6 +549,13 @@ class TestCompareCommand:
         assert main(["compare", a, b]) == EXIT_OK
         assert "both scale without a finite peak" in capsys.readouterr().out
 
+    def test_a_pipe_in_a_file_name_is_escaped(self, data_dir, capsys):
+        a = write_points(data_dir / "a|b.csv", model_pairs(0.05, 0.004, 100.0, [1, 2, 4, 8, 16]))
+        b = write_points(data_dir / "c.csv", model_pairs(0.05, 0.002, 100.0, [1, 2, 4, 8, 16]))
+        assert main(["compare", a, b]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "| quantity | a\\|b.csv | c.csv | delta (b-a) |"
+
     def test_garbage_json_exits_two(self, data_dir, capsys):
         bad = data_dir / "bad.json"
         bad.write_text("{\"not\": \"a report\"}")
@@ -675,7 +682,7 @@ class TestSimulateCommand:
         (["--service", "1", "--think", "nan"], "think time must be >= 0, got nan"),
         (["--service", "1", "--think", "-1"], "think time must be >= 0, got -1.0"),
         (["--service", "1", "--think", "1", "--coherency", "inf"],
-         "coherency penalty must be >= 0, got inf"),
+         "coherency penalty must be finite, got inf"),
     ], ids=["zero-service", "nan-think", "negative-think", "inf-coherency"])
     def test_queue_values_get_the_queue_model_checks(self, capsys, flags, message):
         assert main(["simulate", *flags, "--levels", "1,2,4"]) == EXIT_ERROR
@@ -825,7 +832,16 @@ class TestSteadyCommand:
     def test_non_finite_trim_exits_one(self, data_dir, capsys, flag, value):
         path = write_series(data_dir / "short_N2.csv", plateau(2, 50.0, seconds=50))
         assert main(["steady", str(path), flag, value]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: trim durations must be finite and >= 0\n"
+        name, rule = flag[2:].replace("-", "_"), {"nan": ">= 0", "inf": "finite"}[value]
+        assert capsys.readouterr().err == f"error: {name} must be {rule}, got {value}\n"
+
+    def test_out_with_one_run_file_exits_one(self, data_dir, capsys):
+        # refused before the input is read: the input here does not exist
+        out = data_dir / "points.csv"
+        assert main(["steady", str(data_dir / "absent_N4.csv"), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: --out applies to a directory of runs, not to one run file\n")
+        assert not out.exists()
 
     def test_directory_aggregation_to_csv(self, data_dir, capsys):
         runs = data_dir / "runs"
@@ -926,8 +942,8 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     @pytest.mark.parametrize("text,message", [
-        ('{"tolerance": 0}', "tolerance must be positive"),
-        ('{"refine_tol": -1e-3}', "refine_tol must be positive"),
+        ('{"tolerance": 0}', "tolerance must be positive, got 0"),
+        ('{"refine_tol": -1e-3}', "refine_tol must be in (0, 1), got -0.001"),
         ('{"format": "yaml"}', "format must be json or markdown, got 'yaml'"),
         ('{"mode": "lsq"}', "mode must be one of ['auto', 'normalized', 'raw3']"),
     ], ids=["zero-tolerance", "negative-refine-tol", "unknown-format", "unknown-mode"])
@@ -976,32 +992,37 @@ def _ramped(mean=300.0):
              + ((i * 37) % 11 - 5) * 0.002 * mean) for i in range(120)]
 
 
-BAD_TRIMS = [(v, "trim durations must be finite and >= 0") for v in (-1.0, math.nan, math.inf)]
+def bad_trims(name):
+    return [(-1.0, f"{name} must be >= 0, got -1.0"), (math.nan, f"{name} must be >= 0, got nan"),
+            (math.inf, f"{name} must be finite, got inf")]
 
 # setting -> (command line, config value, flag that overrides it or None,
 # out-of-range values with the message of the check that refuses them);
 # {name} stands for the input file of that name
 SETTINGS = {
     "tolerance": (["validate", "{suspect}"], 0.2, ["--tolerance", "0.005"],
-                  [(-1.0, "tolerance must be positive"), (math.nan, "tolerance must be positive"),
-                   (math.inf, "tolerance must be finite")]),
+                  [(-1.0, "tolerance must be positive, got -1.0"),
+                   (math.nan, "tolerance must be positive, got nan"),
+                   (math.inf, "tolerance must be finite, got inf")]),
     "mode": (["fit", "{noisy}", "--format", "json"], "raw3", ["--mode", "normalized"], []),
     "beta_max": (["fit", "{clean}", "--format", "json"], 0.001, ["--beta-max", "1"],
-                 [(0.0, "beta_max must be positive")]),
+                 [(0.0, "beta_max must be positive, got 0.0")]),
     "refine_tol": (["fit", "{noisy}", "--format", "json"], 0.5, None,
-                   [(math.nan, "refine_tol must be positive"),
-                    (1.0, "refine_tol must be below 1, got 1.0"),
-                    (math.inf, "refine_tol must be below 1, got inf")]),
+                   [(math.nan, "refine_tol must be in (0, 1), got nan"),
+                    (1.0, "refine_tol must be in (0, 1), got 1.0"),
+                    (math.inf, "refine_tol must be in (0, 1), got inf")]),
     "slope_tol": (["steady", "{drift}"], 0.05, ["--slope-tol", "0.001"],
-                  [(-0.1, "slope_tol must be positive")]),
+                  [(-0.1, "slope_tol must be positive, got -0.1")]),
     "cv_max": (["steady", "{ramped}"], 0.001, ["--cv-max", "0.5"],
-               [(0.0, "cv_max must be positive")]),
+               [(0.0, "cv_max must be positive, got 0.0")]),
     "min_fraction": (["steady", "{ramped}"], 0.95, ["--min-fraction", "0.5"],
-                     [(2.0, "min_fraction must be in (0, 1]")]),
-    "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"], BAD_TRIMS),
-    "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"], BAD_TRIMS),
+                     [(2.0, "min_fraction must be in (0, 1], got 2.0")]),
+    "trim_up": (["steady", "{ramped}", "--format", "json"], 25, ["--trim-up", "10"],
+                bad_trims("trim_up")),
+    "trim_down": (["steady", "{ramped}", "--format", "json"], 10, ["--trim-down", "5"],
+                  bad_trims("trim_down")),
     "seed": (["simulate", "--alpha", "0.05", "--beta", "0.001", "--levels", "1,2,4",
-              "--noise", "0.05"], 3, ["--seed", "7"], [(-1, "seed must be >= 0, got -1")]),
+              "--noise", "0.05"], 3, ["--seed", "7"], [(-1, "seed must be an integer >= 0, got -1")]),
     "unit": (["fit", "{clean}"], "req/s", ["--unit", "ops"], []),
 }
 OUT_OF_RANGE = [(field, value, message) for field, (*_, bad) in sorted(SETTINGS.items())

@@ -581,14 +581,14 @@ class TestFitErrors:
             FitOptions(mode="least-squares")
         with pytest.raises(DomainError):
             FitOptions(beta_max=0.0)
-        with pytest.raises(DomainError, match="^max_refine_iter must be positive$"):
+        with pytest.raises(DomainError, match="^max_refine_iter must be an integer >= 1, got 0$"):
             FitOptions(max_refine_iter=0)
 
     @pytest.mark.parametrize("options,message", [
-        ({"refine_tol": 1.0}, "refine_tol must be below 1, got 1.0"),
-        ({"refine_tol": math.inf}, "refine_tol must be below 1, got inf"),
-        ({"max_refine_iter": 2.5}, "max_refine_iter must be an integer, got 2.5"),
-        ({"max_refine_iter": "600"}, "max_refine_iter must be an integer, got '600'"),
+        ({"refine_tol": 1.0}, "refine_tol must be in (0, 1), got 1.0"),
+        ({"refine_tol": math.inf}, "refine_tol must be in (0, 1), got inf"),
+        ({"max_refine_iter": 2.5}, "max_refine_iter must be an integer >= 1, got 2.5"),
+        ({"max_refine_iter": "600"}, "max_refine_iter must be an integer >= 1, got '600'"),
     ], ids=["tol-one", "tol-inf", "iter-fraction", "iter-text"])
     def test_options_that_would_break_the_fit_are_refused(self, options, message):
         # unchecked, a tolerance of 1 or more lets a face with a far larger sse win the

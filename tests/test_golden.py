@@ -281,6 +281,7 @@ CASES = {
     "steady-no-load": ("steady {d}/run.csv", None, ()),
     "steady-load-zero": ("steady {d}/run.csv --load 0", None, ()),
     "steady-runs-load": ("steady {d}/runs --load 7", None, ()),
+    "steady-file-out": ("steady {d}/ramped_N4.csv --out {d}/out/one.csv", None, ()),
     "steady-trim-md": ("steady {d}/warm_N2.csv --trim-up 15", None, ()),
     "steady-trim-json": ("steady {d}/warm_N2.csv --trim-up 15 --format json", None, ()),
     "steady-trim-down-json": ("steady {d}/ramped_N4.csv --trim-down 10 --format json",

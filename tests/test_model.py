@@ -9,20 +9,26 @@ from hypothesis import given, strategies as st
 
 from uslkit import (
     UNBOUNDED,
+    Dataset,
     DomainError,
     MissingNormalizationError,
     MeasuredPoint,
+    QueueParams,
     Regime,
+    SteadyWindow,
     UslParams,
     amdahl_capacity,
+    bootstrap_confidence,
     classify_regime,
     efficiency,
+    generate_synthetic,
     peak_concurrency,
     practical_peak,
     predict_throughput,
     scalability_curve,
     usl_capacity,
 )
+from uslkit.model import check_count, check_range
 from oracles import capacity_by_hand
 
 # Coefficient pairs published for real systems, used as regression
@@ -224,6 +230,63 @@ class TestParamsValidation:
         assert p == MeasuredPoint(2.0, 10.0)  # meta never affects equality
 
 
+RULE_DATA = Dataset.from_pairs([(1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0)])
+
+# (id, call, what it returns or the message of the DomainError it raises)
+RULES = [
+    ("closed-low-end", lambda: check_range("v", 0.0, 0.0, 1.0), 0.0),
+    ("open-high-end", lambda: check_range("v", 1.0, 0.0, 1.0), "v must be in [0, 1), got 1.0"),
+    ("open-low-end", lambda: check_range("v", 0.0, 0.0, 1.0, "(]"), "v must be in (0, 1], got 0.0"),
+    ("closed-high-end", lambda: check_range("v", 1.0, 0.0, 1.0, "(]"), 1.0),
+    ("nan-in-interval", lambda: check_range("v", math.nan, 0.0, 1.0),
+     "v must be in [0, 1), got nan"),
+    ("-inf", lambda: check_range("v", -math.inf, 0.0), "v must be >= 0, got -inf"),
+    ("inf-excluded", lambda: check_range("v", math.inf, 0.0), "v must be finite, got inf"),
+    ("inf-included", lambda: check_range("v", math.inf, 0.0, math.inf, "(]"), math.inf),
+    ("nan-with-inf-included", lambda: check_range("v", math.nan, 0.0, math.inf, "(]"),
+     "v must be positive, got nan"),
+    ("open-zero", lambda: check_range("v", 0.0, 0.0, math.inf, "()"), "v must be positive, got 0.0"),
+    ("open-one", lambda: check_range("v", 1.0, 1.0, math.inf, "()"), "v must be > 1, got 1.0"),
+    ("closed-one", lambda: check_range("v", 1.0, 1.0), 1.0),
+    ("below-closed-one", lambda: check_range("v", 0.5, 1.0), "v must be >= 1, got 0.5"),
+    ("nan-above-closed-one", lambda: check_range("v", math.nan, 1.0), "v must be >= 1, got nan"),
+    ("count-at-bound", lambda: check_count("k", 2, 2), 2),
+    ("count-below-bound", lambda: check_count("k", 1, 2), "k must be an integer >= 2, got 1"),
+    ("count-numpy", lambda: check_count("k", np.int64(3), 2), 3),
+    ("count-bool", lambda: check_count("k", True, 0), "k must be an integer >= 0, got True"),
+    ("count-fraction", lambda: check_count("k", 2.5, 0), "k must be an integer >= 0, got 2.5"),
+    ("count-text", lambda: check_count("k", "600", 0), "k must be an integer >= 0, got '600'"),
+    # each of these was accepted, or raised another error or message, before the rule
+    ("curve-num-nan", lambda: scalability_curve(CACHE_V1, 10.0, num=math.nan),
+     "num must be an integer >= 2, got nan"),
+    ("curve-num-fraction", lambda: scalability_curve(CACHE_V1, 10.0, num=2.5),
+     "num must be an integer >= 2, got 2.5"),
+    ("queue-population-bool", lambda: QueueParams(True, 1.0, 1.0),
+     "population must be an integer >= 1, got True"),
+    ("bootstrap-seed-bool", lambda: bootstrap_confidence(RULE_DATA, seed=True),
+     "seed must be an integer >= 0, got True"),
+    ("synthetic-seed-bool", lambda: generate_synthetic(CACHE_V1, [1, 2], seed=True),
+     "seed must be an integer >= 0, got True"),
+    ("window-nan-cv", lambda: SteadyWindow(0.0, 5.0, 10.0, math.nan, 3),
+     "cv must be >= 0, got nan"),
+    ("window-fractional-count", lambda: SteadyWindow(0.0, 5.0, 10.0, 0.1, 3.5),
+     "sample_count must be an integer >= 3, got 3.5"),
+    ("infinite-beta", lambda: UslParams(0.1, math.inf), "beta must be finite, got inf"),
+    ("infinite-x1", lambda: UslParams(0.1, 0.01, math.inf), "x1 must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("call,want", [r[1:] for r in RULES], ids=[r[0] for r in RULES])
+def test_the_range_and_count_rules(call, want):
+    if not isinstance(want, str):
+        got = call()
+        assert got == want and type(got) is type(want)
+        return
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == want
+
+
 class TestCurve:
     def test_starts_at_exactly_one(self):
         c = scalability_curve(CACHE_V1, domain_max=32.0, num=40)
@@ -314,10 +377,12 @@ class TestModelPinned:
         assert out[4 * 13].endswith(" 1000000.0 1000000.0")
         assert hashlib.sha256("\n".join(out).encode()).hexdigest() == self.DIGEST
 
-    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 0.5, [1.0, math.nan]],
-                             ids=["nan", "inf", "-inf", "half", "list-nan"])
-    def test_invalid_levels_raise(self, n):
-        with pytest.raises(DomainError, match="^concurrency levels must be finite and >= 1$"):
+    @pytest.mark.parametrize("n,message", [
+        (math.nan, ">= 1, got nan"), (math.inf, "finite, got inf"), (-math.inf, ">= 1, got -inf"),
+        (0.5, ">= 1, got 0.5"), ([1.0, math.nan], ">= 1, got nan"),
+    ], ids=["nan", "inf", "-inf", "half", "list-nan"])
+    def test_invalid_levels_raise(self, n, message):
+        with pytest.raises(DomainError, match=f"^concurrency must be {re.escape(message)}$"):
             usl_capacity(n, CACHE_V1)
 
     def test_empty_levels_pass(self):

@@ -171,7 +171,7 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_rejects_negative_seed_with_or_without_noise(self, noise):
-        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(DomainError, match=r"^seed must be an integer >= 0, got -1$"):
             generate_synthetic(UslParams(0.05, 0.002), [1, 2, 4], noise=noise, seed=-1)
 
     def test_returns_fittable_dataset(self):

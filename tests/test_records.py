@@ -126,17 +126,24 @@ MESSAGES = [
                  id="MeasuredPoint-args2-concurrency must be >= 1, got 0.5"),
     pytest.param(MeasuredPoint, (0.5, -1.0), "concurrency must be in [1, 2**64], got 0.5",
                  id="MeasuredPoint-args3-concurrency must be >= 1, got 0.5"),
-    (MeasuredPoint, (2.0, -1.0), "throughput must be >= 0 and finite, got -1.0"),
-    (MeasuredPoint, (2.0, math.nan), "throughput must be >= 0 and finite, got nan"),
-    (MeasuredPoint, (2.0, math.inf), "throughput must be >= 0 and finite, got inf"),
+    # these keep the ids they had before check_range worded every rule, as does each
+    # pytest.param below with an id
+    pytest.param(MeasuredPoint, (2.0, -1.0), "throughput must be >= 0, got -1.0",
+                 id="MeasuredPoint-args4-throughput must be >= 0 and finite, got -1.0"),
+    pytest.param(MeasuredPoint, (2.0, math.nan), "throughput must be >= 0, got nan",
+                 id="MeasuredPoint-args5-throughput must be >= 0 and finite, got nan"),
+    pytest.param(MeasuredPoint, (2.0, math.inf), "throughput must be finite, got inf",
+                 id="MeasuredPoint-args6-throughput must be >= 0 and finite, got inf"),
     (UslParams, (math.nan, 0.0), "alpha must be in [0, 1), got nan"),
     (UslParams, (-0.1, -1.0), "alpha must be in [0, 1), got -0.1"),
     (UslParams, (0.1, -1.0, 0.0), "beta must be >= 0, got -1.0"),
-    (UslParams, (0.1, math.inf), "beta must be >= 0, got inf"),
+    pytest.param(UslParams, (0.1, math.inf), "beta must be finite, got inf",
+                 id="UslParams-args10-beta must be >= 0, got inf"),
     (UslParams, (0.1, 0.0, 0.0), "x1 must be positive, got 0.0"),
     (UslParams, (0.1, 0.0, math.nan), "x1 must be positive, got nan"),
     (QueueParams, (0, 0.5, 1.0), "population must be an integer >= 1, got 0"),
-    (QueueParams, (True, 0.5, 1.0), None),
+    pytest.param(QueueParams, (True, 0.5, 1.0), "population must be an integer >= 1, got True",
+                 id="QueueParams-args14-None"),
     (QueueParams, (4, 0.0, -1.0), "service time must be positive, got 0.0"),
     (QueueParams, (4, 0.5, -1.0, -1.0), "think time must be >= 0, got -1.0"),
     (QueueParams, (4, 0.5, 1.0, math.nan), "coherency penalty must be >= 0, got nan"),
@@ -150,9 +157,6 @@ MESSAGES = [
 
 @pytest.mark.parametrize("cls,args,message", MESSAGES)
 def test_checks_and_messages(cls, args, message):
-    if message is None:  # bool is an int, as the generated __init__ let it be
-        assert cls(*args).n is True
-        return
     with pytest.raises(DomainError) as err:
         cls(*args)
     assert str(err.value) == message

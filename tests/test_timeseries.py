@@ -74,11 +74,16 @@ class TestRunSeries:
         with pytest.raises(DomainError, match=f"^{message}$"):
             RunSeries(load=2.0, samples=samples)
 
-    @pytest.mark.parametrize("trim", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
-                                      (0.0, math.inf), (-1.0, 0.0)])
-    def test_trims_must_be_finite_and_nonnegative(self, trim):
+    @pytest.mark.parametrize("trim,message", [
+        pytest.param((math.nan, 0.0), "trim_up must be >= 0, got nan", id="trim0"),
+        pytest.param((0.0, math.nan), "trim_down must be >= 0, got nan", id="trim1"),
+        pytest.param((math.inf, 0.0), "trim_up must be finite, got inf", id="trim2"),
+        pytest.param((0.0, math.inf), "trim_down must be finite, got inf", id="trim3"),
+        pytest.param((-1.0, 0.0), "trim_up must be >= 0, got -1.0", id="trim4"),
+    ])
+    def test_trims_must_be_finite_and_nonnegative(self, trim, message):
         # trims are a SteadyStateConfig setting, not part of the run
-        with pytest.raises(DomainError, match=r"^trim durations must be finite and >= 0$"):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SteadyStateConfig(trim=trim)
         assert "trim" not in {f.name for f in dataclasses.fields(RunSeries)}
 
@@ -131,11 +136,14 @@ class TestRunSeries:
 
 @pytest.mark.parametrize("args, message", [
     ((5.0, 5.0, 10.0, 0.1, 3), "window must have positive duration"),
-    ((0.0, 5.0, 10.0, 0.1, 2), "window must contain at least 3 samples"),
-    ((0.0, 5.0, 10.0, -0.1, 3), "cv cannot be negative"),
+    # the ids these had before check_range worded the rules
+    pytest.param((0.0, 5.0, 10.0, 0.1, 2), "sample_count must be an integer >= 3, got 2",
+                 id="args1-window must contain at least 3 samples"),
+    pytest.param((0.0, 5.0, 10.0, -0.1, 3), "cv must be >= 0, got -0.1",
+                 id="args2-cv cannot be negative"),
 ])
 def test_steady_window_checks(args, message):
-    with pytest.raises(DomainError, match=f"^{message}$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         SteadyWindow(*args)
 
 

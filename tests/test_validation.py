@@ -80,8 +80,10 @@ class TestValidateVerdicts:
         assert validate_dataset(d, tolerance=0.1).verdict is Verdict.CLEAN
 
     @pytest.mark.parametrize("tolerance,message", [
-        (0.0, "tolerance must be positive"), (-1.0, "tolerance must be positive"),
-        (math.nan, "tolerance must be positive"), (math.inf, "tolerance must be finite"),
+        (0.0, "tolerance must be positive, got 0.0"),
+        (-1.0, "tolerance must be positive, got -1.0"),
+        (math.nan, "tolerance must be positive, got nan"),
+        (math.inf, "tolerance must be finite, got inf"),
     ], ids=["zero", "negative", "nan", "inf"])
     def test_tolerance_out_of_range_raises(self, tolerance, message):
         d = Dataset.from_pairs([(1, 10.0), (2, 21.0)])
