@@ -568,8 +568,10 @@ def cmd_peak(args) -> int:
 def cmd_predict(args) -> int:
     params = UslParams(args.alpha, args.beta, args.x1)
     cap = usl_capacity(args.n, params)
-    d = {"n": args.n, "capacity": cap, "efficiency": cap / args.n,
-         "throughput": predict_throughput(args.n, params)}
+    x = predict_throughput(args.n, params)
+    if not math.isfinite(x):
+        raise DomainError(f"predicted throughput at N={args.n:g} is not finite, got {x}")
+    d = {"n": args.n, "capacity": cap, "efficiency": cap / args.n, "throughput": x}
     _emit(args, d, render_predict_markdown)
     return EXIT_OK
 

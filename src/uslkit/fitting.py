@@ -268,14 +268,6 @@ def _residuals(xs, x1_pin, c):
     return xs - x1 * c, c, x1, cc
 
 
-def _quotient(a: float, b: float) -> float:
-    """a / b, with numpy's inf or nan instead of ZeroDivisionError when b is 0."""
-    try:
-        return a / b
-    except ZeroDivisionError:
-        return float(np.divide(a, b))
-
-
 def _linear_start(ns, xs, x1_pin, basis: np.ndarray,
                   hi: tuple[float, float]) -> tuple[float, float]:
     """Nonnegative least squares on Y = n*x1/x - 1 = alpha*(n-1) + beta*n*(n-1).
@@ -363,9 +355,11 @@ def _polish(ns, b0, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
             v0, v1 = -g0 / s0, -g1 / s1
             rho = float(jac[:, 0] @ jac[:, 1]) / (n0 * n1) if free0 and free1 else 0.0
             fresh = False
+        # den >= about 2e-12 (lam >= 1e-12, |rho| <= 1 + a few ulps), so the
+        # division cannot raise; a lam that overflows gives inf, a nan rho nan
         m = 1.0 + lam
         den = m * m - rho * rho
-        u0, u1 = _quotient(m * v0 - rho * v1, den), _quotient(m * v1 - rho * v0, den)
+        u0, u1 = (m * v0 - rho * v1) / den, (m * v1 - rho * v0) / den
         if math.hypot(u0, u1) <= floor:
             break
         c0, c1 = _clip(t0 + u0 / s0, hi0), _clip(t1 + u1 / s1, hi1)
@@ -404,11 +398,7 @@ def _minimize(ns, xs, x1_pin, opt: FitOptions):
     for fa, fb in ((alpha, 0.0), (0.0, beta), (0.0, 0.0)):
         if fa == alpha and fb == beta and f <= bound:
             return fa, fb, r, c, x1, f
-        if fb == 0.0:
-            cf = ns / (1.0 + fa * b0) if fa else ns
-        else:
-            cf = ns / (1.0 + fb * ns * b0)
-        rf, cf, x1f, _ = _residuals(xs, x1_pin, cf)
+        rf, cf, x1f, _ = _residuals(xs, x1_pin, _capacity(ns, b0, fa, fb))
         ff = float(np.dot(rf, rf))
         if ff <= bound:
             return fa, fb, rf, cf, x1f, ff
@@ -540,23 +530,15 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
 
 
 def compare_fits(a: FitResult, b: FitResult) -> FitComparison:
-    """Before/after comparison; deltas are b minus a."""
+    """Before/after comparison; deltas are b minus a, and equal peaks (inf too) tie at 0.0."""
     pa, pb = peak_concurrency(a.params), peak_concurrency(b.params)
-    if math.isinf(pa) and math.isinf(pb):
-        delta = 0.0
-    else:
-        delta = pb - pa
-    if pa == pb:
-        further = "tie"
-    else:
-        further = "a" if pa > pb else "b"
     return FitComparison(
         alpha_delta=b.params.alpha - a.params.alpha,
         beta_delta=b.params.beta - a.params.beta,
         peak_a=pa,
         peak_b=pb,
-        peak_delta=delta,
-        scales_further=further,
+        peak_delta=0.0 if pa == pb else pb - pa,
+        scales_further="tie" if pa == pb else "a" if pa > pb else "b",
     )
 
 

@@ -191,7 +191,9 @@ def peak_concurrency(params: UslParams) -> float:
     """
     if params.beta == 0.0:
         return UNBOUNDED
-    return math.sqrt((1.0 - params.alpha) / params.beta)
+    a, b = params.alpha, params.beta
+    q = (1.0 - a) / b  # overflows only for a subnormal b, whose peak is finite
+    return math.sqrt(q) if q < math.inf else math.sqrt(1.0 - a) / math.sqrt(b)
 
 
 def practical_peak(params: UslParams) -> float:

@@ -81,9 +81,7 @@ def mva_solve(params: QueueParams) -> QueueSolution:
         )
     s, z = params.s, params.z
     q = 0.0
-    r = s
-    x = 1.0 / (s + z)
-    for k in range(1, params.n + 1):
+    for k in range(1, params.n + 1):  # QueueParams holds n >= 1, so this sets r and x
         r = s * (1.0 + q)
         x = k / (r + z)
         q = x * r

@@ -46,11 +46,11 @@ class RunSeries:
     """One run: (timestamp, throughput) samples at a fixed load level in [1, 2**64].
 
     samples is any sequence of (timestamp, throughput) pairs, such as a
-    tuple of tuples or a (k, 2) array; it is stored as a read-only (k, 2)
-    float array, whose rows unpack as (t, x); times and values are its
-    columns, as read-only arrays of their own.  Timestamps are seconds,
-    strictly increasing; at least 5 samples.  Runs compare and hash by
-    value.
+    tuple of tuples or a (k, 2) array.  The run holds them once, as one
+    read-only (2, k) float array: times and values are its rows, and
+    samples is its (k, 2) transpose, whose rows unpack as (t, x).
+    Timestamps are seconds, strictly increasing; at least 5 samples.  Runs
+    compare and hash by value.
     """
 
     load: float
@@ -65,7 +65,9 @@ class RunSeries:
         k = len(pts)
         if k < 5:
             raise DomainError(f"a run needs at least 5 samples, got {k}")
-        t, x = pts[:, 0].copy(), pts[:, 1].copy()
+        tx = np.ascontiguousarray(pts.T)  # copies unless pts is already a transpose
+        tx.flags.writeable = False  # before the views, which inherit it
+        t, x = tx
         # each check reports its first offending sample; NaN fails every one
         (bad,) = np.nonzero(~(t[1:] > t[:-1]))
         if len(bad):
@@ -74,9 +76,7 @@ class RunSeries:
         if len(bad):
             raise DomainError(f"throughput must be finite and >= 0 (at t={float(t[bad[0]]):g})")
         check_level(self.load)
-        for a in (pts, t, x):
-            a.flags.writeable = False
-        object.__setattr__(self, "samples", pts)
+        object.__setattr__(self, "samples", tx.T)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", x)
 
@@ -174,9 +174,9 @@ def _mser_cut(x: np.ndarray, most: int) -> int:
     return int(np.argmax(score <= score.min() + tol))
 
 
-def _rejection(t: np.ndarray, x: np.ndarray, total: float, cfg: SteadyStateConfig) -> str | None:
-    """Why the window t, x fails the acceptance checks, or None when it passes."""
-    mean, cv = _window_stats(x)
+def _rejection(t: np.ndarray, x: np.ndarray, mean: float, cv: float, total: float,
+               cfg: SteadyStateConfig) -> str | None:
+    """Why the window t, x of this mean and cv fails the acceptance checks, or None."""
     if not mean > 0.0:
         return f"has mean throughput {mean:.4g}"
     duration = t[-1] - t[0]
@@ -184,30 +184,25 @@ def _rejection(t: np.ndarray, x: np.ndarray, total: float, cfg: SteadyStateConfi
         return f"lasts {duration:.4g}s, under {cfg.min_fraction:.0%} of the {total:.4g}s run"
     if not cv <= cfg.cv_max:
         return f"has cv {cv:.4g} > {cfg.cv_max:g}"
-    # the fitted drift counts against slope_tol only beyond 3 standard
-    # errors of the fit, so that noise on a short plateau is not a trend
+    # the fitted drift, then the fitted quadratic's rise from its middle to
+    # its ends (ramps at both ends cancel in the drift), count against
+    # slope_tol only beyond 3 standard errors: noise on a plateau is no trend
     tc = t - t[0]
     tc -= tc.mean()
-    stt = float(np.dot(tc, tc))
-    slope = float(np.dot(tc, x - mean)) / stt
-    r = x - mean - slope * tc
-    se = math.sqrt(float(np.dot(r, r)) / (len(x) - 2) / stt) * duration / mean
-    drift = abs(slope) * duration / mean
-    if not drift - 3.0 * se <= cfg.slope_tol:
-        return f"has drift {drift:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
-    if len(x) == 3:  # a parabola through 3 samples leaves no error to judge it by
-        return None
-    # ramps at both ends cancel in the drift but bend the window: the fitted
-    # quadratic's rise from its middle to its ends counts the same way
     v = tc / (duration / 2.0)  # 0 at the mean time, 1 half a window away
     u = v * v
     u -= u.mean() + float(np.dot(u, v)) / float(np.dot(v, v)) * v  # orthogonal to 1 and v
-    suu = float(np.dot(u, u))
-    c = float(np.dot(u, r)) / suu
-    r -= c * u
-    se = math.sqrt(float(np.dot(r, r)) / (len(x) - 3) / suu) / mean
-    if not abs(c) / mean - 3.0 * se <= cfg.slope_tol:
-        return f"has curvature {abs(c) / mean:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
+    r = x - mean
+    terms = (("drift", tc, duration), ("curvature", u, 1.0))
+    # each term fits the last's residual; a parabola through 3 samples leaves no error
+    for df, (name, b, scale) in enumerate(terms[:len(x) - 2], 2):
+        sbb = float(np.dot(b, b))
+        c = float(np.dot(b, r)) / sbb
+        r -= c * b
+        se = math.sqrt(float(np.dot(r, r)) / (len(x) - df) / sbb) * scale / mean
+        value = abs(c) * scale / mean
+        if not value - 3.0 * se <= cfg.slope_tol:
+            return f"has {name} {value:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
     return None
 
 
@@ -225,14 +220,14 @@ def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
         j -= back
         if front == back == 0:
             break
-    reason = _rejection(t[i:j], x[i:j], t[-1] - t[0], cfg)
+    mean, cv = _window_stats(x[i:j])
+    reason = _rejection(t[i:j], x[i:j], mean, cv, t[-1] - t[0], cfg)
     if reason is not None:
         raise NoSteadyStateError(
             f"the MSER window [{t[i]:g}s, {t[j - 1]:g}s] {reason}; a steady window needs "
             f"at least 3 samples, a positive mean, at least {cfg.min_fraction:.0%} of the run, "
             f"cv <= {cfg.cv_max:g} and drift <= {cfg.slope_tol:g} beyond 3 standard errors"
         )
-    mean, cv = _window_stats(x[i:j])
     return SteadyWindow(float(t[i]), float(t[j - 1]), mean, cv, j - i)
 
 

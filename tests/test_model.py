@@ -28,7 +28,7 @@ from uslkit import (
     scalability_curve,
     usl_capacity,
 )
-from uslkit.model import check_count, check_range
+from uslkit.model import _capacity, check_count, check_range
 from oracles import capacity_by_hand
 
 # Coefficient pairs published for real systems, used as regression
@@ -79,6 +79,21 @@ class TestUslCapacity:
             usl_capacity(0.5, CACHE_V1)
         with pytest.raises(DomainError):
             usl_capacity([2.0, 0.0], CACHE_V1)
+
+    @given(
+        ns=st.lists(st.floats(min_value=1.0, max_value=2.0**64), min_size=1, max_size=8),
+        a=st.just(0.0) | st.floats(min_value=0.0, max_value=0.999),
+        b=st.just(0.0) | st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_a_zero_coefficient_adds_exactly_nothing(self, ns, a, b):
+        # the fit's faces hold one coefficient at 0 through _capacity; the
+        # expected values are the face capacities written out without it
+        ns = np.array(ns)
+        b0 = ns - 1.0
+        alpha_face = ns / (1.0 + a * b0) if a else ns
+        beta_face = ns / (1.0 + b * ns * b0)
+        assert _capacity(ns, b0, a, 0.0).tobytes() == alpha_face.tobytes()
+        assert _capacity(ns, b0, 0.0, b).tobytes() == beta_face.tobytes()
 
     @given(params=params_strategy, n=level_strategy)
     def test_efficiency_never_exceeds_one(self, params, n):
@@ -149,6 +164,15 @@ class TestPeak:
 
     def test_pure_coherency_peak(self):
         assert peak_concurrency(UslParams(0.0, 1e-4)) == pytest.approx(100.0, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1e-320, 5e-324])
+    def test_subnormal_beta_has_a_finite_peak(self, beta):
+        # (1 - alpha) / beta overflows here, while the peak itself is finite
+        params = UslParams(0.0, beta)
+        nc = peak_concurrency(params)
+        assert math.isfinite(nc)
+        assert nc == pytest.approx(1.0 / math.sqrt(beta), rel=1e-15)
+        assert math.isfinite(practical_peak(params))
 
     @given(
         alpha=st.floats(min_value=0.0, max_value=0.99),

@@ -99,6 +99,9 @@ class TestRunSeries:
         run = trapezoid_run(4.0)
         assert run.times is run.times and run.values is run.values
         assert not hasattr(run, "_times") and not hasattr(run, "_values")
+        # each sample is held once: times and values are views of samples
+        assert np.shares_memory(run.times, run.samples)
+        assert np.shares_memory(run.values, run.samples)
         for a in (run.times, run.values, run.samples):
             with pytest.raises(ValueError):
                 a[0] = 1.0
