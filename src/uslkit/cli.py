@@ -58,6 +58,7 @@ from .fitting import (
 )
 from .model import (
     UslParams,
+    _fixed,
     check_count,
     check_level,
     check_range,
@@ -125,16 +126,17 @@ def _config() -> dict:
             f"unknown config keys {sorted(unknown)}; known: {sorted(_SETTINGS)}", path=path
         )
     for key, value in raw.items():
-        kind, default, _, _ = _SETTINGS[key]
+        kind, default, _, choices = _SETTINGS[key]
         optional = default is None
         accepted = (int, float) if kind is float else (kind,)  # JSON's bool is no number
-        if value is None and optional or type(value) in accepted:
+        typed = value is None and optional or type(value) in accepted
+        if typed and (choices is None or value in choices):
             continue
-        wanted = {float: "a number", int: "an integer", str: "a string"}[kind]
-        raise ParseError(
-            f"config key {key!r} must be {wanted}{' or null' if optional else ''}, "
-            f"got {json.dumps(value)}", path=path,
-        )
+        wanted = (f"one of {list(choices)}" if typed else
+                  {float: "a number", int: "an integer", str: "a string"}[kind]
+                  + (" or null" if optional else ""))
+        raise ParseError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}",
+                         path=path)
     settings.update(raw)
     try:
         _analysis_settings(argparse.Namespace(**settings))
@@ -145,10 +147,6 @@ def _config() -> dict:
 
 def _analysis_settings(s) -> tuple[FitOptions, SteadyStateConfig]:
     """The FitOptions and SteadyStateConfig of the config or of the merged arguments, checked."""
-    if s.format not in ("json", "markdown"):
-        raise DomainError(f"format must be json or markdown, got {s.format!r}")
-    if s.mode not in _MODE_NAMES:
-        raise DomainError(f"mode must be one of {sorted(_MODE_NAMES)}")
     check_range("tolerance", s.tolerance, 0.0, math.inf, "()")
     check_count("seed", s.seed, 0)
     trim = None
@@ -312,14 +310,14 @@ def read_series_dir(dirpath: str) -> list[RunSeries]:
 # ------------------------------------------------------------------- reports
 
 def _fmt(v, spec: str = ".10g") -> str:
-    """A report value as markdown table text: None as -, a float by spec (so inf and nan by
-    name), and text with each | escaped, which would otherwise end the cell."""
+    """A report value as markdown text: None as -, a float by _fixed(v, spec), and text with
+    each | escaped, which would otherwise end a table cell."""
     if v is None:
         return "-"
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, float):
-        return format(v, spec)
+        return _fixed(v, spec)
     if isinstance(v, (tuple, list)):
         v = ", ".join(v) or "-"
     return str(v).replace("|", "\\|")
@@ -361,11 +359,11 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
         advice.append("no capacity peak was found (beta=0); one beyond the highest level "
                       f"measured (N={top:g}) is not ruled out")
     elif peak["reach"] < 1.0:
-        advice.append(f"the peak (N ~ {peak['n']:.4f}) is an extrapolation, "
+        advice.append(f"the peak (N ~ {_fmt(peak['n'], '.4f')}) is an extrapolation, "
                       f"{peak['n'] / top:.3g}x the highest level measured (N={top:g})")
     elif peak["reach"] > 1.0:
         advice.append(f"the measured range extends past the capacity peak "
-                      f"(N ~ {peak['n']:.4f}); extra concurrency there costs throughput")
+                      f"(N ~ {_fmt(peak['n'], '.4f')}); extra concurrency there costs throughput")
     return {
         "fit": {
             "mode": fit.mode,
@@ -415,9 +413,9 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return out
 
 
-def _records(rows: list[dict], keys: tuple[str, ...]) -> list[str]:
-    """A markdown table of the rows with one column per key."""
-    return _md_table(list(keys), [[_fmt(r[k]) for k in keys] for r in rows])
+def _records(rows: list[dict]) -> list[str]:
+    """A markdown table of the rows with one column per key of the first."""
+    return _md_table(list(rows[0]), [[_fmt(v) for v in r.values()] for r in rows])
 
 
 def _md_section(d: dict, depth: int) -> list[str]:
@@ -429,7 +427,7 @@ def _md_section(d: dict, depth: int) -> list[str]:
         if isinstance(v, (dict, list)) and v:
             lines += ["", f"{'#' * depth} {k}", ""] + (
                 _md_section(v, depth + 1) if isinstance(v, dict)
-                else _records(v, tuple(v[0])) if isinstance(v[0], dict)
+                else _records(v) if isinstance(v[0], dict)
                 else [f"- {_fmt(x)}" for x in v])
     return lines
 
@@ -440,29 +438,27 @@ def render_fit_markdown(report: dict) -> str:
     for notice in report["notices"]:
         lines += [f"> {notice}", ""]
     lines += _md_section({k: v for k, v in report.items() if k != "notices"}, 2)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def render_validation_markdown(v: dict) -> str:
     lines = ["# Data validation", "", f"verdict: **{v['verdict']}**", ""]
-    lines += _records(v["rows"], ("n", "capacity", "efficiency", "flags"))
+    lines += _records(v["rows"])
     if v["notes"]:
         lines.append("")
-        lines += [f"- {n}" for n in v["notes"]]
-    return "\n".join(lines) + "\n"
+        lines += [f"- {_fmt(n)}" for n in v["notes"]]
+    return "\n".join(lines)
 
 
 def render_peak_markdown(d: dict) -> str:
     p = d["peak"]
-    lines = ["peak N: " + _fmt(p["n"], ".4f"), "practical N: " + _fmt(p["practical_n"], ".0f")]
-    if p["capacity"] is not None:
-        lines.append(f"peak capacity: {p['capacity']:.4f}")
-    return "\n".join(lines + [f"regime: {d['regime']}"])
+    return (f"peak N: {_fmt(p['n'], '.4f')}\npractical N: {_fmt(p['practical_n'], '.0f')}\n"
+            f"peak capacity: {_fmt(p['capacity'], '.4f')}\nregime: {d['regime']}")
 
 
 def render_predict_markdown(d: dict) -> str:
-    return (f"N={d['n']:g}: capacity {d['capacity']:.4f}, "
-            f"efficiency {d['efficiency']:.4f}, throughput {d['throughput']:.4f}")
+    return (f"N={d['n']:g}: capacity {_fmt(d['capacity'], '.4f')}, efficiency "
+            f"{_fmt(d['efficiency'], '.4f')}, throughput {_fmt(d['throughput'], '.4f')}")
 
 
 def render_compare_markdown(d: dict) -> str:
@@ -479,14 +475,13 @@ def render_steady_markdown(d: dict) -> str:
     return (f"load N={d['load']:g} ({d['mode']})\n"
             f"window: [{w['start']:g}s, {w['end']:g}s] "
             f"({w['duration']:g}s, {w['samples']} samples)\n"
-            f"mean throughput: {w['mean_throughput']:.4f} (cv {w['cv']:.4f})")
+            f"mean throughput: {_fmt(w['mean_throughput'], '.4f')} (cv {_fmt(w['cv'], '.4f')})")
 
 
 # ------------------------------------------------------------------ commands
 
 def _emit(args, report: dict, markdown) -> None:
-    out = render_json(report) if args.format == "json" else markdown(report)
-    print(out, end="" if out.endswith("\n") else "\n")
+    print(render_json(report) if args.format == "json" else markdown(report))
 
 
 def _aggregate(args) -> Dataset:
@@ -678,7 +673,7 @@ def cmd_steady(args) -> int:
             raise DomainError("--load applies to one run file, not to a directory of runs")
         dataset = _aggregate(args)
         comments = ["steady-state means per load level"] + [
-            f"N={p.n:g}: cv={p.meta['cv']:.4f} samples={p.meta['samples']}"
+            f"N={p.n:g}: cv={_fmt(p.meta['cv'], '.4f')} samples={p.meta['samples']}"
             for p in dataset.points
         ]
         write_points_csv(args.out, _points(dataset), comments)

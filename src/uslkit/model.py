@@ -77,6 +77,12 @@ def check_count(name: str, v, lo: int) -> int:
     raise DomainError(f"{name} must be an integer >= {lo}, got {v!r}")
 
 
+def _fixed(v: float, spec: str) -> str:
+    """v by spec while |v| < 2**53, else by .10g, so inf and nan by name: from 2**53 on a
+    fixed form prints digits that no float holds."""
+    return format(v, spec if abs(v) < 2.0 ** 53 else ".10g")
+
+
 class Regime(str, enum.Enum):
     """Qualitative scaling behaviour implied by the coefficients."""
 
@@ -251,12 +257,8 @@ class ScalabilityCurve:
     @property
     def samples(self) -> list[tuple]:
         """(n, capacity, throughput-or-None) rows."""
-        if self.throughputs is None:
-            return [(float(n), float(c), None) for n, c in zip(self.ns, self.capacities)]
-        return [
-            (float(n), float(c), float(x))
-            for n, c, x in zip(self.ns, self.capacities, self.throughputs)
-        ]
+        xs = [None] * len(self.ns) if self.throughputs is None else self.throughputs.tolist()
+        return list(zip(self.ns.tolist(), self.capacities.tolist(), xs))
 
 
 def scalability_curve(params: UslParams, domain_max: float, num: int = 100) -> ScalabilityCurve:

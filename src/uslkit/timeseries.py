@@ -32,7 +32,7 @@ value, then the limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,8 +134,7 @@ def _window_stats(x: np.ndarray) -> tuple[float, float]:
     return mean, float(x.std() / mean)
 
 
-def _trimmed(run: RunSeries, up: float, down: float) -> SteadyWindow:
-    t, x = run.times, run.values
+def _trimmed(t: np.ndarray, x: np.ndarray, up: float, down: float) -> SteadyWindow:
     start = t[0] + up
     end = t[-1] - down
     if not start < end:
@@ -206,8 +205,7 @@ def _rejection(t: np.ndarray, x: np.ndarray, mean: float, cv: float, total: floa
     return None
 
 
-def _detected(run: RunSeries, cfg: SteadyStateConfig) -> SteadyWindow:
-    t, x = run.times, run.values
+def _detected(t: np.ndarray, x: np.ndarray, cfg: SteadyStateConfig) -> SteadyWindow:
     # Two-sided MSER: cut the front of the window, then the back of what
     # remains, until a pass cuts nothing.  A pass that cuts shrinks the
     # window, so the loop ends; each pass is O(k).
@@ -235,13 +233,16 @@ def extract_steady_state(run: RunSeries, config: SteadyStateConfig | None = None
     """Steady-state window of one run.
 
     Uses config's explicit trim when set, otherwise automatic detection
-    under config (defaults apply when omitted).  The mean is the plain
-    arithmetic mean over the window.
+    under config (defaults apply when omitted).  Either sees the values
+    over the power of two that puts the largest in [0.5, 1), as the fit
+    does, so no squared sum overflows or underflows and the window does not
+    depend on the unit.  The mean is the window's arithmetic mean, scaled back.
     """
     config = config or SteadyStateConfig()
-    if config.trim is not None:
-        return _trimmed(run, *config.trim)
-    return _detected(run, config)
+    e = math.frexp(float(run.values.max()))[1]  # 0 for an all-zero run
+    t, x = run.times, np.ldexp(run.values, -e)
+    w = _detected(t, x, config) if config.trim is None else _trimmed(t, x, *config.trim)
+    return replace(w, mean_throughput=math.ldexp(w.mean_throughput, e))
 
 
 def aggregate_runs(runs, config: SteadyStateConfig | None = None) -> Dataset:

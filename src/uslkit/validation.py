@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InsufficientDataError
 from .fitting import Dataset, capacity_ratios
-from .model import _set, check_range
+from .model import _fixed, _set, check_range
 
 FLAG_EFFICIENCY_ABOVE_ONE = "efficiency-above-one"   # hard
 FLAG_DECREASE_BEFORE_PEAK = "decrease-before-peak"   # soft
@@ -99,7 +99,7 @@ def validate_dataset(dataset: Dataset, tolerance: float = DEFAULT_TOLERANCE) -> 
         if eff > limit:
             flags[i].append(FLAG_EFFICIENCY_ABOVE_ONE)
             notes.append(
-                f"N={n:g}: efficiency {eff:.4f} exceeds 1 by more than {tolerance:g}; "
+                f"N={n:g}: efficiency {_fixed(eff, '.4f')} exceeds 1 by more than {tolerance:g}; "
                 "capacity is a ratio to N=1 and cannot scale better than linearly"
             )
         if x == 0.0:

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import uslkit.cli as cli
 from uslkit import (
-    FitOptions, UslParams, fit_usl, generate_synthetic, scalability_curve, usl_capacity,
+    MODE_NORMALIZED, Dataset, FitOptions, FitResult, UslParams, fit_usl, generate_synthetic,
+    scalability_curve, usl_capacity,
 )
 from uslkit.cli import (
     EXIT_ERROR,
@@ -451,6 +452,14 @@ class TestRangeNotice:
         assert report["peak"]["reach"] == pytest.approx(reach, rel=1e-9)
         assert report["notices"][1:] == ([notice] if notice else [])
 
+    def test_a_peak_from_2_to_the_53_is_written_in_exponent_form(self):
+        fit = FitResult(UslParams(0.05, 1e-200, 100.0), 0.0, 1.0, (), False, MODE_NORMALIZED)
+        data = Dataset.from_pairs([(1, 100.0), (2, 190.0), (4, 330.0)])
+        report = cli.build_fit_report(
+            fit, data, None, scalability_curve(fit.params, 4.0, 2), None, [])
+        assert report["notices"][1:] == ["the peak (N ~ 9.746794345e+99) is an extrapolation, "
+                                         "2.44e+99x the highest level measured (N=4)"]
+
 
 class TestPeakCommand:
     def test_markdown_rounding(self, capsys):
@@ -624,6 +633,24 @@ class TestSavedReportRoundTrip:
         saved = data_dir / "fit.json"
         saved.write_text(json.dumps(d))
         assert math.isnan(cli._fit_from_path(str(saved), FitOptions())[1].r_squared)
+
+
+@pytest.mark.parametrize("argv, code, shown", [
+    (["peak", "--alpha", "0", "--beta", "5e-324"], EXIT_OK, "peak N: 4.498913795e+161\n"),
+    (["peak", "--alpha", "0.1", "--beta", "1e-200"], EXIT_OK, "peak N: 9.486832981e+99\n"),
+    (["predict", "--alpha", "0", "--beta", "0", "--x1", "1e300", "--n", "10"], EXIT_OK,
+     "throughput 1e+301\n"),
+    (["validate", "{tiny}"], EXIT_INVALID, "- N=2: efficiency 5e+299 exceeds"),
+    (["steady", "{flat}"], EXIT_OK, "mean throughput: 1e+300 (cv 0.0000)\n"),
+], ids=["peak-subnormal-beta", "peak-tiny-beta", "predict", "validate", "steady"])
+def test_a_number_from_2_to_the_53_prints_in_exponent_form(data_dir, capsys, argv, code, shown):
+    # a fixed form would print every digit of the number, 18 and more
+    files = {"tiny": write_points(data_dir / "tiny.csv", [(1, 1e-300), (2, 1), (4, 2)]),
+             "flat": write_series(data_dir / "flat_N4.csv", [(i, 1e300) for i in range(60)])}
+    assert main([a.format(**files) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert shown in out and err == ""
+    assert not re.search(r"\d{18}", out)
 
 
 def test_render_json_writes_every_inf_and_nan_as_null():
@@ -944,8 +971,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("text,message", [
         ('{"tolerance": 0}', "tolerance must be positive, got 0"),
         ('{"refine_tol": -1e-3}', "refine_tol must be in (0, 1), got -0.001"),
-        ('{"format": "yaml"}', "format must be json or markdown, got 'yaml'"),
-        ('{"mode": "lsq"}', "mode must be one of ['auto', 'normalized', 'raw3']"),
+        ('{"format": "yaml"}', "config key 'format' must be one of ['json', 'markdown'], "
+                               "got \"yaml\""),
+        ('{"mode": "lsq"}', "config key 'mode' must be one of ['auto', 'normalized', 'raw3'], "
+                            "got \"lsq\""),
     ], ids=["zero-tolerance", "negative-refine-tol", "unknown-format", "unknown-mode"])
     def test_out_of_range_config_exits_two(self, data_dir, clean_csv, monkeypatch, capsys,
                                            text, message):
@@ -954,6 +983,17 @@ class TestConfigFile:
         monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
         assert main(["validate", clean_csv]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+    @pytest.mark.parametrize("name", [k for k, s in cli._SETTINGS.items() if s[3]])
+    def test_a_value_outside_the_choices_exits_two(self, data_dir, clean_csv, monkeypatch,
+                                                   capsys, name):
+        cfg = data_dir / "cfg.json"
+        cfg.write_text(json.dumps({name: "no such choice"}))
+        monkeypatch.setenv("USLKIT_CONFIG", str(cfg))
+        assert main(["validate", clean_csv]) == EXIT_PARSE
+        choices = list(cli._SETTINGS[name][3])
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key {name!r} must be one of {choices}, got \"no such choice\"\n")
 
     def test_mistyped_seed_exits_two_before_simulating(self, data_dir, monkeypatch, capsys):
         cfg = data_dir / "cfg.json"

@@ -28,7 +28,7 @@ from uslkit import (
     scalability_curve,
     usl_capacity,
 )
-from uslkit.model import _capacity, check_count, check_range
+from uslkit.model import _capacity, _fixed, check_count, check_range
 from oracles import capacity_by_hand
 
 # Coefficient pairs published for real systems, used as regression
@@ -412,3 +412,17 @@ class TestModelPinned:
     def test_empty_levels_pass(self):
         got = usl_capacity(np.array([]), CACHE_V1)
         assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == float
+
+
+@pytest.mark.parametrize("v, text", [
+    (30.0, "30.0000"),
+    (2.0 ** 53 - 1, "9007199254740991.0000"),
+    (2.0 ** 53, "9.007199255e+15"),
+    (-(2.0 ** 53 - 1), "-9007199254740991.0000"),
+    (-(2.0 ** 53), "-9.007199255e+15"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (math.nan, "nan"),
+])
+def test_fixed_keeps_the_spec_below_2_to_the_53(v, text):
+    assert _fixed(v, ".4f") == text

@@ -249,6 +249,22 @@ class TestDetection:
             str(err.value),
         )
 
+    @pytest.mark.parametrize("cfg", [SteadyStateConfig(), SteadyStateConfig(trim=(20.0, 5.0))],
+                             ids=["detected", "trimmed"])
+    def test_the_window_does_not_depend_on_the_unit(self, cfg):
+        # a 20-sample ramp, then 3% noise about 100; the squared sums of the
+        # raw values underflow at 2**-1000 and overflow at 2**1000
+        rng = np.random.default_rng(5)
+        t = np.arange(200.0)
+        x = 100.0 * np.minimum(1.0, (t + 1.0) / 20.0) * (1.0 + rng.normal(0.0, 0.03, 200))
+        w0 = extract_steady_state(RunSeries(load=2.0, samples=np.column_stack([t, x])), cfg)
+        for k in (-1000, -600, 500, 1000):
+            run = RunSeries(load=2.0, samples=np.column_stack([t, np.ldexp(x, k)]))
+            w = extract_steady_state(run, cfg)
+            assert (w.start, w.end, w.sample_count, w.cv) == (w0.start, w0.end,
+                                                               w0.sample_count, w0.cv)
+            assert w.mean_throughput == math.ldexp(w0.mean_throughput, k)
+
     def test_noise_on_a_short_plateau_is_not_drift(self):
         # 61 samples of 3% noise: the fitted drift's standard error, about
         # 0.013, exceeds slope_tol, so a drift above slope_tol alone is noise
