@@ -5,150 +5,20 @@ capacity model (contention + coherency), fits the coefficients to
 measured data, validates measurements against the efficiency bound,
 cross-checks against an exact closed-queue solution, and extracts
 steady-state throughput from load-test time series.
+
+Each module's ``__all__`` is its public API, and the package re-exports
+all of them.
 """
 
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    InsufficientDataError,
-    MismatchedDatasetError,
-    MissingBaselineError,
-    MissingNormalizationError,
-    NoSteadyStateError,
-    ParseError,
-    TrimExceedsRunError,
-    UslError,
-    ZeroBaselineError,
-)
-from .fitting import (
-    MODE_AUTO,
-    MODE_NORMALIZED,
-    MODE_RAW3,
-    BootstrapResult,
-    Dataset,
-    FitComparison,
-    FitDiagnostics,
-    FitOptions,
-    FitResult,
-    Residual,
-    bootstrap_confidence,
-    capacity_ratios,
-    compare_fits,
-    evaluate_fit,
-    fit_usl,
-)
-from .model import (
-    UNBOUNDED,
-    MeasuredPoint,
-    Regime,
-    ScalabilityCurve,
-    UslParams,
-    amdahl_capacity,
-    classify_regime,
-    efficiency,
-    peak_concurrency,
-    practical_peak,
-    predict_throughput,
-    scalability_curve,
-    usl_capacity,
-)
-from .queueing import (
-    QueueParams,
-    QueueSolution,
-    SyncBoundCapacity,
-    generate_synthetic,
-    mva_solve,
-    sync_bound,
-    sync_bound_capacity,
-)
-from .timeseries import (
-    RunSeries,
-    SteadyStateConfig,
-    SteadyWindow,
-    aggregate_runs,
-    extract_steady_state,
-)
-from .validation import (
-    FLAG_DECREASE_BEFORE_PEAK,
-    FLAG_DOWN_THEN_UP,
-    FLAG_DUPLICATE_THROUGHPUT,
-    FLAG_EFFICIENCY_ABOVE_ONE,
-    FLAG_ZERO_THROUGHPUT,
-    HARD_FLAGS,
-    MonotonicityProfile,
-    ProfileShape,
-    ValidationReport,
-    ValidationRow,
-    Verdict,
-    monotonicity_profile,
-    validate_dataset,
-)
+from . import errors, fitting, model, queueing, timeseries, validation
+from .errors import *
+from .fitting import *
+from .model import *
+from .queueing import *
+from .timeseries import *
+from .validation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "UNBOUNDED",
-    "MODE_AUTO",
-    "MODE_NORMALIZED",
-    "MODE_RAW3",
-    "HARD_FLAGS",
-    "FLAG_DECREASE_BEFORE_PEAK",
-    "FLAG_DOWN_THEN_UP",
-    "FLAG_DUPLICATE_THROUGHPUT",
-    "FLAG_EFFICIENCY_ABOVE_ONE",
-    "FLAG_ZERO_THROUGHPUT",
-    "UslError",
-    "DomainError",
-    "MissingBaselineError",
-    "ZeroBaselineError",
-    "MissingNormalizationError",
-    "InsufficientDataError",
-    "DegenerateDataError",
-    "MismatchedDatasetError",
-    "NoSteadyStateError",
-    "TrimExceedsRunError",
-    "ParseError",
-    "UslParams",
-    "MeasuredPoint",
-    "Regime",
-    "ScalabilityCurve",
-    "usl_capacity",
-    "amdahl_capacity",
-    "efficiency",
-    "peak_concurrency",
-    "practical_peak",
-    "predict_throughput",
-    "classify_regime",
-    "scalability_curve",
-    "Dataset",
-    "FitOptions",
-    "FitResult",
-    "FitDiagnostics",
-    "FitComparison",
-    "BootstrapResult",
-    "Residual",
-    "capacity_ratios",
-    "fit_usl",
-    "evaluate_fit",
-    "compare_fits",
-    "bootstrap_confidence",
-    "Verdict",
-    "ProfileShape",
-    "ValidationReport",
-    "ValidationRow",
-    "MonotonicityProfile",
-    "validate_dataset",
-    "monotonicity_profile",
-    "QueueParams",
-    "QueueSolution",
-    "SyncBoundCapacity",
-    "mva_solve",
-    "sync_bound",
-    "sync_bound_capacity",
-    "generate_synthetic",
-    "RunSeries",
-    "SteadyWindow",
-    "SteadyStateConfig",
-    "extract_steady_state",
-    "aggregate_runs",
-]
+__all__ = [*errors.__all__, *model.__all__, *fitting.__all__, *validation.__all__,
+           *queueing.__all__, *timeseries.__all__]

@@ -84,6 +84,7 @@ EXIT_NO_BASELINE = 6
 _MODE_NAMES = {"auto": MODE_AUTO, "normalized": MODE_NORMALIZED, "raw3": MODE_RAW3}
 _LOAD_SUFFIX = re.compile(r"_[nN](\d+(?:\.\d+)?)\.csv$")
 _MAX_LEVELS = 100_000  # of a --levels range: 1:100000 simulates in 0.5 s and fits in 5 s
+_NULLABLE = ("x1", "sse", "r_squared")  # the fit's numbers that a saved report may hold as null
 
 
 # setting -> (JSON kind, default, flag help, choices); each default is its
@@ -575,14 +576,19 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
     """A saved JSON fit report, read back whole, or a points file to fit fresh.
 
     The report must hold every key build_fit_report writes for the fit and
-    its residuals; the result then equals the FitResult it was built from,
-    with a null sse read as inf and a null r_squared as nan.
+    its residuals, the fit's numbers as JSON numbers within the records'
+    ranges; the result then equals the FitResult it was built from, with a
+    null sse read as inf and a null r_squared as nan.
     """
     if not path.endswith(".json"):
         return os.path.basename(path), fit_usl(read_points_csv(path), options)
     try:
         d = json.loads(_text(path, "not a saved fit report: "))
         f = d["fit"]
+        for key in ("alpha", "beta", *_NULLABLE):
+            v = f[key]
+            if not (type(v) in (int, float) or v is None and key in _NULLABLE):
+                raise TypeError(f"fit key {key!r} must be a number, got {json.dumps(v)}")
         fit = FitResult(
             params=UslParams(f["alpha"], f["beta"], f["x1"]),
             sse=math.inf if f["sse"] is None else f["sse"],
@@ -590,7 +596,7 @@ def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
             residuals=tuple(Residual(**r) for r in d["residuals"]),
             significance_warning=f["significance_warning"], mode=f["mode"],
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (json.JSONDecodeError, DomainError, KeyError, TypeError) as e:
         raise ParseError(f"not a saved fit report: {e}", path=path) from e
     return os.path.basename(path), fit
 

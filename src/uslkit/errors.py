@@ -7,6 +7,12 @@ exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "UslError", "DomainError", "MissingBaselineError", "ZeroBaselineError",
+    "MissingNormalizationError", "InsufficientDataError", "DegenerateDataError",
+    "MismatchedDatasetError", "NoSteadyStateError", "TrimExceedsRunError", "ParseError",
+]
+
 
 class UslError(Exception):
     """Base class for all toolkit errors."""

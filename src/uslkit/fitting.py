@@ -77,6 +77,13 @@ from .model import (
     practical_peak,
 )
 
+__all__ = [
+    "MODE_AUTO", "MODE_NORMALIZED", "MODE_RAW3",
+    "Dataset", "FitOptions", "FitResult", "FitDiagnostics", "FitComparison", "BootstrapResult",
+    "Residual", "capacity_ratios", "fit_usl", "evaluate_fit", "compare_fits",
+    "bootstrap_confidence",
+]
+
 MODE_AUTO = "auto"
 MODE_NORMALIZED = "normalized-capacity"
 MODE_RAW3 = "raw-throughput-3param"
@@ -493,7 +500,9 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
     """Recompute goodness of fit point by point against the dataset.
 
     Deliberately accumulates in a plain loop, independent of the fit
-    path, so it doubles as a cross-check of the stored sse.
+    path, so it doubles as a cross-check of the stored sse.  Like the fit,
+    the loop runs on the throughputs divided by the power of two that puts
+    the largest in [0.5, 1), so no squared sum overflows or underflows.
     """
     fit_ns = [r.n for r in result.residuals]
     data_ns = [p.n for p in dataset.points]
@@ -504,29 +513,30 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
     params = result.params
     if params.x1 is None:
         raise MismatchedDatasetError("fit result carries no x1; cannot model throughput")
-    alpha, beta, x1 = params.alpha, params.beta, params.x1
-    points = dataset.points
+    e = math.frexp(max(dataset.xs.tolist()))[1]
+    xs = np.ldexp(dataset.xs, -e).tolist()
+    alpha, beta, x1 = params.alpha, params.beta, _unscaled(params.x1, -e)
     sse = 0.0
     mean = 0.0
-    for p in points:
-        mean += p.x
-    mean /= len(points)
+    for x in xs:
+        mean += x
+    mean /= len(xs)
     tss = 0.0
     max_rel = 0.0
-    for p in points:
-        n, x = p.n, p.x
+    for n, x in zip(dataset.ns.tolist(), xs):
         denom = 1.0 + alpha * (n - 1.0) + beta * n * (n - 1.0)
         r = x - x1 * (n / denom)
         sse += r * r
         tss += (x - mean) * (x - mean)
-        rel = abs(r) / (abs(x) if x != 0.0 else 1.0)
+        # a zero throughput weighs its residual in the data's units
+        rel = abs(r) / abs(x) if x != 0.0 else _unscaled(abs(r), e)
         if rel > max_rel:  # max(max_rel, rel), nan included
             max_rel = rel
     if tss == 0.0:  # constant data, judged as fit_usl judges it
-        r2 = 1.0 if sse <= 1e-16 * sum(p.x * p.x for p in points) else 0.0
+        r2 = 1.0 if sse <= 1e-16 * sum(x * x for x in xs) else 0.0
     else:
         r2 = 1.0 - sse / tss
-    return FitDiagnostics(sse=sse, r_squared=r2, max_relative_residual=max_rel)
+    return FitDiagnostics(sse=_unscaled(sse, 2 * e), r_squared=r2, max_relative_residual=max_rel)
 
 
 def compare_fits(a: FitResult, b: FitResult) -> FitComparison:

@@ -27,6 +27,12 @@ import numpy as np
 
 from .errors import DomainError, MissingNormalizationError
 
+__all__ = [
+    "UNBOUNDED", "UslParams", "MeasuredPoint", "Regime", "ScalabilityCurve",
+    "usl_capacity", "amdahl_capacity", "efficiency", "peak_concurrency", "practical_peak",
+    "predict_throughput", "classify_regime", "scalability_curve",
+]
+
 ArrayLike = Union[float, int, np.ndarray, list, tuple]
 
 #: Marker returned by peak_concurrency when beta = 0 (no finite peak).

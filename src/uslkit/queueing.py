@@ -25,6 +25,11 @@ from .fitting import Dataset
 from .model import (MeasuredPoint, UslParams, _set, check_count, check_level, check_range,
                     usl_capacity)
 
+__all__ = [
+    "QueueParams", "QueueSolution", "SyncBoundCapacity",
+    "mva_solve", "sync_bound", "sync_bound_capacity", "generate_synthetic",
+]
+
 
 @dataclass(frozen=True, init=False)
 class QueueParams:

@@ -40,6 +40,10 @@ from .errors import DomainError, NoSteadyStateError, TrimExceedsRunError, UslErr
 from .fitting import Dataset
 from .model import MeasuredPoint, check_count, check_level, check_range
 
+__all__ = [
+    "RunSeries", "SteadyWindow", "SteadyStateConfig", "extract_steady_state", "aggregate_runs",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class RunSeries:

@@ -18,6 +18,13 @@ from .errors import InsufficientDataError
 from .fitting import Dataset, capacity_ratios
 from .model import _fixed, _set, check_range
 
+__all__ = [
+    "FLAG_DECREASE_BEFORE_PEAK", "FLAG_DOWN_THEN_UP", "FLAG_DUPLICATE_THROUGHPUT",
+    "FLAG_EFFICIENCY_ABOVE_ONE", "FLAG_ZERO_THROUGHPUT", "HARD_FLAGS",
+    "Verdict", "ProfileShape", "ValidationReport", "ValidationRow", "MonotonicityProfile",
+    "validate_dataset", "monotonicity_profile",
+]
+
 FLAG_EFFICIENCY_ABOVE_ONE = "efficiency-above-one"   # hard
 FLAG_DECREASE_BEFORE_PEAK = "decrease-before-peak"   # soft
 FLAG_DOWN_THEN_UP = "down-then-up"                   # soft

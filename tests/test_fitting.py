@@ -484,6 +484,19 @@ class TestEvaluateAndCompare:
         assert diag.r_squared == pytest.approx(fit.r_squared, rel=1e-12)
         assert diag.max_relative_residual < 0.2
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160, 1e-300, 1e300])
+    def test_diagnostics_do_not_depend_on_the_unit(self, scale):
+        # at 1e-160 the unscaled sse is subnormal, at 1e-300 zero and from 1e160 infinite;
+        # on the scaled sums the check gives the fit's own r^2 and sse at every scale
+        noisy = [(1, 100.0), (2, 190.0), (4, 330.0), (8, 560.0), (16, 700.0), (32, 720.0)]
+        d = Dataset.from_pairs((n, x * scale) for n, x in noisy)
+        fit = fit_usl(d)
+        diag = evaluate_fit(fit, d)
+        assert fit.r_squared == pytest.approx(0.998243271848129, rel=1e-12)
+        assert diag.r_squared == fit.r_squared
+        assert diag.sse == fit.sse
+        assert diag.max_relative_residual == pytest.approx(0.0342142453552183, rel=1e-12)
+
     def test_constant_throughput_fits_exactly(self):
         # a fully serialized system: alpha = 1 - 1e-12 leaves a residual of
         # some 1e-12 relative, so the sse is tiny but never exactly zero

@@ -138,6 +138,11 @@ def build_inputs(d: Path) -> None:
     (d / "garbage.json").write_text('{"not": "a report"}')
     (d / "not_json.json").write_text("{not json")
     (d / "partial.json").write_text('{"fit": {"alpha": 0.01, "beta": 0.001}}')
+    # a saved report whose alpha is out of range, or a bool where JSON holds a number
+    report = json.loads((d / "saved.json").read_text())
+    for name, alpha in (("alpha_range", 1.5), ("alpha_bool", False)):
+        report["fit"]["alpha"] = alpha
+        (d / f"{name}.json").write_text(json.dumps(report))
 
     (d / "cfg.json").write_text(json.dumps({
         "format": "json", "tolerance": 0.2, "mode": "raw3", "unit": "req/s", "seed": 3,
@@ -242,6 +247,8 @@ CASES = {
     "compare-garbage": ("compare {d}/garbage.json {d}/clean.csv", None, ()),
     "compare-not-json": ("compare {d}/not_json.json {d}/clean.csv", None, ()),
     "compare-partial": ("compare {d}/partial.json {d}/clean.csv", None, ()),
+    "compare-alpha-out-of-range": ("compare {d}/alpha_range.json {d}/clean.csv", None, ()),
+    "compare-alpha-bool": ("compare {d}/alpha_bool.json {d}/clean.csv", None, ()),
     "compare-missing-report": ("compare {d}/absent.json {d}/clean.csv", None, ()),
     "compare-bad-points": ("compare {d}/clean.csv {d}/bad_number.csv", None, ()),
     "compare-saved-bom-md": ("compare {d}/saved_bom.json {d}/noisy.csv", None, ()),
