@@ -63,7 +63,7 @@ after = Dataset.from_pairs([
     (48, 18248.3),
 ])
 fit_after = fit_usl(after)
-diff = compare_fits(fit, fit_after)
+diff = compare_fits(fit.params, fit_after.params)
 print(f"\nbuild comparison: alpha {diff.alpha_delta:+.5f}, beta {diff.beta_delta:+.6f}")
 print(f"peak moves {diff.peak_a:.1f} -> {diff.peak_b:.1f}")
 print(f"scales further: {diff.scales_further}")

@@ -32,7 +32,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .fitting import (
     Dataset,
     FitOptions,
     FitResult,
-    Residual,
     compare_fits,
     fit_usl,
 )
@@ -84,7 +83,6 @@ EXIT_NO_BASELINE = 6
 _MODE_NAMES = {"auto": MODE_AUTO, "normalized": MODE_NORMALIZED, "raw3": MODE_RAW3}
 _LOAD_SUFFIX = re.compile(r"_[nN](\d+(?:\.\d+)?)\.csv$")
 _MAX_LEVELS = 100_000  # of a --levels range: 1:100000 simulates in 0.5 s and fits in 5 s
-_NULLABLE = ("x1", "sse", "r_squared")  # the fit's numbers that a saved report may hold as null
 
 
 # setting -> (JSON kind, default, flag help, choices); each default is its
@@ -368,9 +366,7 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
     return {
         "fit": {
             "mode": fit.mode,
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "x1": params.x1,
+            **asdict(params),  # the keys _params_from_path reads back
             "sse": fit.sse,
             "r_squared": fit.r_squared,
             "significance_warning": fit.significance_warning,
@@ -378,7 +374,6 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
         "peak": peak,
         "regime": fit.regime.value,
         "validation": validation,
-        # the record fields are the report keys, which _fit_from_path reads back
         "residuals": [asdict(r) for r in fit.residuals],
         "curve": [
             {"n": n, "capacity": c, "throughput": x} for n, c, x in curve.samples
@@ -572,39 +567,30 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _fit_from_path(path: str, options: FitOptions) -> tuple[str, FitResult]:
-    """A saved JSON fit report, read back whole, or a points file to fit fresh.
+def _params_from_path(path: str, options: FitOptions) -> tuple[str, UslParams]:
+    """The coefficients of a saved JSON fit report, or of a fresh fit of a points file.
 
-    The report must hold every key build_fit_report writes for the fit and
-    its residuals, the fit's numbers as JSON numbers within the records'
-    ranges; the result then equals the FitResult it was built from, with a
-    null sse read as inf and a null r_squared as nan.
+    A report is read only for the fields of UslParams, the keys fit.alpha,
+    fit.beta and fit.x1: each a JSON number, x1 also null, within their ranges.
     """
     if not path.endswith(".json"):
-        return os.path.basename(path), fit_usl(read_points_csv(path), options)
+        return os.path.basename(path), fit_usl(read_points_csv(path), options).params
     try:
-        d = json.loads(_text(path, "not a saved fit report: "))
-        f = d["fit"]
-        for key in ("alpha", "beta", *_NULLABLE):
-            v = f[key]
-            if not (type(v) in (int, float) or v is None and key in _NULLABLE):
-                raise TypeError(f"fit key {key!r} must be a number, got {json.dumps(v)}")
-        fit = FitResult(
-            params=UslParams(f["alpha"], f["beta"], f["x1"]),
-            sse=math.inf if f["sse"] is None else f["sse"],
-            r_squared=math.nan if f["r_squared"] is None else f["r_squared"],
-            residuals=tuple(Residual(**r) for r in d["residuals"]),
-            significance_warning=f["significance_warning"], mode=f["mode"],
-        )
+        f = json.loads(_text(path, "not a saved fit report: "))["fit"]
+        for field in fields(UslParams):
+            v = f[field.name]
+            if not (type(v) in (int, float) or v is None and field.default is None):
+                raise TypeError(f"fit key {field.name!r} must be a number, got {json.dumps(v)}")
+        params = UslParams(**{field.name: f[field.name] for field in fields(UslParams)})
     except (json.JSONDecodeError, DomainError, KeyError, TypeError) as e:
         raise ParseError(f"not a saved fit report: {e}", path=path) from e
-    return os.path.basename(path), fit
+    return os.path.basename(path), params
 
 
 def cmd_compare(args) -> int:
-    name_a, fit_a = _fit_from_path(args.a, args.fit_options)
-    name_b, fit_b = _fit_from_path(args.b, args.fit_options)
-    comp = compare_fits(fit_a, fit_b)
+    name_a, a = _params_from_path(args.a, args.fit_options)
+    name_b, b = _params_from_path(args.b, args.fit_options)
+    comp = compare_fits(a, b)
     if comp.scales_further != "tie":
         further = name_a if comp.scales_further == "a" else name_b
         verdict = f"{further} peaks later and scales further"
@@ -613,10 +599,8 @@ def cmd_compare(args) -> int:
     else:
         verdict = f"tie: both peak at N={_fmt(comp.peak_a)}"
     d = {
-        "a": {"name": name_a, "alpha": fit_a.params.alpha, "beta": fit_a.params.beta,
-              "peak_n": comp.peak_a},
-        "b": {"name": name_b, "alpha": fit_b.params.alpha, "beta": fit_b.params.beta,
-              "peak_n": comp.peak_b},
+        "a": {"name": name_a, "alpha": a.alpha, "beta": a.beta, "peak_n": comp.peak_a},
+        "b": {"name": name_b, "alpha": b.alpha, "beta": b.beta, "peak_n": comp.peak_b},
         "delta": {"alpha": comp.alpha_delta, "beta": comp.beta_delta, "peak_n": comp.peak_delta},
         "scales_further": comp.scales_further,
         "verdict": verdict,

@@ -539,12 +539,12 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
     return FitDiagnostics(sse=_unscaled(sse, 2 * e), r_squared=r2, max_relative_residual=max_rel)
 
 
-def compare_fits(a: FitResult, b: FitResult) -> FitComparison:
-    """Before/after comparison; deltas are b minus a, and equal peaks (inf too) tie at 0.0."""
-    pa, pb = peak_concurrency(a.params), peak_concurrency(b.params)
+def compare_fits(a: UslParams, b: UslParams) -> FitComparison:
+    """Before/after coefficients compared: deltas b minus a; equal peaks (inf too) tie at 0."""
+    pa, pb = peak_concurrency(a), peak_concurrency(b)
     return FitComparison(
-        alpha_delta=b.params.alpha - a.params.alpha,
-        beta_delta=b.params.beta - a.params.beta,
+        alpha_delta=b.alpha - a.alpha,
+        beta_delta=b.beta - a.beta,
         peak_a=pa,
         peak_b=pb,
         peak_delta=0.0 if pa == pb else pb - pa,

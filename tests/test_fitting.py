@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import inspect
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -432,6 +434,35 @@ class TestVectorReference:
             for pin in (float(xs.max()), None):
                 assert reference_mismatch(ns, xs, pin, opt) is None
 
+    @pytest.mark.parametrize("opt", [FitOptions(), FitOptions(beta_max=1e-5)],
+                             ids=["default", "beta-max"])
+    def test_matches_where_a_step_rounds_to_no_move(self, opt):
+        # levels 1 to 1e12 with x1 pinned at the lowest throughput: a polish
+        # step clips to the point it started from, so the loop stops there
+        ns = np.array([1, 251, 63096, 15848932, 3981071706, 1e12])
+        xs = np.array([8.343699359072005e-07, 0.00020937451028481778, 0.049520885222927996,
+                       0.7848493401176067, 0.8341604044958997, 0.8343691015393343])
+        source, first = inspect.getsourcelines(fitting._polish)
+        stop = first + 1 + next(i for i, line in enumerate(source)
+                                if "if c0 == t0 and c1 == t1:" in line)
+        lines = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is not fitting._polish.__code__:
+                return None
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            diff = reference_mismatch(ns, xs, float(xs[0]), opt)
+        finally:
+            sys.settrace(previous)
+        assert diff is None
+        assert stop in lines
+
 
 def fit_usl_outputs():
     """repr of fit_usl's whole result, or of its error, on the corpus and the edge cases.
@@ -534,9 +565,7 @@ class TestEvaluateAndCompare:
 
     def test_compare_known_systems(self):
         # two tuned releases of the same cache workload
-        a = self._result(0.0255, 0.0210)
-        b = self._result(0.0988, 0.0209)
-        cmp = compare_fits(a, b)
+        cmp = compare_fits(UslParams(0.0255, 0.0210), UslParams(0.0988, 0.0209))
         assert cmp.alpha_delta == pytest.approx(0.0733, rel=1e-12)
         assert cmp.beta_delta == pytest.approx(-0.0001, rel=1e-10)
         assert cmp.peak_a == pytest.approx(6.812104073247993, rel=1e-12)
@@ -551,12 +580,12 @@ class TestEvaluateAndCompare:
         assert fit.regime is Regime.RETROGRADE
 
     def test_compare_both_unbounded_is_tie(self):
-        cmp = compare_fits(self._result(0.1, 0.0), self._result(0.3, 0.0))
+        cmp = compare_fits(UslParams(0.1, 0.0), UslParams(0.3, 0.0))
         assert cmp.peak_delta == 0.0
         assert cmp.scales_further == "tie"
 
     def test_compare_finite_vs_unbounded(self):
-        cmp = compare_fits(self._result(0.1, 0.001), self._result(0.1, 0.0))
+        cmp = compare_fits(UslParams(0.1, 0.001), UslParams(0.1, 0.0))
         assert math.isinf(cmp.peak_delta)
         assert cmp.scales_further == "b"
 
