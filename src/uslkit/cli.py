@@ -13,7 +13,7 @@ Exit codes:
     0  success (validation verdicts clean and suspect included)
     1  domain or usage error, or an output that cannot be written
     2  unparseable input file
-    3  validation verdict invalid (fit refuses it without --force)
+    3  validation verdict invalid (fit and compare refuse it; fit --force fits anyway)
     4  too few distinct levels for the requested computation
     5  no steady-state window found
     6  missing or zero n = 1 baseline
@@ -480,11 +480,6 @@ def _emit(args, report: dict, markdown) -> None:
     print(render_json(report) if args.format == "json" else markdown(report))
 
 
-def _aggregate(args) -> Dataset:
-    """The steady-state means of the runs in the input directory."""
-    return aggregate_runs(read_series_dir(args.input), args.steady_config)
-
-
 def _points(dataset: Dataset):
     return ((p.n, p.x) for p in dataset.points)
 
@@ -495,43 +490,46 @@ def cmd_validate(args) -> int:
     return EXIT_INVALID if report.verdict is Verdict.INVALID else EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    if args.extrapolate is not None:
-        check_range("--extrapolate", args.extrapolate, 1.0)
-    notices: list[str] = []
-    if os.path.isdir(args.input):
-        dataset = _aggregate(args)
-        notices.append(f"aggregated {len(dataset)} time-series runs from {args.input}")
-    else:
-        dataset = read_points_csv(args.input)
+class _Refused(UslError):
+    """Measurements that validation finds invalid, which are fitted only with --force."""
 
+
+def _fitted(path: str, args, notices: list[str]) -> tuple[Dataset, dict | None, FitResult]:
+    """(dataset, validation, fit) of a points file or of a directory of runs' steady-state
+    means; the notices gain their advice.  _Refused if invalid and args has no force set."""
+    if os.path.isdir(path):
+        dataset = aggregate_runs(read_series_dir(path), args.steady_config)
+        notices.append(f"aggregated {len(dataset)} time-series runs from {path}")
+    else:
+        dataset = read_points_csv(path)
     validation = None
     if dataset.has_baseline and dataset.baseline.x > 0.0:
         vreport = validate_dataset(dataset, tolerance=args.tolerance)
         validation = validation_dict(vreport)
-        if vreport.verdict is Verdict.INVALID and not args.force:
-            sys.stderr.write(
-                "refusing to fit: validation verdict is invalid "
-                "(run the validate subcommand for details, or pass --force)\n"
-            )
-            for note in vreport.notes:
-                sys.stderr.write(f"  {note}\n")
-            return EXIT_INVALID
+        if vreport.verdict is Verdict.INVALID and not getattr(args, "force", False):
+            raise _Refused("\n  ".join([f"refusing to fit {path}: validation verdict is invalid "
+                                        "(run the validate subcommand for details, or fit it "
+                                        "with --force)", *vreport.notes]))
         if vreport.verdict is Verdict.INVALID:
             notices.append("validation verdict invalid; fitting anyway because of --force")
         elif vreport.verdict is Verdict.SUSPECT:
             notices.append("validation verdict suspect; see the validation section")
     else:
         notices.append("validation skipped: no usable n = 1 baseline")
-
     fit = fit_usl(dataset, args.fit_options)
     if fit.significance_warning:
-        notices.append(
-            "fewer than 6 distinct levels; coefficient estimates are weakly constrained"
-        )
+        notices.append("fewer than 6 distinct levels; coefficient estimates are "
+                       "weakly constrained")
     if fit.mode == MODE_RAW3:
         notices.append("no n = 1 measurement: x1 was fitted, not measured")
+    return dataset, validation, fit
 
+
+def cmd_fit(args) -> int:
+    if args.extrapolate is not None:
+        check_range("--extrapolate", args.extrapolate, 1.0)
+    notices: list[str] = []
+    dataset, validation, fit = _fitted(args.input, args, notices)
     domain = float(dataset.ns.max())
     if args.extrapolate is not None and args.extrapolate > domain:
         domain = args.extrapolate
@@ -567,14 +565,14 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _params_from_path(path: str, options: FitOptions) -> tuple[str, UslParams]:
-    """The coefficients of a saved JSON fit report, or of a fresh fit of a points file.
+def _params_from_path(path: str, args) -> tuple[str, UslParams]:
+    """(name, coefficients) of a saved JSON fit report, or of measurements as _fitted fits them.
 
     A report is read only for the fields of UslParams, the keys fit.alpha,
     fit.beta and fit.x1: each a JSON number, x1 also null, within their ranges.
     """
-    if not path.endswith(".json"):
-        return os.path.basename(path), fit_usl(read_points_csv(path), options).params
+    if not path.endswith(".json"):  # normpath: the name of a directory given as dir/
+        return os.path.basename(os.path.normpath(path)), _fitted(path, args, [])[2].params
     try:
         f = json.loads(_text(path, "not a saved fit report: "))["fit"]
         for field in fields(UslParams):
@@ -588,8 +586,8 @@ def _params_from_path(path: str, options: FitOptions) -> tuple[str, UslParams]:
 
 
 def cmd_compare(args) -> int:
-    name_a, a = _params_from_path(args.a, args.fit_options)
-    name_b, b = _params_from_path(args.b, args.fit_options)
+    name_a, a = _params_from_path(args.a, args)
+    name_b, b = _params_from_path(args.b, args)
     comp = compare_fits(a, b)
     if comp.scales_further != "tie":
         further = name_a if comp.scales_further == "a" else name_b
@@ -661,7 +659,7 @@ def cmd_steady(args) -> int:
     if os.path.isdir(args.input):
         if args.load is not None:
             raise DomainError("--load applies to one run file, not to a directory of runs")
-        dataset = _aggregate(args)
+        dataset = aggregate_runs(read_series_dir(args.input), args.steady_config)
         comments = ["steady-state means per load level"] + [
             f"N={p.n:g}: cv={_fmt(p.meta['cv'], '.4f')} samples={p.meta['samples']}"
             for p in dataset.points
@@ -737,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_settings(p, "format")
 
     p = add_command("compare", cmd_compare, "diff two fits (saved reports or point files)")
-    p.add_argument("a", help="points CSV or saved JSON fit report")
-    p.add_argument("b", help="points CSV or saved JSON fit report")
+    for name in ("a", "b"):
+        p.add_argument(name, help="points CSV, directory of runs, or saved JSON fit report")
     add_settings(p, "format")
 
     p = add_command("simulate", cmd_simulate, "generate synthetic measurements")
@@ -769,6 +767,7 @@ _EXIT_CODES = (
     ((MissingBaselineError, ZeroBaselineError), EXIT_NO_BASELINE),
     (InsufficientDataError, EXIT_INSUFFICIENT),
     (NoSteadyStateError, EXIT_NO_STEADY),
+    (_Refused, EXIT_INVALID),
     ((UslError, OSError, UnicodeEncodeError), EXIT_ERROR),  # the last two reach main from a write
 )
 

@@ -89,7 +89,7 @@ MODE_NORMALIZED = "normalized-capacity"
 MODE_RAW3 = "raw-throughput-3param"
 
 _ALPHA_MAX = 1.0 - 1e-12  # keep fits strictly inside the open upper bound
-_ROUNDING = 1e-16  # relative change of the modelled throughputs below float resolution
+_ROUNDING = 1e-16  # relative float resolution, of the polish's step floor and the sse floors
 _BATCH_POINTS = 1 << 16  # resampled points fitted per batch, which bounds its memory
 _RUNGS = 16  # trial steps of a row with a rejected step tried in one pass
 _POW4 = 4.0 ** np.arange(_RUNGS)  # exact powers of 4
@@ -401,7 +401,7 @@ def _minimize(ns, xs, x1_pin, opt: FitOptions):
     # beta first, then smaller alpha.  On finite levels a zero coefficient's
     # term adds exactly 0.0 to the denominator, so a face drops it; a face
     # that equals the polished point is that point, unless its sse is nan.
-    bound = f + opt.refine_tol * max(f, 1e-16 * xx)
+    bound = f + opt.refine_tol * max(f, _ROUNDING * xx)
     for fa, fb in ((alpha, 0.0), (0.0, beta), (0.0, 0.0)):
         if fa == alpha and fb == beta and f <= bound:
             return fa, fb, r, c, x1, f
@@ -478,7 +478,7 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     dev = xs - float(xs.sum()) / xs.size  # xs.mean(), without its wrapper
     tss = float(np.dot(dev, dev))
     if tss == 0.0:  # constant data: exact if sse is within the floor of _minimize's tie rule
-        r2 = 1.0 if sse <= 1e-16 * float(np.dot(xs, xs)) else 0.0
+        r2 = 1.0 if sse <= _ROUNDING * float(np.dot(xs, xs)) else 0.0
     else:
         r2 = 1.0 - sse / tss
     x1 = _unscaled(x1, e)
@@ -533,7 +533,7 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
         if rel > max_rel:  # max(max_rel, rel), nan included
             max_rel = rel
     if tss == 0.0:  # constant data, judged as fit_usl judges it
-        r2 = 1.0 if sse <= 1e-16 * sum(x * x for x in xs) else 0.0
+        r2 = 1.0 if sse <= _ROUNDING * sum(x * x for x in xs) else 0.0
     else:
         r2 = 1.0 - sse / tss
     return FitDiagnostics(sse=_unscaled(sse, 2 * e), r_squared=r2, max_relative_residual=max_rel)
@@ -604,16 +604,17 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
                  opt: FitOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_polish row by row; returns (theta, sse, x1) of every row.
 
-    Each row keeps its own lam, fresh-Jacobian flag, count of trial steps
-    and stop rules.  A loop pass tries a grid of L live rows by J rungs:
-    rung j is the trial step with damping lam * 4**j.  After a rejected
-    step a row's next steps differ only in lam, which grows by 4, an exact
-    product, so the row takes its first rung that halts or lowers the sse,
-    as successive trial steps would, and counts the rungs up to it against
-    max_refine_iter.  J is 1 while some live row has a fresh Jacobian, whose
-    first step is usually accepted; otherwise it is 16, cut to the fewest
-    trial steps a live row has left and to _BATCH_POINTS.  A row that stops
-    leaves the live set, so the passes shrink to the rows still moving.
+    Each row keeps its own lam, count of trial steps and stop rules.  A loop
+    pass tries a grid of L live rows by J rungs: rung j is the trial step
+    with damping lam * 4**j.  After a rejected step a row's next steps
+    differ only in lam, which grows by 4, an exact product, so the row takes
+    its first rung that halts or lowers the sse, as successive trial steps
+    would, and counts the rungs up to it against max_refine_iter.  After a
+    pass in which some live row moved, the next recomputes every live row's
+    Jacobian and has J = 1, since a moved row's first step is usually
+    accepted; otherwise J is 16, cut to the fewest trial steps a live row
+    has left and to _BATCH_POINTS.  A row that stops leaves the live set,
+    so the passes shrink to the rows still moving.
 
     A pass costs some hundred numpy calls whatever the number of live rows,
     so the live state is packed for cheap compaction, the two coefficients
@@ -632,33 +633,27 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
     st[10], st[11] = _ROUNDING * np.sqrt(_rowdot(xs, xs)), opt.max_refine_iter
     data = np.stack([ns, xs, b0, b1, r, c])  # (6, L, P)
     live = np.arange(rows)
-    fresh = np.ones(rows, dtype=bool)
+    moved = np.ones(rows, dtype=bool)
     theta, f, x1, lam, v, scale, rho, floor, left = (st[i] for i in _STATE)
     r, c = data[4:]
     while live.size:
         n = live.size
-        held = np.zeros(n, dtype=bool)  # no coordinate free: the row stops without a step
-        k = np.flatnonzero(fresh)
-        if k.size:
-            if k.size == n:
-                k = slice(None)
-                ck, rk, tk, bk = c, r, theta, data[2:4]  # views, not copies
-            else:  # take, not fancy indexing, which is slower across an inner axis
-                ck, rk, tk, bk = c.take(k, 0), r.take(k, 0), theta.take(k, 1), data[2:4].take(k, 1)
-            s = (x1[k, None] if x1_pin is None else x1_pin) * ck
-            s /= 1.0 + tk[0, :, None] * bk[0] + tk[1, :, None] * bk[1]
-            jac = s * bk  # (2, K, P): the columns d(residual)/d(theta)
+        held = False  # rows with no coordinate free, which stop without a step
+        if moved.any():
+            # every live row's Jacobian; one that did not move gets the bits it had
+            s = (x1[:, None] if x1_pin is None else x1_pin) * c
+            s /= 1.0 + theta[0, :, None] * data[2] + theta[1, :, None] * data[3]
+            jac = s * data[2:4]  # (2, L, P): the columns d(residual)/d(theta)
             # the einsums reduce along P only, as _rowdot does
             if x1_pin is None:
-                jac -= ck * (np.einsum("krp,rp->kr", jac, ck) / _rowdot(ck, ck))[:, :, None]
-            g = np.einsum("krp,rp->kr", jac, rk)  # half the gradient of the sse
+                jac -= c * (np.einsum("krp,rp->kr", jac, c) / _rowdot(c, c))[:, :, None]
+            g = np.einsum("krp,rp->kr", jac, r)  # half the gradient of the sse
             norms = np.sqrt(np.einsum("krp,krp->kr", jac, jac))
-            free = (norms > 0.0) & ~(((tk <= 0.0) & (g > 0.0)) | ((tk >= hi) & (g < 0.0)))
-            sk = np.where(free, norms, np.inf)
-            held[k] = ~(free[0] | free[1])
-            scale[0, k], scale[1, k] = sk
-            v[0, k], v[1, k] = -g / sk
-            rho[k] = np.where(free[0] & free[1], _rowdot(*jac) / (norms[0] * norms[1]), 0.0)
+            free = (norms > 0.0) & ~(((theta <= 0.0) & (g > 0.0)) | ((theta >= hi) & (g < 0.0)))
+            held = ~(free[0] | free[1])
+            scale[:] = np.where(free, norms, np.inf)
+            v[:] = -g / scale
+            rho[:] = np.where(free[0] & free[1], _rowdot(*jac) / (norms[0] * norms[1]), 0.0)
             rungs = 1
         else:
             rungs = min(_RUNGS, int(left.min()), max(1, _BATCH_POINTS // (n * points)))
@@ -685,7 +680,7 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
         left -= 1 if rungs == 1 else np.where(took, j + 1, rungs)
         stop = (took & halted) | (acc & (f - fj <= opt.refine_tol * f)) | (left == 0)
         lam[:] = np.where(acc, np.maximum(lams.ravel()[at] / 3.0, 1e-12), lams[:, -1] * 4.0)
-        fresh = acc
+        moved = acc
         np.copyto(theta, grid[:, at], where=acc)
         np.copyto(f, fj, where=acc)
         np.copyto(x1, x1c[at], where=acc)
@@ -695,7 +690,7 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
             out[:, live[stop]] = st[:4, stop]
             keep = ~stop
             st, data = st.compress(keep, axis=1), data.compress(keep, axis=1)
-            live, fresh = live[keep], fresh[keep]
+            live, moved = live[keep], moved[keep]
             theta, f, x1, lam, v, scale, rho, floor, left = (st[i] for i in _STATE)
             r, c = data[4:]
     return out[:2].T, out[2], out[3]
@@ -718,7 +713,7 @@ def _fit_rows(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None,
         start = _linear_start_rows(ns, xs, x1_pin, b0, b1, opt.beta_max)
         theta, f, x1 = _polish_rows(ns, xs, x1_pin, b0, b1, start, opt)
         # the face tie rule of _minimize, row by row
-        bound = f + opt.refine_tol * np.maximum(f, 1e-16 * _rowdot(xs, xs))
+        bound = f + opt.refine_tol * np.maximum(f, _ROUNDING * _rowdot(xs, xs))
         best, left = theta, np.ones(len(ns), dtype=bool)
         for face in (theta * [1.0, 0.0], theta * [0.0, 1.0], np.zeros_like(theta)):
             rf, _, x1f = _profile_rows(ns, xs, b0, x1_pin, face[:, 0], face[:, 1])

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import uslkit.cli as cli
 from uslkit import (
-    MODE_NORMALIZED, Dataset, FitOptions, FitResult, UslParams, fit_usl, generate_synthetic,
+    MODE_NORMALIZED, Dataset, FitResult, UslParams, fit_usl, generate_synthetic,
     scalability_curve, usl_capacity,
 )
 from uslkit.cli import (
@@ -552,6 +552,36 @@ class TestCompareCommand:
         # same data both ways round, so the peaks must coincide
         assert d["delta"]["peak_n"] == pytest.approx(0.0, abs=1e-6)
 
+    def test_forced_report_of_invalid_points_compares(self, data_dir, capsys):
+        invalid = write_points(data_dir / "invalid.csv", [(1, 100), (2, 250), (4, 330), (8, 560)])
+        good = write_points(data_dir / "good.csv", [(1, 100), (2, 190), (4, 330), (8, 560)])
+        assert main(["compare", invalid, good]) == EXIT_INVALID  # compare never forces
+        capsys.readouterr()
+        assert main(["fit", invalid, "--force", "--format", "json"]) == EXIT_OK
+        saved = data_dir / "invalid.json"
+        saved.write_text(capsys.readouterr().out)
+        fit = json.loads(saved.read_text())["fit"]
+        assert main(["compare", str(saved), good, "--format", "json"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        assert (d["a"]["name"], d["a"]["alpha"], d["a"]["beta"]) == (
+            "invalid.json", fit["alpha"], fit["beta"])
+
+    def test_directories_of_runs_compare_as_fit_reports_them(self, data_dir, capsys):
+        fits = {}
+        for name, p in (("before", UslParams(0.06, 0.0015)), ("after", UslParams(0.05, 0.001))):
+            (data_dir / name).mkdir()
+            for n in (1, 2, 4, 8, 16):
+                write_series(data_dir / name / f"svc_N{n}.csv", _ramped(400.0 * usl_capacity(n, p)))
+            assert main(["fit", str(data_dir / name), "--format", "json"]) == EXIT_OK
+            fits[name] = json.loads(capsys.readouterr().out)["fit"]
+        # a trailing separator, as shell completion writes it, keeps the directory's name
+        argv = ["compare", f"{data_dir / 'before'}{os.sep}", str(data_dir / "after")]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        for side, name in (("a", "before"), ("b", "after")):
+            assert (d[side]["name"], d[side]["alpha"], d[side]["beta"]) == (
+                name, fits[name]["alpha"], fits[name]["beta"])
+
     def test_both_unbounded(self, data_dir, capsys):
         a = write_points(data_dir / "a.csv", model_pairs(0.2, 0.0, 50.0, [1, 2, 4, 8, 16]))
         b = write_points(data_dir / "b.csv", model_pairs(0.3, 0.0, 50.0, [1, 2, 4, 8, 16]))
@@ -621,7 +651,7 @@ class TestSavedReportRoundTrip:
             cli.write_points_csv(str(points), ((p.n, p.x) for p in data.points))
             assert main(["fit", str(points), "--force", "--format", "json"]) == EXIT_OK
             saved.write_text(capsys.readouterr().out)
-            _, back = cli._params_from_path(str(saved), FitOptions())
+            _, back = cli._params_from_path(str(saved), None)  # a report reads no setting
             assert back == fit_usl(read_points_csv(str(points))).params, seed
 
     def test_overflowing_sse_is_null_and_reads_back_as_inf(self, data_dir, capsys):

@@ -10,6 +10,7 @@ as a diff of them; edit the expected file by hand when the change is meant.
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,8 @@ def build_inputs(d: Path) -> None:
     _csv(d / "below1.csv", "n,x", [(1, 100), (2, 40), (3, 20), (4, 12), (6, 6), (8, 3)])
     _csv(d / "before.csv", "n,x", _pairs(0.05, 0.004, 100.0, [1, 2, 4, 8, 16]))
     _csv(d / "after.csv", "n,x", _pairs(0.05, 0.002, 100.0, [1, 2, 4, 8, 16]))
+    # efficiency 1.25 at N=2: fit and compare refuse it
+    _csv(d / "invalid.csv", "n,x", [(1, 100), (2, 250), (4, 330), (8, 560)])
     _csv(d / "flat_a.csv", "n,x", _pairs(0.2, 0.0, 50.0, [1, 2, 4, 8, 16]))
     _csv(d / "flat_b.csv", "n,x", _pairs(0.3, 0.0, 50.0, [1, 2, 4, 8, 16]))
     _csv(d / "bad_header.csv", "users,tput", [(1, 10)])
@@ -252,6 +255,8 @@ CASES = {
     "compare-missing-report": ("compare {d}/absent.json {d}/clean.csv", None, ()),
     "compare-bad-points": ("compare {d}/clean.csv {d}/bad_number.csv", None, ()),
     "compare-saved-bom-md": ("compare {d}/saved_bom.json {d}/noisy.csv", None, ()),
+    "compare-invalid": ("compare {d}/invalid.csv {d}/clean.csv", None, ()),
+    "compare-runs-md": ("compare {d}/runs/ {d}/bom_runs", None, ()),
 
     "simulate-model": ("simulate --alpha 0.1 --beta 0.004 --x1 100 --levels 1,2,4,8",
                        None, ()),
@@ -403,6 +408,18 @@ def test_json_stdout_is_strict_json():
                 json.loads(out, parse_constant=_no_constant)
             except ValueError as e:
                 pytest.fail(f"{path.name}: {e}")
+
+
+def test_a_failing_command_says_why_on_stderr():
+    """A non-zero exit prints its verdict on stdout with nothing on stderr, an argparse
+    usage message, or one error: line followed only by lines indented two spaces."""
+    for path in sorted(GOLDEN.glob("*.txt")):
+        text = path.read_text()
+        out, err = text.split("\n--- stdout\n")[1].split("\n--- stderr\n")
+        err = err.split("\n--- file ")[0]
+        if re.search(r"^exit 0$", text, re.M) or err.startswith("usage: ") or out and not err:
+            continue
+        assert re.fullmatch(r"error: .*\n(  .*\n)*", err), path.name
 
 
 def test_every_golden_file_has_a_case():
