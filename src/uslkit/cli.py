@@ -337,32 +337,45 @@ def peak_dict(params: UslParams) -> dict:
 
 def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
                      unit: str | None, notices: list[str]) -> dict:
-    """Single source for both renderings of a fit; the notices gain the fit's advice.
-
-    peak.reach = top level / peak N, 0 when beta = 0; below 1 the peak is beyond the data.
-    """
+    """Single source for both renderings of a fit.  The notices, on what was done to the input,
+    gain each one the other arguments imply, in order: the validation verdict (None: skipped),
+    few levels, a fitted x1, a curve past the top level, then the fit's advice.
+    peak.reach = top level / peak N, 0 when beta = 0; below 1 the peak is beyond the data."""
     params = fit.params
     top = float(dataset.ns.max())
     peak = peak_dict(params)
     peak["reach"] = top / peak["n"]
+    notices = list(notices)
+    if validation is None:
+        notices.append("validation skipped: no usable n = 1 baseline")
+    elif validation["verdict"] == Verdict.INVALID:
+        notices.append("validation verdict invalid; fitting anyway because of --force")
+    elif validation["verdict"] == Verdict.SUSPECT:
+        notices.append("validation verdict suspect; see the validation section")
+    if fit.significance_warning:
+        notices.append("fewer than 6 distinct levels; coefficient estimates are "
+                       "weakly constrained")
+    if fit.mode == MODE_RAW3:
+        notices.append("no n = 1 measurement: x1 was fitted, not measured")
+    if curve.domain_max > top:
+        notices.append(f"curve extrapolated to N={curve.domain_max:g}")
     contention, coherency = params.alpha * (top - 1.0), params.beta * top * (top - 1.0)
-    advice = []
     if coherency > contention:
-        advice.append(f"the pairwise-exchange term dominates at N={top:g}; typical causes "
-                      "are shared writable state: cache-line ping-pong, replicated updates, "
-                      "consistency chatter")
+        notices.append(f"the pairwise-exchange term dominates at N={top:g}; typical causes "
+                        "are shared writable state: cache-line ping-pong, replicated updates, "
+                        "consistency chatter")
     elif contention > 0.0:
-        advice.append(f"the serialization term dominates at N={top:g}; typical causes "
-                      "are locks, single-threaded stages, serialized resources")
+        notices.append(f"the serialization term dominates at N={top:g}; typical causes "
+                        "are locks, single-threaded stages, serialized resources")
     if peak["reach"] == 0.0:
-        advice.append("no capacity peak was found (beta=0); one beyond the highest level "
-                      f"measured (N={top:g}) is not ruled out")
+        notices.append("no capacity peak was found (beta=0); one beyond the highest level "
+                        f"measured (N={top:g}) is not ruled out")
     elif peak["reach"] < 1.0:
-        advice.append(f"the peak (N ~ {_fmt(peak['n'], '.4f')}) is an extrapolation, "
-                      f"{peak['n'] / top:.3g}x the highest level measured (N={top:g})")
+        notices.append(f"the peak (N ~ {_fmt(peak['n'], '.4f')}) is an extrapolation, "
+                        f"{peak['n'] / top:.3g}x the highest level measured (N={top:g})")
     elif peak["reach"] > 1.0:
-        advice.append(f"the measured range extends past the capacity peak "
-                      f"(N ~ {_fmt(peak['n'], '.4f')}); extra concurrency there costs throughput")
+        notices.append(f"the measured range extends past the capacity peak (N ~ "
+                       f"{_fmt(peak['n'], '.4f')}); extra concurrency there costs throughput")
     return {
         "fit": {
             "mode": fit.mode,
@@ -379,7 +392,7 @@ def build_fit_report(fit: FitResult, dataset: Dataset, validation, curve,
             {"n": n, "capacity": c, "throughput": x} for n, c, x in curve.samples
         ],
         "unit": unit,
-        "notices": list(notices) + advice,
+        "notices": notices,
     }
 
 
@@ -484,8 +497,18 @@ def _points(dataset: Dataset):
     return ((p.n, p.x) for p in dataset.points)
 
 
+def _measured(path: str, args) -> Dataset:
+    """A points file's dataset, or a directory's runs reduced by args.steady_config."""
+    if not os.path.isdir(path):
+        return read_points_csv(path)
+    try:
+        return aggregate_runs(read_series_dir(path), args.steady_config)
+    except DomainError as e:  # aggregate_runs: fewer than 2 runs or a load repeated
+        raise ParseError(str(e), path=path) from e
+
+
 def cmd_validate(args) -> int:
-    report = validate_dataset(read_points_csv(args.input), tolerance=args.tolerance)
+    report = validate_dataset(_measured(args.input, args), tolerance=args.tolerance)
     _emit(args, validation_dict(report), render_validation_markdown)
     return EXIT_INVALID if report.verdict is Verdict.INVALID else EXIT_OK
 
@@ -494,14 +517,10 @@ class _Refused(UslError):
     """Measurements that validation finds invalid, which are fitted only with --force."""
 
 
-def _fitted(path: str, args, notices: list[str]) -> tuple[Dataset, dict | None, FitResult]:
-    """(dataset, validation, fit) of a points file or of a directory of runs' steady-state
-    means; the notices gain their advice.  _Refused if invalid and args has no force set."""
-    if os.path.isdir(path):
-        dataset = aggregate_runs(read_series_dir(path), args.steady_config)
-        notices.append(f"aggregated {len(dataset)} time-series runs from {path}")
-    else:
-        dataset = read_points_csv(path)
+def _fitted(path: str, args) -> tuple[Dataset, dict | None, FitResult]:
+    """(dataset, validation, fit) of _measured(path, args): validated when it has a usable
+    n = 1 baseline, else None; _Refused if invalid and args has no force set."""
+    dataset = _measured(path, args)
     validation = None
     if dataset.has_baseline and dataset.baseline.x > 0.0:
         vreport = validate_dataset(dataset, tolerance=args.tolerance)
@@ -510,31 +529,17 @@ def _fitted(path: str, args, notices: list[str]) -> tuple[Dataset, dict | None, 
             raise _Refused("\n  ".join([f"refusing to fit {path}: validation verdict is invalid "
                                         "(run the validate subcommand for details, or fit it "
                                         "with --force)", *vreport.notes]))
-        if vreport.verdict is Verdict.INVALID:
-            notices.append("validation verdict invalid; fitting anyway because of --force")
-        elif vreport.verdict is Verdict.SUSPECT:
-            notices.append("validation verdict suspect; see the validation section")
-    else:
-        notices.append("validation skipped: no usable n = 1 baseline")
-    fit = fit_usl(dataset, args.fit_options)
-    if fit.significance_warning:
-        notices.append("fewer than 6 distinct levels; coefficient estimates are "
-                       "weakly constrained")
-    if fit.mode == MODE_RAW3:
-        notices.append("no n = 1 measurement: x1 was fitted, not measured")
-    return dataset, validation, fit
+    return dataset, validation, fit_usl(dataset, args.fit_options)
 
 
 def cmd_fit(args) -> int:
     if args.extrapolate is not None:
         check_range("--extrapolate", args.extrapolate, 1.0)
-    notices: list[str] = []
-    dataset, validation, fit = _fitted(args.input, args, notices)
-    domain = float(dataset.ns.max())
-    if args.extrapolate is not None and args.extrapolate > domain:
-        domain = args.extrapolate
-        notices.append(f"curve extrapolated to N={domain:g}")
+    dataset, validation, fit = _fitted(args.input, args)
+    domain = max(float(dataset.ns.max()), args.extrapolate or 1.0)
     curve = scalability_curve(fit.params, domain_max=domain, num=50)
+    notices = ([f"aggregated {len(dataset)} time-series runs from {args.input}"]
+               if os.path.isdir(args.input) else [])
 
     report = build_fit_report(fit, dataset, validation, curve, args.unit, notices)
     if args.plot_data:
@@ -572,7 +577,7 @@ def _params_from_path(path: str, args) -> tuple[str, UslParams]:
     fit.beta and fit.x1: each a JSON number, x1 also null, within their ranges.
     """
     if not path.endswith(".json"):  # normpath: the name of a directory given as dir/
-        return os.path.basename(os.path.normpath(path)), _fitted(path, args, [])[2].params
+        return os.path.basename(os.path.normpath(path)), _fitted(path, args)[2].params
     try:
         f = json.loads(_text(path, "not a saved fit report: "))["fit"]
         for field in fields(UslParams):
@@ -588,6 +593,8 @@ def _params_from_path(path: str, args) -> tuple[str, UslParams]:
 def cmd_compare(args) -> int:
     name_a, a = _params_from_path(args.a, args)
     name_b, b = _params_from_path(args.b, args)
+    if name_a == name_b and args.a != args.b:  # a/p.csv b/p.csv: say which is which
+        name_a, name_b = args.a, args.b
     comp = compare_fits(a, b)
     if comp.scales_further != "tie":
         further = name_a if comp.scales_further == "a" else name_b
@@ -659,7 +666,7 @@ def cmd_steady(args) -> int:
     if os.path.isdir(args.input):
         if args.load is not None:
             raise DomainError("--load applies to one run file, not to a directory of runs")
-        dataset = aggregate_runs(read_series_dir(args.input), args.steady_config)
+        dataset = _measured(args.input, args)
         comments = ["steady-state means per load level"] + [
             f"N={p.n:g}: cv={_fmt(p.meta['cv'], '.4f')} samples={p.meta['samples']}"
             for p in dataset.points
@@ -709,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     steady = ("trim_up", "trim_down", "slope_tol", "cv_max", "min_fraction")
 
     p = add_command("validate", cmd_validate, "check a points file for impossible rows")
-    p.add_argument("input", help="points CSV (header n,x)")
+    p.add_argument("input", help="points CSV (header n,x), or a directory of time-series runs")
     add_settings(p, "tolerance", "format")
 
     p = add_command("fit", cmd_fit, "estimate alpha/beta (and x1) from measurements")

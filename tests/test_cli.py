@@ -93,6 +93,18 @@ class TestValidateCommand:
         # generous slack swallows even the 13% excursions
         assert main(["validate", suspect_csv, "--tolerance", "0.2"]) == EXIT_OK
 
+    def test_a_directory_of_runs_validates_as_fit_validates_it(self, data_dir, capsys):
+        runs = data_dir / "runs"
+        runs.mkdir()
+        for n in (1, 2, 4, 8):
+            write_series(runs / f"bench_N{n}.csv",
+                         plateau(n, 100.0 * usl_capacity(n, UslParams(0.1, 0.004))))
+        assert main(["validate", str(runs), "--format", "json"]) == EXIT_OK
+        validated = capsys.readouterr().out
+        assert main(["fit", str(runs), "--format", "json"]) == EXIT_OK
+        fitted = json.loads(capsys.readouterr().out)["validation"]
+        assert validated == cli.render_json(fitted) + "\n"
+
 
 class TestParseErrors:
     def test_wrong_header_names_line(self, data_dir, capsys):
@@ -152,6 +164,24 @@ class TestSeriesParseErrors:
         assert main([via, str(target)]) == EXIT_PARSE
         where = f"{path}:" if line is None else f"{path}:{line}:"
         assert capsys.readouterr().err == f"error: {where} {message}\n"
+
+    @pytest.mark.parametrize("runs,manifest,message", [
+        (["r_N4.csv"], None, "a dataset needs at least 2 points, got 1"),
+        (["one.csv", "two.csv"], "file,n\none.csv,4\ntwo.csv,4\n",
+         "duplicate load level 4 across runs"),
+    ])
+    @pytest.mark.parametrize("via", ["validate", "fit", "compare", "steady"])
+    def test_runs_that_make_no_dataset_exit_two_naming_the_directory(
+            self, data_dir, capsys, runs, manifest, message, via):
+        d = data_dir / "runs"
+        d.mkdir()
+        for name in runs:
+            write_series(d / name, plateau(4, 100.0))
+        if manifest:
+            (d / "manifest.csv").write_text(manifest)
+        argv = [via, str(d)] + ([str(d)] if via == "compare" else [])
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {d}: {message}\n"
 
     def test_comments_blanks_and_crlf_give_the_clean_window(self, data_dir, capsys):
         samples = [(i * 5.0, 100.0 + (i % 3)) for i in range(40)]
@@ -450,15 +480,47 @@ class TestRangeNotice:
         report = cli.build_fit_report(
             fit_usl(data), data, None, scalability_curve(params, 32.0, 2), None, [])
         assert report["peak"]["reach"] == pytest.approx(reach, rel=1e-9)
-        assert report["notices"][1:] == ([notice] if notice else [])
+        # after the validation-skipped notice (validation None) and the dominant term
+        assert report["notices"][2:] == ([notice] if notice else [])
 
     def test_a_peak_from_2_to_the_53_is_written_in_exponent_form(self):
         fit = FitResult(UslParams(0.05, 1e-200, 100.0), 0.0, 1.0, (), False, MODE_NORMALIZED)
         data = Dataset.from_pairs([(1, 100.0), (2, 190.0), (4, 330.0)])
         report = cli.build_fit_report(
             fit, data, None, scalability_curve(fit.params, 4.0, 2), None, [])
-        assert report["notices"][1:] == ["the peak (N ~ 9.746794345e+99) is an extrapolation, "
+        assert report["notices"][2:] == ["the peak (N ~ 9.746794345e+99) is an extrapolation, "
                                          "2.44e+99x the highest level measured (N=4)"]
+
+
+class TestDerivedNotices:
+    """build_fit_report writes each notice its arguments imply after the given ones, in order,
+    and the fit's advice after them."""
+
+    SKIPPED = "validation skipped: no usable n = 1 baseline"
+    FEW = "fewer than 6 distinct levels; coefficient estimates are weakly constrained"
+    RAW3 = "no n = 1 measurement: x1 was fitted, not measured"
+
+    @pytest.mark.parametrize("verdict,levels,domain,derived", [
+        (None, [1, 2, 4, 8, 16, 32], 32.0, [SKIPPED]),
+        ("invalid", [1, 2, 4, 8, 16, 32], 32.0,
+         ["validation verdict invalid; fitting anyway because of --force"]),
+        ("suspect", [1, 2, 4, 8, 16, 32], 32.0,
+         ["validation verdict suspect; see the validation section"]),
+        ("clean", [1, 2, 4, 8], 8.0, [FEW]),
+        (None, [2, 4, 8, 16, 32, 48], 48.0, [SKIPPED, RAW3]),
+        ("clean", [1, 2, 4, 8, 16, 32], 100.0, ["curve extrapolated to N=100"]),
+        (None, [2, 4, 8, 16], 50.0, [SKIPPED, FEW, RAW3, "curve extrapolated to N=50"]),
+    ])
+    def test_each_notice_in_order(self, verdict, levels, domain, derived):
+        data = generate_synthetic(UslParams(0.05, 0.002, 100.0), levels)
+        fit = fit_usl(data)
+        validation = verdict and {"verdict": verdict, "rows": [], "notes": []}
+        report = cli.build_fit_report(fit, data, validation,
+                                      scalability_curve(fit.params, domain, 2), None, ["given"])
+        # the fit's advice: the dominant term, then where the peak lies
+        advice = [n for n in report["notices"] if "dominates" in n or "peak" in n]
+        assert len(advice) == 2
+        assert report["notices"] == ["given", *derived, *advice]
 
 
 class TestPeakCommand:
@@ -542,6 +604,16 @@ class TestCompareCommand:
         assert d["scales_further"] == "b"
         assert "after.csv" in d["verdict"]
         assert d["delta"]["beta"] == pytest.approx(-0.002, abs=1e-8)
+
+    def test_inputs_that_share_a_base_name_are_named_in_full(self, data_dir, capsys):
+        (data_dir / "a").mkdir()
+        (data_dir / "b").mkdir()
+        a = write_points(data_dir / "a" / "p.csv", model_pairs(0.05, 0.004, 100.0, [1, 2, 4, 8]))
+        b = write_points(data_dir / "b" / "p.csv", model_pairs(0.05, 0.002, 100.0, [1, 2, 4, 8]))
+        assert main(["compare", a, b, "--format", "json"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        assert (d["a"]["name"], d["b"]["name"]) == (a, b)
+        assert d["verdict"] == f"{b} peaks later and scales further"
 
     def test_saved_report_against_points(self, data_dir, clean_csv, capsys):
         assert main(["fit", clean_csv, "--format", "json"]) == EXIT_OK

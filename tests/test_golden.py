@@ -74,6 +74,9 @@ def build_inputs(d: Path) -> None:
     _csv(d / "below1.csv", "n,x", [(1, 100), (2, 40), (3, 20), (4, 12), (6, 6), (8, 3)])
     _csv(d / "before.csv", "n,x", _pairs(0.05, 0.004, 100.0, [1, 2, 4, 8, 16]))
     _csv(d / "after.csv", "n,x", _pairs(0.05, 0.002, 100.0, [1, 2, 4, 8, 16]))
+    # the same two under one base name
+    _csv(d / "a" / "p.csv", "n,x", _pairs(0.05, 0.004, 100.0, [1, 2, 4, 8, 16]))
+    _csv(d / "b" / "p.csv", "n,x", _pairs(0.05, 0.002, 100.0, [1, 2, 4, 8, 16]))
     # efficiency 1.25 at N=2: fit and compare refuse it
     _csv(d / "invalid.csv", "n,x", [(1, 100), (2, 250), (4, 330), (8, 560)])
     _csv(d / "flat_a.csv", "n,x", _pairs(0.2, 0.0, 50.0, [1, 2, 4, 8, 16]))
@@ -123,6 +126,10 @@ def build_inputs(d: Path) -> None:
     for n in (1, 2, 10 ** 20):
         _csv(d / "runs_far" / f"run_N{n}.csv", "t,x", _plateau(100.0))
     _csv(d / "runs_bad" / "a_N1.csv", "t,x", _plateau(100.0))
+    _csv(d / "one_run" / "r_N4.csv", "t,x", _plateau(100.0))
+    for name, mean in (("one", 100.0), ("two", 180.0)):
+        _csv(d / "repeated" / f"{name}.csv", "t,x", _plateau(mean))
+    (d / "repeated" / "manifest.csv").write_text("file,n\none.csv,4\ntwo.csv,4\n")
     (d / "runs_bad" / "b_N2.csv").write_text("t,x\n0,100\n5,101,7\n")
 
     # a manifest and runs that each start with a byte-order mark
@@ -178,6 +185,8 @@ CASES = {
     "validate-tiny-base-md": ("validate {d}/tinybase.csv", None, ()),
     "validate-tiny-base-json": ("validate {d}/tinybase.csv --format json", None, ()),
     "validate-level-above-2-64": ("validate {d}/far.csv", None, ()),
+    "validate-runs-md": ("validate {d}/runs", None, ()),
+    "validate-runs-json": ("validate {d}/runs --format json", None, ()),
 
     "fit-clean-md": ("fit {d}/clean.csv", None, ()),
     "fit-clean-json": ("fit {d}/clean.csv --format json", None, ()),
@@ -223,6 +232,8 @@ CASES = {
     "fit-runs-unsuffixed": ("fit {d}/unsuffixed", None, ()),
     "fit-runs-load-above-2-64": ("fit {d}/runs_far", None, ()),
     "fit-bom-manifest-json": ("fit {d}/bom_runs --format json", None, ()),
+    "fit-runs-one-run": ("fit {d}/one_run", None, ()),
+    "fit-runs-repeated-load": ("fit {d}/repeated", None, ()),
 
     "peak-md": ("peak --alpha 0.0255 --beta 0.021", None, ()),
     "peak-json": ("peak --alpha 0.0255 --beta 0.021 --format json", None, ()),
@@ -257,6 +268,7 @@ CASES = {
     "compare-saved-bom-md": ("compare {d}/saved_bom.json {d}/noisy.csv", None, ()),
     "compare-invalid": ("compare {d}/invalid.csv {d}/clean.csv", None, ()),
     "compare-runs-md": ("compare {d}/runs/ {d}/bom_runs", None, ()),
+    "compare-same-name-md": ("compare {d}/a/p.csv {d}/b/p.csv", None, ()),
 
     "simulate-model": ("simulate --alpha 0.1 --beta 0.004 --x1 100 --levels 1,2,4,8",
                        None, ()),
