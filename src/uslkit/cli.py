@@ -82,7 +82,7 @@ EXIT_NO_BASELINE = 6
 
 _MODE_NAMES = {"auto": MODE_AUTO, "normalized": MODE_NORMALIZED, "raw3": MODE_RAW3}
 _LOAD_SUFFIX = re.compile(r"_[nN](\d+(?:\.\d+)?)\.csv$")
-_MAX_LEVELS = 100_000  # of a --levels range: 1:100000 simulates in 0.5 s and fits in 5 s
+_MAX_LEVELS = 100_000  # of a --levels range: 1:100000 simulates in 0.5 s and fits in 3 s
 
 
 # setting -> (JSON kind, default, flag help, choices); each default is its
@@ -577,7 +577,13 @@ def _params_from_path(path: str, args) -> tuple[str, UslParams]:
     fit.beta and fit.x1: each a JSON number, x1 also null, within their ranges.
     """
     if not path.endswith(".json"):  # normpath: the name of a directory given as dir/
-        return os.path.basename(os.path.normpath(path)), _fitted(path, args)[2].params
+        try:
+            params = _fitted(path, args)[2].params
+        except (ParseError, _Refused):  # each names the path already
+            raise
+        except UslError as e:  # say which of the two inputs failed
+            raise type(e)(f"{path}: {e}") from e
+        return os.path.basename(os.path.normpath(path)), params
     try:
         f = json.loads(_text(path, "not a saved fit report: "))["fit"]
         for field in fields(UslParams):
@@ -715,7 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     steady = ("trim_up", "trim_down", "slope_tol", "cv_max", "min_fraction")
 
-    p = add_command("validate", cmd_validate, "check a points file for impossible rows")
+    p = add_command("validate", cmd_validate,
+                    "check a points file or a directory of runs for impossible rows")
     p.add_argument("input", help="points CSV (header n,x), or a directory of time-series runs")
     add_settings(p, "tolerance", "format")
 
@@ -741,7 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True)
     add_settings(p, "format")
 
-    p = add_command("compare", cmd_compare, "diff two fits (saved reports or point files)")
+    p = add_command("compare", cmd_compare,
+                    "diff two fits (saved reports, points files or directories of runs)")
     for name in ("a", "b"):
         p.add_argument(name, help="points CSV, directory of runs, or saved JSON fit report")
     add_settings(p, "format")

@@ -32,6 +32,16 @@ throughputs divided by the power of two that puts the largest in
 [0.5, 1), so that no squared sum overflows or underflows and the
 coefficients do not depend on the unit.
 
+fit_usl's solver computes on Python floats, one level at a time in level
+order.  Each capacity is model._capacity's expression with its operations
+in the same order, the polish's Jacobian divides by the denominator that
+capacity divided by, and every sum is a += from 0.0 in level order.  So
+no BLAS call enters a fit, and a fit gives the same bits on every CPU:
+numpy's dot products pick an OpenBLAS kernel by CPU, and the kernels add
+in different orders.  A quotient whose divisor is a sum of squares divides
+as IEEE says, to inf or nan at zero, where a Python float would raise.
+Built-in sum() is not used, as from Python 3.12 it compensates.
+
 The bootstrap fits all of its resamples in one batched pass over (R, P)
 arrays: the same start, polish, stop rules and face rule, with each row
 carrying its own damping and stop state.  Every reduction runs along a
@@ -42,10 +52,16 @@ still moving rather than on one row's rejections (see _polish_rows).  The
 bootstrap learns the fit mode from _fit_setup, without a fit of the
 original data.
 
-fit_usl keeps the scalar solver, whose length-P algebra runs in numpy
-and whose two coefficients, gradient and step are Python floats.  Most of
-a single fit's cost is numpy's per-call overhead; the batched solver pays
-it several times over on one row, and rounds differently.
+fit_usl keeps the scalar solver: the batched one pays numpy's per-call
+overhead several times over on one row, and rounds differently.  Its
+reductions run along a row with einsum, not BLAS, so the bootstrap too
+is the same on every kernel.  On Python floats an 8-level fit takes about
+0.05 ms and an average fit of perfbench's 6-24-level corpus about 0.10 ms,
+against 0.10 and 0.16 ms when the length-P algebra ran in numpy, whose
+per-call overhead was most of the cost (2 vCPUs, Python 3.11).  From
+about 35 levels on the numpy version was faster: 1000 levels take about
+3 ms against 1 ms.  No benchmark workload fits more than 24 levels, so
+there is no second path for large inputs.
 """
 
 from __future__ import annotations
@@ -96,6 +112,7 @@ _POW4 = 4.0 ** np.arange(_RUNGS)  # exact powers of 4
 # rows of _polish_rows' packed state: theta, f, x1, lam, v, scale, rho, floor, steps left
 _STATE = (slice(0, 2), 2, 3, 4, slice(5, 7), slice(7, 9), 9, 10, 11)
 _LEVEL = operator.attrgetter("n")  # the sort key of a dataset's points
+_FIRST = operator.itemgetter(0)  # the level of a row of _linear_start
 # least ratio of a positive throughput to the largest that a fit takes; the start's
 # sums grow as the inverse square of x1's ratio and overflow from about 2**-500
 _MIN_RATIO = 2.0 ** -256
@@ -263,20 +280,46 @@ def capacity_ratios(dataset: Dataset) -> list[tuple[float, float]]:
     return [(p.n, p.x / base.x) for p in dataset.points]
 
 
-def _residuals(xs, x1_pin, c):
-    """(x - x1*c, c, x1, <c, c>) at the capacities c.
+def _ratio(a: float, b: float) -> float:
+    """a / b for a sum of squares b, as IEEE division gives it: b = 0 gives inf or nan."""
+    return a / b if b else a * math.inf if a else math.nan
 
+
+def _residuals(ns, b0, xs, x1_pin, alpha, beta):
+    """(c, d, x1, <c, c>, sse) at (alpha, beta), where sse = <r, r> and r = x - x1*c.
+
+    c and d are lists of the capacities and their denominators, level by
+    level: model._capacity's expression, its operations in the same order.
     x1 is profiled in closed form unless pinned; <c, c> is None when pinned.
     """
-    if x1_pin is not None:
-        return xs - x1_pin * c, c, x1_pin, None
-    cc = np.dot(c, c)
-    x1 = float(np.dot(xs, c) / cc)
-    return xs - x1 * c, c, x1, cc
+    c, d = [], []
+    if x1_pin is None:  # x1's sums come first, so the residuals take a second pass
+        cc = xc = 0.0
+        for n, b, x in zip(ns, b0, xs):
+            w = 1.0 + alpha * b + beta * n * b
+            v = n / w
+            c.append(v)
+            d.append(w)
+            xc += x * v
+            cc += v * v
+        x1 = _ratio(xc, cc)
+        f = 0.0
+        for x, v in zip(xs, c):
+            e = x - x1 * v
+            f += e * e
+        return c, d, x1, cc, f
+    f = 0.0
+    for n, b, x in zip(ns, b0, xs):
+        w = 1.0 + alpha * b + beta * n * b
+        v = n / w
+        c.append(v)
+        d.append(w)
+        e = x - x1_pin * v
+        f += e * e
+    return c, d, x1_pin, None, f
 
 
-def _linear_start(ns, xs, x1_pin, basis: np.ndarray,
-                  hi: tuple[float, float]) -> tuple[float, float]:
+def _linear_start(ns, b0, b1, xs, x1_pin, hi: tuple[float, float]) -> tuple[float, float]:
     """Nonnegative least squares on Y = n*x1/x - 1 = alpha*(n-1) + beta*n*(n-1).
 
     Each row is weighted by x^2/(x1*n), which makes its linear residual a
@@ -284,31 +327,34 @@ def _linear_start(ns, xs, x1_pin, basis: np.ndarray,
     have no Y and are skipped; without a pinned x1 the lowest level's
     throughput per user stands in for it.  The result is capped at hi.
     """
-    keep = xs > 0.0
-    if not keep.all():
-        ns, xs, basis = ns[keep], xs[keep], basis[keep]
+    rows = [row for row in zip(ns, b0, b1, xs) if row[3] > 0.0]
     if x1_pin is None:
-        low = int(ns.argmin())
-        x1_pin = xs[low] / ns[low]
-    w = xs * xs / (x1_pin * ns)
-    a = w[:, None] * basis
-    y = w * (ns * x1_pin / xs - 1.0)
-    (g00, g01), (g10, g11) = (a.T @ a).tolist()
-    h0, h1 = (a.T @ y).tolist()
-    det = g00 * g11 - g01 * g10
+        n, _, _, x = min(rows, key=_FIRST)
+        x1_pin = x / n
+    g00 = g01 = g11 = h0 = h1 = 0.0
+    for n, b, bb, x in rows:
+        w = x * x / (x1_pin * n)
+        a0, a1, y = w * b, w * bb, w * (n * x1_pin / x - 1.0)
+        g00 += a0 * a0
+        g01 += a0 * a1
+        g11 += a1 * a1
+        h0 += a0 * y
+        h1 += a1 * y
+    det = g00 * g11 - g01 * g01
     if det > 0.0:
-        t0, t1 = (g11 * h0 - g01 * h1) / det, (g00 * h1 - g10 * h0) / det
+        t0, t1 = (g11 * h0 - g01 * h1) / det, (g00 * h1 - g01 * h0) / det
         if t0 >= 0.0 and t1 >= 0.0:
             return min(t0, hi[0]), min(t1, hi[1])
     # the optimum lies on a face or in the corner: take the first best of
-    # them by t @ g @ t - 2 h @ t, every product of the 2 x 2 algebra kept
+    # them by the quadratic form t.g.t - 2 h.t, every product of the 2 x 2
+    # algebra kept
     candidates = []
     if g00 > 0.0:
         candidates.append((max(h0 / g00, 0.0), 0.0))
     if g11 > 0.0:
         candidates.append((0.0, max(h1 / g11, 0.0)))
     candidates.append((0.0, 0.0))
-    t0, t1 = min(candidates, key=lambda t: ((t[0] * g00 + t[1] * g10) * t[0]
+    t0, t1 = min(candidates, key=lambda t: ((t[0] * g00 + t[1] * g01) * t[0]
                                            + (t[0] * g01 + t[1] * g11) * t[1]
                                            - 2.0 * (h0 * t[0] + h1 * t[1])))
     return min(t0, hi[0]), min(t1, hi[1])
@@ -324,11 +370,11 @@ def _clip(t: float, top: float) -> float:
     return 0.0 if t <= 0.0 else top if t >= top else t
 
 
-def _polish(ns, b0, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
+def _polish(ns, b0, b1, xs, x1_pin, theta: tuple[float, float],
             hi: tuple[float, float], xx: float, opt: FitOptions):
     """Bounded Levenberg-Marquardt on the throughput sse.
 
-    Returns (theta, sse, r, c, x1), the last three from _residuals at theta.
+    Returns (theta, sse, c, x1), the last two from _residuals at theta.
     A coordinate on a bound whose gradient points out of the box is held
     fixed for the step (active set).  Without a pinned x1 the Jacobian is
     Kaufman's variable-projection one: the part of the full-model Jacobian
@@ -341,18 +387,47 @@ def _polish(ns, b0, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
     (t0, t1), (hi0, hi1) = theta, hi
     floor = _ROUNDING * math.sqrt(xx)
     tol = opt.refine_tol
-    r, c, x1, cc = _residuals(xs, x1_pin, _capacity(ns, b0, t0, t1))
-    f = float(np.dot(r, r))
+    c, d, x1, cc, f = _residuals(ns, b0, xs, x1_pin, t0, t1)
     lam = 1e-3
     fresh = True
     for _ in range(opt.max_refine_iter):
         if fresh:
-            d = 1.0 + basis @ (t0, t1)
-            jac = (x1 * c / d)[:, None] * basis  # d(residual)/d(theta)
-            if x1_pin is None:
-                jac -= c[:, None] * (c @ jac) / cc
-            g0, g1 = (jac.T @ r).tolist()  # half the gradient of the sse
-            n0, n1 = map(math.sqrt, np.einsum("pk,pk->k", jac, jac).tolist())
+            # the Jacobian's columns d(residual)/d(theta) are x1*c/d times n - 1
+            # and n*(n - 1), with d the denominator that c was divided by, and
+            # without a pinned x1 less their parts along c (Kaufman's); g is
+            # half the gradient of the sse, n0 and n1 the columns' squared norms
+            g0 = g1 = n0 = n1 = j01 = 0.0
+            if cc is None:
+                for x, v, w, b, bb in zip(xs, c, d, b0, b1):
+                    q = x1 * v / w
+                    a, q = q * b, q * bb
+                    e = x - x1 * v
+                    g0 += a * e
+                    g1 += q * e
+                    n0 += a * a
+                    n1 += q * q
+                    j01 += a * q
+            else:
+                j0, j1 = [], []
+                k0 = k1 = 0.0
+                for v, w, b, bb in zip(c, d, b0, b1):
+                    q = x1 * v / w
+                    a, q = q * b, q * bb
+                    j0.append(a)
+                    j1.append(q)
+                    k0 += v * a
+                    k1 += v * q
+                k0, k1 = _ratio(k0, cc), _ratio(k1, cc)
+                for x, v, a, q in zip(xs, c, j0, j1):
+                    a -= v * k0
+                    q -= v * k1
+                    e = x - x1 * v
+                    g0 += a * e
+                    g1 += q * e
+                    n0 += a * a
+                    n1 += q * q
+                    j01 += a * q
+            n0, n1 = math.sqrt(n0), math.sqrt(n1)
             free0, free1 = _free(t0, g0, n0, hi0), _free(t1, g1, n1, hi1)
             if not (free0 or free1):
                 break
@@ -360,7 +435,7 @@ def _polish(ns, b0, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
             # gets an infinite scale, hence no gradient, coupling or step
             s0, s1 = n0 if free0 else math.inf, n1 if free1 else math.inf
             v0, v1 = -g0 / s0, -g1 / s1
-            rho = float(jac[:, 0] @ jac[:, 1]) / (n0 * n1) if free0 and free1 else 0.0
+            rho = j01 / (n0 * n1) if free0 and free1 else 0.0
             fresh = False
         # den >= about 2e-12 (lam >= 1e-12, |rho| <= 1 + a few ulps), so the
         # division cannot raise; a lam that overflows gives inf, a nan rho nan
@@ -372,31 +447,33 @@ def _polish(ns, b0, xs, x1_pin, basis: np.ndarray, theta: tuple[float, float],
         c0, c1 = _clip(t0 + u0 / s0, hi0), _clip(t1 + u1 / s1, hi1)
         if c0 == t0 and c1 == t1:
             break
-        trial = _residuals(xs, x1_pin, _capacity(ns, b0, c0, c1))
-        fc = float(np.dot(trial[0], trial[0]))
+        trial = _residuals(ns, b0, xs, x1_pin, c0, c1)
+        fc = trial[4]
         if fc < f:
             done = f - fc <= tol * f
-            t0, t1, f, (r, c, x1, cc) = c0, c1, fc, trial
+            t0, t1, (c, d, x1, cc, f) = c0, c1, trial
             if done:
                 break
             lam = max(lam / 3.0, 1e-12)
             fresh = True
         else:
             lam *= 4.0
-    return (t0, t1), f, r, c, x1
+    return (t0, t1), f, c, x1
 
 
 def _minimize(ns, xs, x1_pin, opt: FitOptions):
-    """(alpha, beta, r, c, x1, sse): the fit, _residuals there and its sse."""
-    # the model's denominator is 1 + basis @ (alpha, beta)
-    b0 = ns - 1.0
-    basis = np.empty((ns.size, 2))
-    basis[:, 0] = b0
-    basis[:, 1] = ns * b0
+    """(alpha, beta, r, c, x1, sse) of the arrays ns and xs: the fit, and at it the
+    lists r = x - x1*c and c, x1 and the sse."""
+    ns, xs = ns.tolist(), xs.tolist()
+    # the basis of the linear form: Y = alpha * b0 + beta * b1
+    b0 = [n - 1.0 for n in ns]
+    b1 = [n * b for n, b in zip(ns, b0)]
     hi = (_ALPHA_MAX, float(opt.beta_max))
-    xx = float(np.dot(xs, xs))
-    start = _linear_start(ns, xs, x1_pin, basis, hi)
-    (alpha, beta), f, r, c, x1 = _polish(ns, b0, xs, x1_pin, basis, start, hi, xx, opt)
+    xx = 0.0
+    for x in xs:
+        xx += x * x
+    start = _linear_start(ns, b0, b1, xs, x1_pin, hi)
+    (alpha, beta), f, c, x1 = _polish(ns, b0, b1, xs, x1_pin, start, hi, xx, opt)
     # a face within refine_tol of the polished sse wins the tie: smaller
     # beta first, then smaller alpha.  On finite levels a zero coefficient's
     # term adds exactly 0.0 to the denominator, so a face drops it; a face
@@ -404,12 +481,12 @@ def _minimize(ns, xs, x1_pin, opt: FitOptions):
     bound = f + opt.refine_tol * max(f, _ROUNDING * xx)
     for fa, fb in ((alpha, 0.0), (0.0, beta), (0.0, 0.0)):
         if fa == alpha and fb == beta and f <= bound:
-            return fa, fb, r, c, x1, f
-        rf, cf, x1f, _ = _residuals(xs, x1_pin, _capacity(ns, b0, fa, fb))
-        ff = float(np.dot(rf, rf))
+            break
+        cf, _, x1f, _, ff = _residuals(ns, b0, xs, x1_pin, fa, fb)
         if ff <= bound:
-            return fa, fb, rf, cf, x1f, ff
-    return alpha, beta, r, c, x1, f
+            alpha, beta, c, x1, f = fa, fb, cf, x1f, ff
+            break
+    return alpha, beta, [x - x1 * v for x, v in zip(xs, c)], c, x1, f
 
 
 def _fit_setup(dataset: Dataset,
@@ -474,18 +551,29 @@ def fit_usl(dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     ns, xs, mode, x1_pin, e = _fit_setup(dataset, opt)
     alpha, beta, res, c, x1, sse = _minimize(ns, xs, x1_pin, opt)
 
-    # r^2 from the scaled sums; the rest back in the data's units
-    dev = xs - float(xs.sum()) / xs.size  # xs.mean(), without its wrapper
-    tss = float(np.dot(dev, dev))
+    # r^2 from the scaled sums, added in level order; the rest back in the data's units
+    xs = xs.tolist()
+    mean = 0.0
+    for x in xs:
+        mean += x
+    mean /= len(xs)
+    tss = 0.0
+    for x in xs:
+        dev = x - mean
+        tss += dev * dev
     if tss == 0.0:  # constant data: exact if sse is within the floor of _minimize's tie rule
-        r2 = 1.0 if sse <= _ROUNDING * float(np.dot(xs, xs)) else 0.0
+        xx = 0.0
+        for x in xs:
+            xx += x * x
+        r2 = 1.0 if sse <= _ROUNDING * xx else 0.0
     else:
         r2 = 1.0 - sse / tss
     x1 = _unscaled(x1, e)
     measured = [p.x for p in dataset.points]
     # a modelled throughput beyond the float range is inf, which a float product gives unwarned
-    modeled = [x1 * v for v in c.tolist()]
-    rows = tuple(map(Residual, ns.tolist(), measured, modeled, np.ldexp(res, e).tolist()))
+    modeled = [x1 * v for v in c]
+    res = [_unscaled(v, e) for v in res]
+    rows = tuple(map(Residual, ns.tolist(), measured, modeled, res))
     return FitResult(
         params=UslParams(alpha, beta, x1),
         sse=_unscaled(sse, 2 * e),

@@ -150,14 +150,21 @@ _ALPHA_MAX = 1.0 - 1e-12
 _ROUNDING = 1e-16
 
 
+def _total(a):
+    """Sums along the first axis, each added one level at a time from 0.0 in level order."""
+    a = np.asarray(a, dtype=float)
+    return np.cumsum(np.concatenate([np.zeros((1,) + a.shape[1:]), a]), axis=0)[-1]
+
+
 def _capacity(ns, alpha, beta):
     return ns / (1.0 + alpha * (ns - 1.0) + beta * ns * (ns - 1.0))
 
 
 def _residuals(ns, xs, x1_pin, theta):
-    c = _capacity(ns, theta[0], theta[1])
-    x1 = x1_pin if x1_pin is not None else float(np.dot(xs, c) / np.dot(c, c))
-    return xs - x1 * c, c, x1
+    d = 1.0 + theta[0] * (ns - 1.0) + theta[1] * ns * (ns - 1.0)
+    c = ns / d
+    x1 = x1_pin if x1_pin is not None else _total(xs * c) / _total(c * c)
+    return xs - x1 * c, c, d, x1
 
 
 def _linear_start(ns, xs, x1_pin, basis, beta_max):
@@ -171,7 +178,7 @@ def _linear_start(ns, xs, x1_pin, basis, beta_max):
     w = xs * xs / (x1_pin * ns)
     a = w[:, None] * basis
     y = w * (ns * x1_pin / xs - 1.0)
-    g, h = a.T @ a, a.T @ y
+    g, h = _total(a[:, :, None] * a[:, None, :]), _total(a * y[:, None])
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if det > 0.0:
         theta = np.array([g[1, 1] * h[0] - g[0, 1] * h[1], g[0, 0] * h[1] - g[1, 0] * h[0]]) / det
@@ -189,25 +196,25 @@ def _linear_start(ns, xs, x1_pin, basis, beta_max):
 
 def _polish(ns, xs, x1_pin, basis, theta, opt):
     hi = np.array([_ALPHA_MAX, opt.beta_max])
-    floor = _ROUNDING * math.sqrt(float(np.dot(xs, xs)))
-    r, c, x1 = _residuals(ns, xs, x1_pin, theta)
-    f = float(np.dot(r, r))
+    floor = _ROUNDING * math.sqrt(float(_total(xs * xs)))
+    r, c, d, x1 = _residuals(ns, xs, x1_pin, theta)
+    f = float(_total(r * r))
     lam = 1e-3
     fresh = True
     for _ in range(opt.max_refine_iter):
         if fresh:
-            d = 1.0 + basis @ theta
             jac = (x1 * c / d)[:, None] * basis
             if x1_pin is None:
-                jac -= np.outer(c, c @ jac) / np.dot(c, c)
-            g = jac.T @ r
-            norms = np.sqrt(np.einsum("pk,pk->k", jac, jac))
+                jac -= c[:, None] * (_total(c[:, None] * jac) / _total(c * c))
+            g = _total(jac * r[:, None])
+            norms = np.sqrt(_total(jac * jac))
             free = (norms > 0.0) & ~(((theta <= 0.0) & (g > 0.0)) | ((theta >= hi) & (g < 0.0)))
             if not free.any():
                 break
             scale = np.where(free, norms, np.inf)
             v = -g / scale
-            rho = float(jac[:, 0] @ jac[:, 1]) / float(norms[0] * norms[1]) if free.all() else 0.0
+            rho = (float(_total(jac[:, 0] * jac[:, 1])) / float(norms[0] * norms[1])
+                   if free.all() else 0.0)
             fresh = False
         m = 1.0 + lam
         u = (m * v - rho * v[::-1]) / (m * m - rho * rho)
@@ -216,11 +223,11 @@ def _polish(ns, xs, x1_pin, basis, theta, opt):
         cand = np.clip(theta + u / scale, 0.0, hi)
         if (cand == theta).all():
             break
-        rc, cc, x1c = _residuals(ns, xs, x1_pin, cand)
-        fc = float(np.dot(rc, rc))
+        rc, cc, dc, x1c = _residuals(ns, xs, x1_pin, cand)
+        fc = float(_total(rc * rc))
         if fc < f:
             done = f - fc <= opt.refine_tol * f
-            theta, r, c, x1, f = cand, rc, cc, x1c, fc
+            theta, r, c, d, x1, f = cand, rc, cc, dc, x1c, fc
             if done:
                 break
             lam = max(lam / 3.0, 1e-12)
@@ -234,27 +241,30 @@ def _minimize(ns, xs, x1_pin, opt):
     basis = np.stack([ns - 1.0, ns * (ns - 1.0)], axis=1)
     start = _linear_start(ns, xs, x1_pin, basis, opt.beta_max)
     theta, f = _polish(ns, xs, x1_pin, basis, start, opt)
-    bound = f + opt.refine_tol * max(f, 1e-16 * float(np.dot(xs, xs)))
+    bound = f + opt.refine_tol * max(f, 1e-16 * float(_total(xs * xs)))
     for face in ((theta[0], 0.0), (0.0, theta[1]), (0.0, 0.0)):
-        r, _, _ = _residuals(ns, xs, x1_pin, face)
-        if float(np.dot(r, r)) <= bound:
+        r, _, _, _ = _residuals(ns, xs, x1_pin, face)
+        if float(_total(r * r)) <= bound:
             return float(face[0]), float(face[1])
     return float(theta[0]), float(theta[1])
 
 
 def minimize_vector_reference(ns, xs, x1_pin, opt) -> tuple[float, float, float]:
-    """(alpha, beta, x1) from the scalar solver as it stood with numpy 2-vectors.
+    """(alpha, beta, x1) from the scalar solver, written with numpy vectors.
 
-    A frozen copy of ``fit_usl``'s solver before its two-coefficient
-    bookkeeping moved to Python floats: the linearized NNLS start, the
-    bounded Levenberg-Marquardt polish with Kaufman's Jacobian and the
-    face tie rule, with theta, the gradient, the column norms and the step
-    held in numpy arrays and clipped with ``np.clip``.  The library must
-    agree with it bit for bit.
+    The linearized NNLS start, the bounded Levenberg-Marquardt polish with
+    Kaufman's Jacobian and the face tie rule, with theta, the gradient, the
+    column norms and the step held in numpy arrays and clipped with
+    ``np.clip``.  The arithmetic is the library's: each capacity divides n
+    by 1 + alpha*(n-1) + beta*n*(n-1), the Jacobian reuses that
+    denominator, and every sum adds its terms one level at a time from 0.0
+    (``np.cumsum``, never BLAS or pairwise summation).  The library must
+    agree with it bit for bit; a zero sum of squares divides as IEEE says.
     """
-    alpha, beta = _minimize(ns, xs, x1_pin, opt)
-    _, _, x1 = _residuals(ns, xs, x1_pin, (alpha, beta))
-    return alpha, beta, x1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha, beta = _minimize(ns, xs, x1_pin, opt)
+        _, _, _, x1 = _residuals(ns, xs, x1_pin, (alpha, beta))
+    return alpha, beta, float(x1)
 
 
 def _rowdot(a, b):

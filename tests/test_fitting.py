@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 import warnings
 
@@ -405,11 +408,12 @@ def reference_mismatch(ns, xs, x1_pin, opt):
 
 
 class TestVectorReference:
-    """The scalar solver against the frozen numpy-vector solver in oracles.
+    """The scalar solver against the numpy-vector solver in oracles.
 
-    The solver keeps its two coefficients, gradient, norms and step in
-    Python floats; every length-P computation is unchanged, so the results
-    must be equal bit for bit, signed zeros included.
+    The solver runs on Python floats, level by level; the oracle holds the
+    levels in numpy arrays and adds each sum in level order with np.cumsum.
+    Both follow one arithmetic rule, so the results must be equal bit for
+    bit, signed zeros included, whatever BLAS kernel numpy runs.
     """
 
     @pytest.mark.parametrize("opt", REFERENCE_OPTIONS,
@@ -434,14 +438,24 @@ class TestVectorReference:
             for pin in (float(xs.max()), None):
                 assert reference_mismatch(ns, xs, pin, opt) is None
 
+    @pytest.mark.parametrize("xs,x1", [([1.0, 2.0, 3.0], math.inf), ([0.0, 0.0, 0.0], math.nan)],
+                             ids=["inf", "nan"])
+    def test_a_zero_sum_of_squares_divides_as_ieee_says(self, xs, x1):
+        # at beta = 1e300 every capacity's square underflows, so <c, c> = 0,
+        # and x1 = <x, c> / <c, c> comes out as a numpy division gives it
+        ns = [2.0, 3.0, 4.0]
+        _, _, got, cc, _ = fitting._residuals(ns, [n - 1.0 for n in ns], xs, None, 0.0, 1e300)
+        assert cc == 0.0
+        assert repr(got) == repr(x1)
+
     @pytest.mark.parametrize("opt", [FitOptions(), FitOptions(beta_max=1e-5)],
                              ids=["default", "beta-max"])
     def test_matches_where_a_step_rounds_to_no_move(self, opt):
-        # levels 1 to 1e12 with x1 pinned at the lowest throughput: a polish
+        # levels 1 to 1.5e10 with x1 pinned at the lowest throughput: a polish
         # step clips to the point it started from, so the loop stops there
-        ns = np.array([1, 251, 63096, 15848932, 3981071706, 1e12])
-        xs = np.array([8.343699359072005e-07, 0.00020937451028481778, 0.049520885222927996,
-                       0.7848493401176067, 0.8341604044958997, 0.8343691015393343])
+        ns = np.array([1, 109, 11778, 1278282, 138729551, 15056056132])
+        xs = np.array([0.00024414057943704753, 0.02589485119016595, 0.7158165334575045,
+                       0.950089414656173, 0.9529632233135497, 0.9529900247518542])
         source, first = inspect.getsourcelines(fitting._polish)
         stop = first + 1 + next(i for i, line in enumerate(source)
                                 if "if c0 == t0 and c1 == t1:" in line)
@@ -490,17 +504,44 @@ def fit_usl_outputs():
     return out
 
 
+def fit_usl_digest() -> str:
+    """sha256 of fit_usl_outputs(), one output a line."""
+    return hashlib.sha256("\n".join(fit_usl_outputs()).encode()).hexdigest()
+
+
+def _openblas() -> bool:
+    """Whether numpy's BLAS is OpenBLAS, whose kernel OPENBLAS_CORETYPE picks."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
 class TestFitUslPinned:
-    # sha256 of fit_usl_outputs() as the solver stood before its per-call
-    # overheads were cut, with the four extreme-scale edge cases fitted on
-    # scaled data: any change to a fitted bit, a residual row, the sse, r^2,
-    # the mode or an error message fails here
-    DIGEST = "225a1426aa91cbd2775c90b7ca56cb2fdcbe8dc62df01cae19af35afe262cacf"
+    # sha256 of fit_usl_outputs() with the scalar solver on Python floats and
+    # every sum added in level order, so no BLAS kernel enters it: any change
+    # to a fitted bit, a residual row, the sse, r^2, the mode or an error
+    # message fails here
+    DIGEST = "4db30890fed0e0c2b2355acfde9e7068306f0a565b789130b77bc1a637b6ea6d"
 
     def test_every_output_is_pinned(self):
-        out = fit_usl_outputs()
-        assert len(out) == 4 * 1000 + 5 * 2 * len(EDGE_CASES)
-        assert hashlib.sha256("\n".join(out).encode()).hexdigest() == self.DIGEST
+        assert len(fit_usl_outputs()) == 4 * 1000 + 5 * 2 * len(EDGE_CASES)
+        assert fit_usl_digest() == self.DIGEST
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _openblas(),
+                        reason="OPENBLAS_CORETYPE selects a kernel of OpenBLAS on x86-64 only")
+    def test_every_output_is_the_same_on_another_blas_kernel(self):
+        # Prescott's kernels run on every x86-64 CPU, and sum in another
+        # order than the AVX2 and AVX-512 ones that CPUs with them get
+        here = os.path.dirname(os.path.abspath(__file__))
+        script = ("import sys; sys.path[:0] = sys.argv[1:]; "
+                  "from test_fitting import fit_usl_digest; print(fit_usl_digest())")
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+        other = subprocess.run([sys.executable, "-c", script, here, src], env=env,
+                               capture_output=True, text=True, check=True, timeout=300)
+        assert other.stdout.strip() == fit_usl_digest()
 
 
 class TestEvaluateAndCompare:

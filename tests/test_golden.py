@@ -65,6 +65,7 @@ def build_inputs(d: Path) -> None:
     _csv(d / "nobase.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8, 16, 32]))
     _csv(d / "nobase4.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8, 16]))
     _csv(d / "few.csv", "n,x", _pairs(0.05, 0.002, 100.0, [2, 4, 8]))
+    _csv(d / "two.csv", "n,x", _pairs(0.05, 0.002, 100.0, [1, 2]))
     _csv(d / "zerobase.csv", "n,x", [(1, 0.0), (2, 10.0), (4, 18.0), (8, 30.0)])
     # baselines so far below the rest that their capacities overflow, or the fit's sums
     _csv(d / "tinybase.csv", "n,x", [(1, 5e-324), (2, 1.0), (4, 2.0)])
@@ -269,6 +270,8 @@ CASES = {
     "compare-invalid": ("compare {d}/invalid.csv {d}/clean.csv", None, ()),
     "compare-runs-md": ("compare {d}/runs/ {d}/bom_runs", None, ()),
     "compare-same-name-md": ("compare {d}/a/p.csv {d}/b/p.csv", None, ()),
+    # a fit that fails names its input
+    "compare-too-few": ("compare {d}/clean.csv {d}/two.csv", None, ()),
 
     "simulate-model": ("simulate --alpha 0.1 --beta 0.004 --x1 100 --levels 1,2,4,8",
                        None, ()),
