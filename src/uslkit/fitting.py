@@ -28,40 +28,34 @@ The polish also stops once its damped step would move the modelled
 throughputs by less than rounding, so exact data does not spin on
 rejected steps.  The solver is deterministic: identical input yields
 bit-identical output.  fit_usl and the bootstrap run it on the
-throughputs divided by the power of two that puts the largest in
-[0.5, 1), so that no squared sum overflows or underflows and the
-coefficients do not depend on the unit.
+throughputs scaled by model._scaled.
 
 fit_usl's solver computes on Python floats, one level at a time in level
 order.  Each capacity is model._capacity's expression with its operations
 in the same order, the polish's Jacobian divides by the denominator that
-capacity divided by, and every sum is a += from 0.0 in level order.  So
-no BLAS call enters a fit, and a fit gives the same bits on every CPU:
-numpy's dot products pick an OpenBLAS kernel by CPU, and the kernels add
-in different orders.  A quotient whose divisor is a sum of squares divides
-as IEEE says, to inf or nan at zero, where a Python float would raise.
-Built-in sum() is not used, as from Python 3.12 it compensates.
+capacity divided by, and every sum is a += from 0.0 in level order: no
+BLAS (see model._dot), and no built-in sum(), which compensates from
+Python 3.12.  A quotient whose divisor is a sum of squares divides as IEEE
+says, to inf or nan at zero, where a Python float would raise.
 
 The bootstrap fits all of its resamples in one batched pass over (R, P)
 arrays: the same start, polish, stop rules and face rule, with each row
-carrying its own damping and stop state.  Every reduction runs along a
-row, so a row's answer does not depend on the batch it shares.  A row
-whose trial step was rejected tries its next steps, at 4, 16, ... times
-the damping, together in one loop pass, so the passes are spent on rows
-still moving rather than on one row's rejections (see _polish_rows).  The
-bootstrap learns the fit mode from _fit_setup, without a fit of the
-original data.
+carrying its own damping and stop state, and every reduction a model._dot
+along a row.  A row whose trial step was rejected tries its next steps,
+at 4, 16, ... times the damping, together in one loop pass, so the passes
+are spent on rows still moving rather than on one row's rejections (see
+_polish_rows).  The bootstrap learns the fit mode from _fit_setup,
+without a fit of the original data.
 
 fit_usl keeps the scalar solver: the batched one pays numpy's per-call
-overhead several times over on one row, and rounds differently.  Its
-reductions run along a row with einsum, not BLAS, so the bootstrap too
-is the same on every kernel.  On Python floats an 8-level fit takes about
-0.05 ms and an average fit of perfbench's 6-24-level corpus about 0.10 ms,
-against 0.10 and 0.16 ms when the length-P algebra ran in numpy, whose
-per-call overhead was most of the cost (2 vCPUs, Python 3.11).  From
-about 35 levels on the numpy version was faster: 1000 levels take about
-3 ms against 1 ms.  No benchmark workload fits more than 24 levels, so
-there is no second path for large inputs.
+overhead several times over on one row, and rounds differently.  On
+Python floats an 8-level fit takes about 0.05 ms and an average fit of
+perfbench's 6-24-level corpus about 0.10 ms, against 0.10 and 0.16 ms
+when the length-P algebra ran in numpy, whose per-call overhead was most
+of the cost (2 vCPUs, Python 3.11).  From about 35 levels on the numpy
+version was faster: 1000 levels take about 3 ms against 1 ms.  No
+benchmark workload fits more than 24 levels, so there is no second path
+for large inputs.
 """
 
 from __future__ import annotations
@@ -85,6 +79,8 @@ from .model import (
     Regime,
     UslParams,
     _capacity,
+    _dot,
+    _scaled,
     _set,
     check_count,
     check_range,
@@ -493,11 +489,7 @@ def _fit_setup(dataset: Dataset,
                opt: FitOptions) -> tuple[np.ndarray, np.ndarray, str, float | None, int]:
     """(ns, xs, mode, x1_pin, e) of a fit of the dataset; x1_pin None means raw3.
 
-    xs and x1_pin come divided by 2**e, which puts the largest throughput
-    in [0.5, 1), so that no squared sum of the solvers overflows or
-    underflows whatever the unit.  A power of two scales exactly and every
-    solver step is equivariant under it, so the fitted coefficients do not
-    depend on the unit, and x1 and the residuals scale back exactly.
+    xs and x1_pin come divided by 2**e, from model._scaled.
 
     Raises the errors that fit_usl documents, all of which it raises
     before it fits, so the bootstrap can learn the mode without a fit.
@@ -519,8 +511,7 @@ def _fit_setup(dataset: Dataset,
             raise InsufficientDataError("normalized fit needs at least 3 distinct levels")
     elif len(dataset) < 4:
         raise InsufficientDataError("3-parameter fit needs at least 4 distinct levels")
-    e = math.frexp(top)[1]
-    xs = np.ldexp(xs, -e)
+    xs, e = _scaled(xs)
     tiny = (xs > 0.0) & (xs < _MIN_RATIO)
     if tiny.any():
         p = dataset.points[int(tiny.argmax())]
@@ -589,8 +580,7 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
 
     Deliberately accumulates in a plain loop, independent of the fit
     path, so it doubles as a cross-check of the stored sse.  Like the fit,
-    the loop runs on the throughputs divided by the power of two that puts
-    the largest in [0.5, 1), so no squared sum overflows or underflows.
+    the loop runs on the throughputs scaled by model._scaled.
     """
     fit_ns = [r.n for r in result.residuals]
     data_ns = [p.n for p in dataset.points]
@@ -601,49 +591,44 @@ def evaluate_fit(result: FitResult, dataset: Dataset) -> FitDiagnostics:
     params = result.params
     if params.x1 is None:
         raise MismatchedDatasetError("fit result carries no x1; cannot model throughput")
-    e = math.frexp(max(dataset.xs.tolist()))[1]
-    xs = np.ldexp(dataset.xs, -e).tolist()
+    xs, e = _scaled(dataset.xs)
+    xs = xs.tolist()
     alpha, beta, x1 = params.alpha, params.beta, _unscaled(params.x1, -e)
-    sse = 0.0
     mean = 0.0
     for x in xs:
         mean += x
     mean /= len(xs)
-    tss = 0.0
-    max_rel = 0.0
+    sse = tss = xx = max_rel = 0.0
     for n, x in zip(dataset.ns.tolist(), xs):
         denom = 1.0 + alpha * (n - 1.0) + beta * n * (n - 1.0)
         r = x - x1 * (n / denom)
         sse += r * r
         tss += (x - mean) * (x - mean)
+        xx += x * x
         # a zero throughput weighs its residual in the data's units
         rel = abs(r) / abs(x) if x != 0.0 else _unscaled(abs(r), e)
         if rel > max_rel:  # max(max_rel, rel), nan included
             max_rel = rel
     if tss == 0.0:  # constant data, judged as fit_usl judges it
-        r2 = 1.0 if sse <= _ROUNDING * sum(x * x for x in xs) else 0.0
+        r2 = 1.0 if sse <= _ROUNDING * xx else 0.0
     else:
         r2 = 1.0 - sse / tss
     return FitDiagnostics(sse=_unscaled(sse, 2 * e), r_squared=r2, max_relative_residual=max_rel)
 
 
 def compare_fits(a: UslParams, b: UslParams) -> FitComparison:
-    """Before/after coefficients compared: deltas b minus a; equal peaks (inf too) tie at 0."""
+    """Before/after coefficients compared: deltas b minus a.  Peaks within 1e-9 relative,
+    rounding and not a measurable difference, tie; equal ones (inf too) have delta 0."""
     pa, pb = peak_concurrency(a), peak_concurrency(b)
+    tie = pa == pb or abs(pb - pa) <= 1e-9 * max(pa, pb) < math.inf
     return FitComparison(
         alpha_delta=b.alpha - a.alpha,
         beta_delta=b.beta - a.beta,
         peak_a=pa,
         peak_b=pb,
         peak_delta=0.0 if pa == pb else pb - pa,
-        scales_further="tie" if pa == pb else "a" if pa > pb else "b",
+        scales_further="tie" if tie else "a" if pa > pb else "b",
     )
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # reduce along the last, contiguous axis only, so that a row's result
-    # does not depend on how many rows share the batch
-    return np.einsum("rp,rp->r", a, b)
 
 
 def _profile_rows(ns, xs, b0, x1_pin, alpha,
@@ -655,7 +640,7 @@ def _profile_rows(ns, xs, b0, x1_pin, alpha,
     c = _capacity(ns, b0, alpha[:, None], beta[:, None])
     if x1_pin is not None:
         return xs - x1_pin * c, c, np.full(len(ns), x1_pin)
-    x1 = _rowdot(xs, c) / _rowdot(c, c)
+    x1 = _dot(xs, c) / _dot(c, c)
     return xs - x1[:, None] * c, c, x1
 
 
@@ -670,8 +655,8 @@ def _linear_start_rows(ns, xs, x1_pin, b0, b1, beta_max: float) -> np.ndarray:
     w = np.where(keep, xs * xs / (x1 * ns), 0.0)
     y = np.where(keep, w * (ns * x1 / xs - 1.0), 0.0)
     a0, a1 = w * b0, w * b1
-    g00, g01, g11 = _rowdot(a0, a0), _rowdot(a0, a1), _rowdot(a1, a1)
-    h0, h1 = _rowdot(a0, y), _rowdot(a1, y)
+    g00, g01, g11 = _dot(a0, a0), _dot(a0, a1), _dot(a1, a1)
+    h0, h1 = _dot(a0, y), _dot(a1, y)
     det = g00 * g11 - g01 * g01
     inner = np.stack([g11 * h0 - g01 * h1, g00 * h1 - g01 * h0], axis=1) / det[:, None]
     interior = (det > 0.0) & (inner.min(axis=1) >= 0.0)
@@ -717,8 +702,8 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
     # the live rows' state, packed so that dropping the rows that stop takes
     # one gather per array; the names bound in the loop are views into it
     st = np.zeros((12, rows))
-    st[0:2], st[2], st[3], st[4] = theta.T, _rowdot(r, r), x1, 1e-3
-    st[10], st[11] = _ROUNDING * np.sqrt(_rowdot(xs, xs)), opt.max_refine_iter
+    st[0:2], st[2], st[3], st[4] = theta.T, _dot(r, r), x1, 1e-3
+    st[10], st[11] = _ROUNDING * np.sqrt(_dot(xs, xs)), opt.max_refine_iter
     data = np.stack([ns, xs, b0, b1, r, c])  # (6, L, P)
     live = np.arange(rows)
     moved = np.ones(rows, dtype=bool)
@@ -732,16 +717,15 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
             s = (x1[:, None] if x1_pin is None else x1_pin) * c
             s /= 1.0 + theta[0, :, None] * data[2] + theta[1, :, None] * data[3]
             jac = s * data[2:4]  # (2, L, P): the columns d(residual)/d(theta)
-            # the einsums reduce along P only, as _rowdot does
             if x1_pin is None:
-                jac -= c * (np.einsum("krp,rp->kr", jac, c) / _rowdot(c, c))[:, :, None]
-            g = np.einsum("krp,rp->kr", jac, r)  # half the gradient of the sse
-            norms = np.sqrt(np.einsum("krp,krp->kr", jac, jac))
+                jac -= c * (_dot(jac, c) / _dot(c, c))[:, :, None]
+            g = _dot(jac, r)  # half the gradient of the sse
+            norms = np.sqrt(_dot(jac, jac))
             free = (norms > 0.0) & ~(((theta <= 0.0) & (g > 0.0)) | ((theta >= hi) & (g < 0.0)))
             held = ~(free[0] | free[1])
             scale[:] = np.where(free, norms, np.inf)
             v[:] = -g / scale
-            rho[:] = np.where(free[0] & free[1], _rowdot(*jac) / (norms[0] * norms[1]), 0.0)
+            rho[:] = np.where(free[0] & free[1], _dot(*jac) / (norms[0] * norms[1]), 0.0)
             rungs = 1
         else:
             rungs = min(_RUNGS, int(left.min()), max(1, _BATCH_POINTS // (n * points)))
@@ -756,7 +740,7 @@ def _polish_rows(ns, xs, x1_pin, b0, b1, theta: np.ndarray,
         grid = cand.reshape(2, -1)
         rowwise = data[:3] if rungs == 1 else np.repeat(data[:3], rungs, 1)  # ns, xs, b0
         rc, cc, x1c = _profile_rows(*rowwise, x1_pin, *grid)
-        fc = _rowdot(rc, rc)
+        fc = _dot(rc, rc)
         take = halt | (fc.reshape(n, rungs) < f[:, None])
         if rungs == 1:
             at = slice(None)
@@ -801,11 +785,11 @@ def _fit_rows(ns: np.ndarray, xs: np.ndarray, x1_pin: float | None,
         start = _linear_start_rows(ns, xs, x1_pin, b0, b1, opt.beta_max)
         theta, f, x1 = _polish_rows(ns, xs, x1_pin, b0, b1, start, opt)
         # the face tie rule of _minimize, row by row
-        bound = f + opt.refine_tol * np.maximum(f, _ROUNDING * _rowdot(xs, xs))
+        bound = f + opt.refine_tol * np.maximum(f, _ROUNDING * _dot(xs, xs))
         best, left = theta, np.ones(len(ns), dtype=bool)
         for face in (theta * [1.0, 0.0], theta * [0.0, 1.0], np.zeros_like(theta)):
             rf, _, x1f = _profile_rows(ns, xs, b0, x1_pin, face[:, 0], face[:, 1])
-            tie = left & (_rowdot(rf, rf) <= bound)
+            tie = left & (_dot(rf, rf) <= bound)
             best = np.where(tie[:, None], face, best)
             x1 = np.where(tie, x1f, x1)
             left &= ~tie

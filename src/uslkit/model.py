@@ -157,6 +157,24 @@ def _as_levels(n: ArrayLike) -> np.ndarray:
     return arr
 
 
+def _dot(a, b):
+    """Sums of a * b along the last axis, leading axes broadcast: the only array reduction.
+
+    Never BLAS: np.dot and @ run the OpenBLAS kernel picked for the CPU, and the kernels
+    add in different orders.  Reducing only the last axis keeps a row's sum independent
+    of the rows beside it.
+    """
+    return np.einsum("...p,...p->...", a, b)
+
+
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values / 2**e, e) for values >= 0, where e puts the largest in [0.5, 1), or is 0 when
+    all are 0: the only power-of-two scale.  No squared sum of the scaled values overflows
+    or underflows, and the scale is exact, so fits and windows do not depend on the unit."""
+    e = math.frexp(float(values.max()))[1]
+    return np.ldexp(values, -e), e
+
+
 def _capacity(ns, b0, alpha: float, beta: float):
     """C(n) with b0 = n - 1, on floats or arrays, in the order every caller relies on."""
     return ns / (1.0 + alpha * b0 + beta * ns * b0)

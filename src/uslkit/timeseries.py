@@ -26,7 +26,8 @@ half the time.  The same bound holds the curvature of a window of 4 or
 more samples, the rise of a fitted quadratic from its middle to its ends:
 ramps at both ends cancel in the drift.  A window that fails any check
 raises NoSteadyStateError naming the window, the check and its measured
-value, then the limits.
+value, then the limits.  The checks run on the values scaled by
+model._scaled, as the fit does, and sum products with model._dot.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NoSteadyStateError, TrimExceedsRunError, UslError
 from .fitting import Dataset
-from .model import MeasuredPoint, check_count, check_level, check_range
+from .model import MeasuredPoint, _dot, _scaled, check_count, check_level, check_range
 
 __all__ = [
     "RunSeries", "SteadyWindow", "SteadyStateConfig", "extract_steady_state", "aggregate_runs",
@@ -194,15 +195,15 @@ def _rejection(t: np.ndarray, x: np.ndarray, mean: float, cv: float, total: floa
     tc -= tc.mean()
     v = tc / (duration / 2.0)  # 0 at the mean time, 1 half a window away
     u = v * v
-    u -= u.mean() + float(np.dot(u, v)) / float(np.dot(v, v)) * v  # orthogonal to 1 and v
+    u -= u.mean() + float(_dot(u, v)) / float(_dot(v, v)) * v  # orthogonal to 1 and v
     r = x - mean
     terms = (("drift", tc, duration), ("curvature", u, 1.0))
     # each term fits the last's residual; a parabola through 3 samples leaves no error
     for df, (name, b, scale) in enumerate(terms[:len(x) - 2], 2):
-        sbb = float(np.dot(b, b))
-        c = float(np.dot(b, r)) / sbb
+        sbb = float(_dot(b, b))
+        c = float(_dot(b, r)) / sbb
         r -= c * b
-        se = math.sqrt(float(np.dot(r, r)) / (len(x) - df) / sbb) * scale / mean
+        se = math.sqrt(float(_dot(r, r)) / (len(x) - df) / sbb) * scale / mean
         value = abs(c) * scale / mean
         if not value - 3.0 * se <= cfg.slope_tol:
             return f"has {name} {value:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
@@ -237,14 +238,11 @@ def extract_steady_state(run: RunSeries, config: SteadyStateConfig | None = None
     """Steady-state window of one run.
 
     Uses config's explicit trim when set, otherwise automatic detection
-    under config (defaults apply when omitted).  Either sees the values
-    over the power of two that puts the largest in [0.5, 1), as the fit
-    does, so no squared sum overflows or underflows and the window does not
-    depend on the unit.  The mean is the window's arithmetic mean, scaled back.
+    under config (defaults apply when omitted).  Either runs on the values
+    scaled by model._scaled; the mean is the window's, scaled back.
     """
     config = config or SteadyStateConfig()
-    e = math.frexp(float(run.values.max()))[1]  # 0 for an all-zero run
-    t, x = run.times, np.ldexp(run.values, -e)
+    (x, e), t = _scaled(run.values), run.times
     w = _detected(t, x, config) if config.trim is None else _trimmed(t, x, *config.trim)
     return replace(w, mean_throughput=math.ldexp(w.mean_throughput, e))
 

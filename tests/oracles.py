@@ -446,6 +446,39 @@ def _mser_cut_direct(x, most) -> int:
     return next(d for d, (s, tol) in enumerate(zip(scores, tols)) if s <= low + tol)
 
 
+def trend_terms(times, values):
+    """(name, value, standard error) of a window's fitted drift, then, from 4 samples on,
+    of its curvature, both relative to the window's mean, from correctly rounded sums.
+
+    The drift is |slope| x duration / mean of the least-squares line.  The curvature is
+    the rise of the least-squares quadratic from its middle to its ends, over the mean.
+    A window passes the library's check of a term when value - 3 x se <= slope_tol.
+    """
+    wt, wx = list(times), list(values)
+    k = len(wx)
+    mean = math.fsum(wx) / k
+    duration = wt[-1] - wt[0]
+    tc = [v - wt[0] for v in wt]
+    tbar = math.fsum(tc) / k
+    sxy = math.fsum((a - tbar) * (v - mean) for a, v in zip(tc, wx))
+    sxx = math.fsum((a - tbar) ** 2 for a in tc)
+    slope = sxy / sxx
+    sse = math.fsum((v - mean - slope * (a - tbar)) ** 2 for a, v in zip(tc, wx))
+    yield "drift", abs(slope) * duration / mean, math.sqrt(sse / (k - 2) / sxx) * duration / mean
+    if k > 3:
+        # the t**2 column, made orthogonal to 1 and t, and its coefficient
+        sq = [(a - tbar) ** 2 for a in tc]
+        qbar = math.fsum(sq) / k
+        b = math.fsum((q - qbar) * (a - tbar) for q, a in zip(sq, tc)) / sxx
+        qc = [q - qbar - b * (a - tbar) for q, a in zip(sq, tc)]
+        sqq = math.fsum(q * q for q in qc)
+        c = math.fsum(q * v for q, v in zip(qc, wx)) / sqq
+        sse = math.fsum((v - mean - slope * (a - tbar) - c * q) ** 2
+                        for a, v, q in zip(tc, wx, qc))
+        scale = (duration / 2.0) ** 2 / mean
+        yield "curvature", abs(c) * scale, math.sqrt(sse / (k - 3) / sqq) * scale
+
+
 def steady_window_mser(times, values, cfg):
     """Steady-state window by two-sided MSER truncation, from direct sums.
 
@@ -486,31 +519,10 @@ def steady_window_mser(times, values, cfg):
     elif not cv <= cfg.cv_max:
         reason = f"has cv {cv:.4g} > {cfg.cv_max:g}"
     else:
-        tc = [v - wt[0] for v in wt]
-        tbar = math.fsum(tc) / k
-        sxy = math.fsum((a - tbar) * (v - mean) for a, v in zip(tc, wx))
-        sxx = math.fsum((a - tbar) ** 2 for a in tc)
-        slope = sxy / sxx
-        sse = math.fsum((v - mean - slope * (a - tbar)) ** 2 for a, v in zip(tc, wx))
-        drift = abs(slope) * duration / mean
-        se = math.sqrt(sse / (k - 2) / sxx) * duration / mean
-        if not drift - 3.0 * se <= cfg.slope_tol:
-            reason = f"has drift {drift:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
-        elif k > 3:
-            # the t**2 column, made orthogonal to 1 and t, and its coefficient
-            sq = [(a - tbar) ** 2 for a in tc]
-            qbar = math.fsum(sq) / k
-            b = math.fsum((q - qbar) * (a - tbar) for q, a in zip(sq, tc)) / sxx
-            qc = [q - qbar - b * (a - tbar) for q, a in zip(sq, tc)]
-            sqq = math.fsum(q * q for q in qc)
-            c = math.fsum(q * v for q, v in zip(qc, wx)) / sqq
-            sse = math.fsum((v - mean - slope * (a - tbar) - c * q) ** 2
-                            for a, v, q in zip(tc, wx, qc))
-            scale = (duration / 2.0) ** 2 / mean
-            bow = abs(c) * scale
-            se = math.sqrt(sse / (k - 3) / sqq) * scale
-            if not bow - 3.0 * se <= cfg.slope_tol:
-                reason = f"has curvature {bow:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
+        for name, value, se in trend_terms(wt, wx):
+            if not value - 3.0 * se <= cfg.slope_tol:
+                reason = f"has {name} {value:.4g} (standard error {se:.2g}) > {cfg.slope_tol:g}"
+                break
     if reason is not None:
         raise NoSteadyStateError(
             f"the MSER window [{wt[0]:g}s, {wt[-1]:g}s] {reason}; a steady window needs "

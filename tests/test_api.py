@@ -1,10 +1,13 @@
 """The public names: each stated once, in the ``__all__`` of the module defining it.
 
 ``uslkit.__all__`` is the union of the modules' lists.  A name added to or
-dropped from the API shows here as a change to PUBLIC.
+dropped from the API shows here as a change to PUBLIC.  Also the
+arithmetic rule: every array reduction of the library is ``model._dot``.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +79,36 @@ def test_no_name_is_listed_by_two_modules():
         for name in module.__all__:
             assert name not in seen, f"{name} is in {seen.get(name)} and {module.__name__}"
             seen[name] = module.__name__
+
+
+SOURCES = sorted(Path(uslkit.__file__).parent.glob("*.py"))
+BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}  # numpy names that reach BLAS
+
+
+def arithmetic_breaches(source: str) -> list[str]:
+    """Lines of source that reduce past model._dot: a numpy BLAS routine or np.linalg,
+    the @ operator, a .dot attribute, or built-in sum(, which compensates from Python 3.12."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (node.attr == "dot" or node.attr in BLAS
+                                                and getattr(node.value, "id", "") == "np"):
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name in BLAS]
+        elif isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "sum":
+            found.append(f"{node.lineno}: sum(")
+    return found
+
+
+def test_the_arithmetic_lint_sees_every_form():
+    source = ("np.dot(a, b)\nnp.linalg.norm(a)\na @ b\na @= b\nx.dot(b)\nsum(a)\n"
+              "np.matmul(a, b) + np.inner(a, b) + np.vdot(a, b) + np.tensordot(a, b)\n"
+              "from numpy import dot\nnp.einsum('...p,...p->...', a, b)\nnp.sum(a)\n")
+    assert len(arithmetic_breaches(source)) == 11
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_reduction_goes_through_model_dot(path):
+    assert arithmetic_breaches(path.read_text()) == []

@@ -24,8 +24,11 @@ from uslkit import (
     InsufficientDataError,
     MismatchedDatasetError,
     MissingBaselineError,
+    NoSteadyStateError,
     QueueParams,
     Regime,
+    RunSeries,
+    SteadyStateConfig,
     UslError,
     UslParams,
     ZeroBaselineError,
@@ -33,6 +36,7 @@ from uslkit import (
     capacity_ratios,
     compare_fits,
     evaluate_fit,
+    extract_steady_state,
     fit_usl,
     mva_solve,
     usl_capacity,
@@ -45,6 +49,7 @@ from oracles import (
     kkt_residual,
     minimize_vector_reference,
     sum_squared_residuals,
+    trend_terms,
 )
 
 LEVELS = [1, 2, 4, 8, 16, 32]
@@ -509,6 +514,32 @@ def fit_usl_digest() -> str:
     return hashlib.sha256("\n".join(fit_usl_outputs()).encode()).hexdigest()
 
 
+def steady_decisions(runs: int = 6, k: int = 1000) -> list[str]:
+    """extract_steady_state on seeded runs with a 2-6 % linear trend, each at the 129
+    slope_tol values within 64 ulps of its window's drift statistic (value - 3 x se, from
+    the oracle): the window's repr or the refusal, one line per run and slope_tol."""
+    rng = np.random.default_rng(7)
+    t = np.arange(k, dtype=float)
+    out = []
+    for load in range(1, runs + 1):
+        trend = 0.02 + 0.04 * rng.random()
+        x = 1000.0 * (1.0 + trend * t / k) * (1.0 + 0.01 * rng.standard_normal(k))
+        run = RunSeries(float(load), np.column_stack([t, x]))
+        w = extract_steady_state(run, SteadyStateConfig(slope_tol=math.inf))
+        inside = (t >= w.start) & (t <= w.end)
+        tol = max(v - 3.0 * se for _, v, se in trend_terms(t[inside].tolist(), x[inside].tolist()))
+        for _ in range(64):
+            tol = math.nextafter(tol, 0.0)
+        for _ in range(129):
+            try:
+                got = repr(extract_steady_state(run, SteadyStateConfig(slope_tol=tol)))
+            except NoSteadyStateError as e:
+                got = f"refused: {e}"
+            out.append(f"{load} {tol!r} {got}")
+            tol = math.nextafter(tol, math.inf)
+    return out
+
+
 def _openblas() -> bool:
     """Whether numpy's BLAS is OpenBLAS, whose kernel OPENBLAS_CORETYPE picks."""
     try:
@@ -516,6 +547,28 @@ def _openblas() -> bool:
     except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
         return False
     return "openblas" in str(blas.get("name", "")).lower()
+
+
+on_blas_kernels = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _openblas(),
+    reason="OPENBLAS_CORETYPE selects a kernel of OpenBLAS on x86-64 only")
+
+
+def under_prescott(name: str) -> list[str]:
+    """The lines of test_fitting.<name>() in a process with OPENBLAS_CORETYPE=Prescott.
+
+    Prescott's kernels run on every x86-64 CPU, and sum in another order
+    than the AVX2 and AVX-512 ones that CPUs with them get.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = ("import sys; sys.path[:0] = sys.argv[2:]; import test_fitting; "
+              "out = getattr(test_fitting, sys.argv[1])(); "
+              "print(out if isinstance(out, str) else '\\n'.join(out))")
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    other = subprocess.run([sys.executable, "-c", script, name, here, src], env=env,
+                           capture_output=True, text=True, check=True, timeout=300)
+    return other.stdout.splitlines()
 
 
 class TestFitUslPinned:
@@ -529,19 +582,22 @@ class TestFitUslPinned:
         assert len(fit_usl_outputs()) == 4 * 1000 + 5 * 2 * len(EDGE_CASES)
         assert fit_usl_digest() == self.DIGEST
 
-    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _openblas(),
-                        reason="OPENBLAS_CORETYPE selects a kernel of OpenBLAS on x86-64 only")
+    @on_blas_kernels
     def test_every_output_is_the_same_on_another_blas_kernel(self):
-        # Prescott's kernels run on every x86-64 CPU, and sum in another
-        # order than the AVX2 and AVX-512 ones that CPUs with them get
-        here = os.path.dirname(os.path.abspath(__file__))
-        script = ("import sys; sys.path[:0] = sys.argv[1:]; "
-                  "from test_fitting import fit_usl_digest; print(fit_usl_digest())")
-        src = os.path.join(os.path.dirname(here), "src")
-        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-        other = subprocess.run([sys.executable, "-c", script, here, src], env=env,
-                               capture_output=True, text=True, check=True, timeout=300)
-        assert other.stdout.strip() == fit_usl_digest()
+        assert under_prescott("fit_usl_digest") == [fit_usl_digest()]
+
+
+class TestSteadyStatePinned:
+    @on_blas_kernels
+    def test_decisions_are_the_same_on_another_blas_kernel(self):
+        # at the slope_tol values around each window's statistic, the window
+        # is accepted or refused as its statistic rounds; every run's sweep
+        # holds both, so a statistic one ulp off changes the lines
+        here = steady_decisions()
+        refused = [line.split(" ", 2)[2].startswith("refused: ") for line in here]
+        for i in range(0, len(here), 129):
+            assert 0 < sum(refused[i:i + 129]) < 129
+        assert under_prescott("steady_decisions") == here
 
 
 class TestEvaluateAndCompare:
@@ -623,6 +679,14 @@ class TestEvaluateAndCompare:
     def test_compare_both_unbounded_is_tie(self):
         cmp = compare_fits(UslParams(0.1, 0.0), UslParams(0.3, 0.0))
         assert cmp.peak_delta == 0.0
+        assert cmp.scales_further == "tie"
+
+    def test_compare_peaks_one_ulp_apart_tie(self):
+        # two fits of one law round their peaks apart: that is no difference
+        a, b = UslParams(0.05, 0.0020000000000000005), UslParams(0.05, 0.002000000000000001)
+        cmp = compare_fits(a, b)
+        assert math.nextafter(cmp.peak_a, 0.0) == cmp.peak_b
+        assert cmp.peak_delta == cmp.peak_b - cmp.peak_a < 0.0
         assert cmp.scales_further == "tie"
 
     def test_compare_finite_vs_unbounded(self):
